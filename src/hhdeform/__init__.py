@@ -12,7 +12,6 @@ from .algebra import (
 )
 from .bar import bar_cochain_dimension, bar_cohomology_dimension
 from .freepaths import (
-    FreeElement,
     FreePath,
     free_multiply,
     g_generators,
@@ -53,7 +52,6 @@ __all__ = [
     "BimoduleMap",
     "Cochain",
     "CohomologyClass",
-    "FreeElement",
     "FreePath",
     "Generator",
     "NonGenericParameters",

@@ -74,7 +74,8 @@ def z(i):
 
 
 class AlgebraElement:
-    """A finitely supported rational combination of basis monomials."""
+    """A finitely supported rational combination of basis monomials, or of
+    free paths before the relations are imposed."""
 
     __slots__ = ("coeffs",)
 
@@ -243,9 +244,6 @@ class Algebra:
             return AlgebraElement()
         return AlgebraElement(prod)
 
-    def element(self, mono, coeff=1):
-        return AlgebraElement.of(mono, coeff)
-
     def zero(self):
         return AlgebraElement()
 
@@ -286,6 +284,22 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(m={self.m}, q={self.q}, zeta={self.zeta})"
+
+
+def memoised(fn):
+    """Memoise fn(*args, alg) in the cache of the Algebra instance `alg`:
+    a repeated call returns the very object built by the first one."""
+
+    def cached(*args):
+        key = (fn, args[:-1])
+        cache = args[-1].cache
+        if key not in cache:
+            cache[key] = fn(*args)
+        return cache[key]
+
+    cached.__name__ = fn.__name__
+    cached.__doc__ = fn.__doc__
+    return cached
 
 
 def build_algebra(spec):

@@ -14,7 +14,7 @@ silent truncation.
 from fractions import Fraction
 
 from . import linalg
-from .algebra import ARROW, BAR, LOOP, AlgebraElement
+from .algebra import ARROW, BAR, LOOP, AlgebraElement, memoised
 
 
 class DegreeCapExceeded(Exception):
@@ -25,11 +25,9 @@ def _radical_monomials(alg):
     return [mono for mono in alg.basis if mono.kind in (ARROW, BAR, LOOP)]
 
 
-def _tuples(alg, n):
+@memoised
+def _tuples(n, alg):
     """All endpoint-compatible n-tuples of radical monomials."""
-    key = ("bar_tuples", n)
-    if key in alg.cache:
-        return alg.cache[key]
     m = alg.m
     rad = _radical_monomials(alg)
     if n == 0:
@@ -43,19 +41,16 @@ def _tuples(alg, n):
                 for mono in rad
                 if mono.origin(m) == tup[-1].terminus(m)
             ]
-    alg.cache[key] = result
     return result
 
 
+@memoised
 def bar_basis(n, alg):
     """Basis of the degree-n cochain space: (tuple, corner monomial).
 
     Degree 0 is maps out of the vertex span itself, one diagonal corner
     per vertex.
     """
-    key = ("bar_basis", n)
-    if key in alg.cache:
-        return alg.cache[key]
     m = alg.m
     basis = []
     if n == 0:
@@ -63,12 +58,11 @@ def bar_basis(n, alg):
             for mono in alg.corner_basis(i, i):
                 basis.append(((i,), mono))
     else:
-        for tup in _tuples(alg, n):
+        for tup in _tuples(n, alg):
             o = tup[0].origin(m)
             t = tup[-1].terminus(m)
             for mono in alg.corner_basis(o, t):
                 basis.append((tup, mono))
-    alg.cache[key] = basis
     return basis
 
 
@@ -76,6 +70,7 @@ def bar_cochain_dimension(n, alg):
     return len(bar_basis(n, alg))
 
 
+@memoised
 def _bar_coboundary(n, alg):
     """Matrix of the standard coboundary from degree n to degree n + 1:
 
@@ -83,9 +78,6 @@ def _bar_coboundary(n, alg):
                              + sum_j (-1)^j f(... r_j r_{j+1} ...)
                              + (-1)^{n+1} f(... r_n) r_{n+1}
     """
-    key = ("bar_coboundary", n)
-    if key in alg.cache:
-        return alg.cache[key]
     m = alg.m
     source = bar_basis(n, alg)
     target = bar_basis(n + 1, alg)
@@ -95,7 +87,7 @@ def _bar_coboundary(n, alg):
     target_index = {item: k for k, item in enumerate(target)}
     for col, (tup0, mono0) in enumerate(source):
         mono_elt = AlgebraElement.of(mono0)
-        for big in _tuples(alg, n + 1):
+        for big in _tuples(n + 1, alg):
             acc = alg.zero()
             if n == 0:
                 r1 = big[0]
@@ -120,7 +112,6 @@ def _bar_coboundary(n, alg):
                     ).scale((-1) ** (n + 1))
             for mono, c in acc.coeffs.items():
                 mat.add_to_entry(target_index[(big, mono)], col, c)
-    alg.cache[key] = mat
     return mat
 
 

@@ -14,6 +14,7 @@ theorem comparison failed, 2 invalid configuration.
 """
 
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -26,10 +27,13 @@ from .freepaths import verify_g_recursions
 ALL_CHECKS = ("complex", "exactness", "recursions", "hom-dims", "cohomology", "ring", "oracle")
 
 
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text):
     try:
-        if "." in text:
-            raise ValueError("decimals are not exact")
+        if not RATIONAL.fullmatch(text.strip()):
+            raise ValueError("not an integer or p/q")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise click.BadParameter(f"not a rational: {text!r}") from exc
@@ -40,10 +44,6 @@ def parse_q(text, m):
     if len(parts) != m:
         raise click.BadParameter(f"expected {m} parameters, got {len(parts)}")
     return tuple(parse_rational(p) for p in parts)
-
-
-def format_rational(value):
-    return str(value)
 
 
 def make_algebra(m, q_text, allow_non_generic, needs_generic=True):
@@ -63,8 +63,8 @@ def make_algebra(m, q_text, allow_non_generic, needs_generic=True):
 def spec_payload(alg):
     return {
         "m": alg.m,
-        "q": [format_rational(v) for v in alg.q],
-        "zeta": format_rational(alg.zeta),
+        "q": [str(v) for v in alg.q],
+        "zeta": str(alg.zeta),
         "generic": alg.generic,
     }
 
@@ -154,10 +154,11 @@ def emit(payload, fmt, output):
 def common_options(f):
     f = click.option("--max-degree", type=int, default=None, help="Top degree (default 2m+6).")(f)
     f = click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")(f)
-    f = click.option("--allow-non-generic", is_flag=True, default=False)(f)
-    f = click.option("--parallel", is_flag=True, default=False, help="Accepted for compatibility; execution is sequential.")(f)
     f = click.option("--output", type=click.Path(), default=None)(f)
     return f
+
+
+allow_non_generic_option = click.option("--allow-non-generic", is_flag=True, default=False)
 
 
 @click.group()
@@ -169,7 +170,8 @@ def main():
 @click.option("--m", "m", type=int, required=True)
 @click.option("--q", "q_text", type=str, required=True, help="Comma list of m rationals.")
 @common_options
-def compute(m, q_text, max_degree, fmt, allow_non_generic, parallel, output):
+@allow_non_generic_option
+def compute(m, q_text, max_degree, fmt, allow_non_generic, output):
     """Per-degree dimension table, compared against the closed forms."""
     alg = make_algebra(m, q_text, allow_non_generic)
     if max_degree is None:
@@ -255,7 +257,8 @@ def run_check(name, alg, max_degree):
 @click.option("--q", "q_text", type=str, required=True)
 @click.option("--checks", "checks_text", type=str, default=",".join(ALL_CHECKS))
 @common_options
-def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, parallel, output):
+@allow_non_generic_option
+def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
     """Run the selected verification suites."""
     names = [c.strip() for c in checks_text.split(",") if c.strip()]
     unknown = [c for c in names if c not in ALL_CHECKS]
@@ -289,7 +292,7 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, parallel,
 @click.option("--m-range", "m_range", type=str, required=True, help="Inclusive range, e.g. 1:5.")
 @click.option("--zeta", "zeta_text", type=str, required=True, help="Comma list of zeta values.")
 @common_options
-def sweep(m_range, zeta_text, max_degree, fmt, allow_non_generic, parallel, output):
+def sweep(m_range, zeta_text, max_degree, fmt, output):
     """Total cohomology dimension for q = (zeta, 1, ..., 1) over a range of m."""
     try:
         lo, hi = (int(p) for p in m_range.split(":"))

@@ -43,6 +43,9 @@ class FreePath:
     def __len__(self):
         return len(self.steps)
 
+    def sort_key(self):
+        return (len(self.steps), self.origin, self.steps)
+
     def __repr__(self):
         if not self.steps:
             return f"e{self.origin}"
@@ -64,57 +67,6 @@ def bar_path(i, m):
     return FreePath((i + 1) % m, ((BAR, i % m),))
 
 
-class FreeElement:
-    """A finitely supported rational combination of free paths."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for p, c in coeffs.items():
-                c = Fraction(c)
-                if c:
-                    self.coeffs[p] = c
-
-    @classmethod
-    def of(cls, path, coeff=1):
-        return cls({path: Fraction(coeff)})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for p, c in other.coeffs.items():
-            s = out.get(p, Fraction(0)) + c
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-        res = FreeElement()
-        res.coeffs = out
-        return res
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        s = Fraction(s)
-        res = FreeElement()
-        if s:
-            res.coeffs = {p: c * s for p, c in self.coeffs.items()}
-        return res
-
-    def __eq__(self, other):
-        return isinstance(other, FreeElement) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{p}" for p, c in self.coeffs.items())
-
-
 def free_multiply(x, y, m):
     """Concatenation product; endpoint-mismatched pairs contribute zero."""
     out = {}
@@ -129,7 +81,7 @@ def free_multiply(x, y, m):
                 out[p] = s
             else:
                 out.pop(p, None)
-    res = FreeElement()
+    res = AlgebraElement()
     res.coeffs = out
     return res
 
@@ -153,20 +105,20 @@ def g_generators(n, alg):
     with missing summands treated as zero and the empty q-product as 1.
     """
     m = alg.m
-    table = {(0, i): FreeElement.of(trivial_path(i)) for i in range(m)}
+    table = {(0, i): AlgebraElement.of(trivial_path(i)) for i in range(m)}
     for deg in range(1, n + 1):
         new = {}
         for i in range(m):
             for r in range(deg + 1):
-                acc = FreeElement()
+                acc = AlgebraElement()
                 prev = table.get((r, i))
                 if prev is not None and r <= deg - 1:
-                    step = FreeElement.of(arrow_path(i + deg - 2 * r - 1, m))
+                    step = AlgebraElement.of(arrow_path(i + deg - 2 * r - 1, m))
                     acc = acc + free_multiply(prev, step, m)
                 prev2 = table.get((r - 1, i))
                 if prev2 is not None:
                     coeff = q_run(alg, i - r + 1, deg - r) * (-1) ** deg
-                    step = FreeElement.of(bar_path(i + deg - 2 * r, m))
+                    step = AlgebraElement.of(bar_path(i + deg - 2 * r, m))
                     acc = acc + free_multiply(prev2, step, m).scale(coeff)
                 new[(r, i)] = acc
         table = new
@@ -187,17 +139,17 @@ def g_left_form(n, alg, table_prev=None):
     out = {}
     for i in range(m):
         for r in range(n + 1):
-            acc = FreeElement()
+            acc = AlgebraElement()
             prev = table_prev.get((r, (i + 1) % m))
             if prev is not None and r <= n - 1:
                 coeff = q_run(alg, i - r + 1, r) * (-1) ** r
                 acc = acc + free_multiply(
-                    FreeElement.of(arrow_path(i, m)), prev, m
+                    AlgebraElement.of(arrow_path(i, m)), prev, m
                 ).scale(coeff)
             prev2 = table_prev.get((r - 1, (i - 1) % m))
             if prev2 is not None:
                 acc = acc + free_multiply(
-                    FreeElement.of(bar_path(i - 1, m)), prev2, m
+                    AlgebraElement.of(bar_path(i - 1, m)), prev2, m
                 ).scale((-1) ** r)
             out[(r, i)] = acc
     return out

@@ -12,24 +12,19 @@ the kernel/image analysis live in the expected_* functions and are used
 as comparison data, never as a computation path.
 """
 
-from fractions import Fraction
-
 from . import linalg
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, memoised
 from .resolution import differential, generators
 
 
+@memoised
 def hom_space_basis(n, alg):
     """Ordered basis of Hom(P^n, Algebra): (generator, corner monomial)."""
-    key = ("hom_basis", n)
-    if key in alg.cache:
-        return alg.cache[key]
     m = alg.m
     basis = []
     for gen in generators(n, m):
         for mono in alg.corner_basis(gen.i, gen.terminus(m)):
             basis.append((gen, mono))
-    alg.cache[key] = basis
     return basis
 
 
@@ -37,12 +32,10 @@ def hom_dimension(n, alg):
     return len(hom_space_basis(n, alg))
 
 
+@memoised
 def coboundary_matrix(n, alg):
     """Matrix of f |-> f o d^{n+1}, columns over the basis of Hom(P^n, .),
     rows over the basis of Hom(P^{n+1}, .)."""
-    key = ("coboundary", n)
-    if key in alg.cache:
-        return alg.cache[key]
     m = alg.m
     source = hom_space_basis(n, alg)
     target = hom_space_basis(n + 1, alg)
@@ -58,7 +51,6 @@ def coboundary_matrix(n, alg):
                     acc = acc + alg.multiply(alg.multiply(left, mono_elt), right)
             for mono, c in acc.coeffs.items():
                 mat.add_to_entry(target_index[(gen, mono)], col, c)
-    alg.cache[key] = mat
     return mat
 
 

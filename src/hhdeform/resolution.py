@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraElement, a, abar, e
+from .algebra import AlgebraElement, a, abar, e, memoised
 from .freepaths import q_run
 
 
@@ -103,13 +103,7 @@ class BimoduleMap:
 
     def value_coords(self, gen):
         """Coordinates of the image of `gen` over the basis of P^{target_degree}."""
-        basis_index = _p_basis_index(self.alg, self.target_degree)
-        coords = [Fraction(0)] * len(basis_index)
-        for left, target, right in self.terms(gen):
-            for ml, cl in left.coeffs.items():
-                for mr, cr in right.coeffs.items():
-                    coords[basis_index[(target, ml, mr)]] += cl * cr
-        return coords
+        return term_coords(self.terms(gen), self.target_degree, self.alg)
 
     def __repr__(self):
         return (
@@ -137,14 +131,12 @@ def identity_map(n, alg):
     return BimoduleMap(alg, n, n, assignments)
 
 
+@memoised
 def differential(n, alg):
     """The differential P^n -> P^{n-1}, n >= 1, straight from the closed
     form: two-term images at r = 0 and r = n, four terms otherwise."""
     if n < 1:
         raise ValueError("the differential is defined for n >= 1")
-    key = ("differential", n)
-    if key in alg.cache:
-        return alg.cache[key]
     m = alg.m
     sign_n = (-1) ** n
     one = Fraction(1)
@@ -223,9 +215,7 @@ def differential(n, alg):
                 )
             )
         assignments[gen] = terms
-    result = BimoduleMap(alg, n, n - 1, assignments)
-    alg.cache[key] = result
-    return result
+    return BimoduleMap(alg, n, n - 1, assignments)
 
 
 def compose(f, g):
@@ -278,42 +268,47 @@ def augment(f):
     return out
 
 
-def _p_basis(alg, n):
+@memoised
+def _p_basis(n, alg):
     """Ordered basis of the underlying vector space of P^n: per generator,
     (left monomial into the origin) x (right monomial out of the terminus)."""
-    key = ("p_basis", n)
-    if key in alg.cache:
-        return alg.cache[key]
     m = alg.m
     basis = []
     for gen in generators(n, m):
         for ml in alg.monomials_into(gen.i):
             for mr in alg.monomials_from(gen.terminus(m)):
                 basis.append((gen, ml, mr))
-    alg.cache[key] = basis
     return basis
 
 
-def _p_basis_index(alg, n):
-    key = ("p_basis_index", n)
-    if key in alg.cache:
-        return alg.cache[key]
-    index = {item: k for k, item in enumerate(_p_basis(alg, n))}
-    alg.cache[key] = index
-    return index
+@memoised
+def _p_basis_index(n, alg):
+    return {item: k for k, item in enumerate(_p_basis(n, alg))}
 
 
 def p_dimension(alg, n):
     """16 m (n+1): each of the m(n+1) summands contributes 4 x 4."""
-    return len(_p_basis(alg, n))
+    return len(_p_basis(n, alg))
+
+
+def term_coords(terms, n, alg):
+    """Coordinates over the underlying basis of P^n of a list of
+    (left, target, right) terms."""
+    index = _p_basis_index(n, alg)
+    coords = [Fraction(0)] * len(index)
+    for left, target, right in terms:
+        for ml, cl in left.coeffs.items():
+            for mr, cr in right.coeffs.items():
+                coords[index[(target, ml, mr)]] += cl * cr
+    return coords
 
 
 def underlying_matrix(f):
     """The matrix of f on underlying vector spaces; rows are indexed by the
     basis of the target P, columns by the basis of the source P."""
     alg = f.alg
-    source = _p_basis(alg, f.source_degree)
-    target_index = _p_basis_index(alg, f.target_degree)
+    source = _p_basis(f.source_degree, alg)
+    target_index = _p_basis_index(f.target_degree, alg)
     mat = linalg.Matrix(len(target_index), len(source))
     for col, (gen, bl, br) in enumerate(source):
         for left, target, right in f.terms(gen):
@@ -327,18 +322,15 @@ def underlying_matrix(f):
     return mat
 
 
+@memoised
 def augmentation_matrix(alg):
     """The multiplication map P^0 -> Algebra on underlying vector spaces."""
-    key = ("augmentation_matrix",)
-    if key in alg.cache:
-        return alg.cache[key]
-    source = _p_basis(alg, 0)
+    source = _p_basis(0, alg)
     mat = linalg.Matrix(len(alg.basis), len(source))
     for col, (_gen, bl, br) in enumerate(source):
         prod = alg.monomial_multiply(bl, br)
         for mono, c in prod.coeffs.items():
             mat.add_to_entry(alg.basis_index[mono], col, c)
-    alg.cache[key] = mat
     return mat
 
 

@@ -14,18 +14,16 @@ values with its central element, which is the same thing but cheaper.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraElement, a, abar, z
-from .homcomplex import coboundary_matrix, hom_space_basis
+from .algebra import AlgebraElement, a, abar, memoised, z
+from .homcomplex import coboundary_matrix, hom_space_basis, image_basis, kernel_basis
 from .resolution import (
     BimoduleMap,
     Generator,
-    _p_basis,
-    _p_basis_index,
     differential,
     generators,
+    term_coords,
 )
 
 
@@ -47,15 +45,6 @@ class Cochain:
         basis = hom_space_basis(self.degree, alg)
         return [self.value(gen).coefficient(mono) for gen, mono in basis]
 
-    @classmethod
-    def from_vector(cls, degree, vec, alg):
-        basis = hom_space_basis(degree, alg)
-        values = {}
-        for (gen, mono), c in zip(basis, vec):
-            if c:
-                values[gen] = values.get(gen, AlgebraElement()) + AlgebraElement.of(mono, c)
-        return cls(degree, values)
-
     def is_cocycle(self, alg):
         image = coboundary_matrix(self.degree, alg).mul_vector(self.to_vector(alg))
         return not any(image)
@@ -71,39 +60,25 @@ class CohomologyClass:
         return not any(self.coordinates)
 
 
-def _cohomology_space(alg, n):
-    """(stacked matrix, image rank, complement vectors) for degree n.
+@memoised
+def _cohomology_space(n, alg):
+    """(columns, complement positions, complement vectors) for degree n.
 
-    The stacked matrix has the image echelon vectors followed by the chosen
-    complement vectors as columns; solving against it splits a cocycle into
-    a coboundary part and class coordinates.
+    The columns are the echelon basis of im d^{n-1} followed by the
+    reduced-echelon basis of ker d^n.  The pivot columns of their RREF
+    are the image columns and the greedy complement: each kernel vector
+    independent of the columns before it.  Solving a cocycle against the
+    columns with free variables zero leaves its class coordinates at the
+    complement positions.
     """
-    key = ("hh_space", n)
-    if key in alg.cache:
-        return alg.cache[key]
-    dim = len(hom_space_basis(n, alg))
-    if n == 0:
-        im_vectors = []
-    else:
-        im_vectors = linalg.rref(coboundary_matrix(n - 1, alg).transpose()).to_lists()
-    span = [list(v) for v in im_vectors]
-    span_rank = linalg.rank(linalg.Matrix.from_rows(span)) if span else 0
-    assert span_rank == len(im_vectors)
-    complement = []
-    for vec in linalg.kernel_basis(coboundary_matrix(n, alg)):
-        candidate = span + [vec]
-        if linalg.rank(linalg.Matrix.from_rows(candidate)) > len(span):
-            span = candidate
-            complement.append(vec)
-    columns = im_vectors + complement
-    stacked = linalg.Matrix(dim, len(columns))
-    for c, vec in enumerate(columns):
-        for r, v in enumerate(vec):
-            if v:
-                stacked.set_entry(r, c, v)
-    result = (stacked, len(im_vectors), complement)
-    alg.cache[key] = result
-    return result
+    image = image_basis(n, alg)
+    kernel = kernel_basis(n, alg)
+    vectors = image + kernel
+    columns = linalg.Matrix.from_columns(len(hom_space_basis(n, alg)), vectors)
+    pivots = linalg.pivot_columns(columns)
+    assert pivots[: len(image)] == list(range(len(image)))
+    positions = pivots[len(image):]
+    return columns, positions, [vectors[c] for c in positions]
 
 
 def class_of(cochain, alg, allow_non_generic=False):
@@ -111,13 +86,13 @@ def class_of(cochain, alg, allow_non_generic=False):
     alg.require_generic(allow_non_generic)
     if not cochain.is_cocycle(alg):
         raise ValueError("representative is not a cocycle")
-    stacked, im_rank, complement = _cohomology_space(alg, cochain.degree)
-    x = linalg.solve(stacked, cochain.to_vector(alg))
-    return CohomologyClass(cochain.degree, cochain, tuple(x[im_rank:]))
+    columns, positions, _ = _cohomology_space(cochain.degree, alg)
+    x = linalg.solve(columns, cochain.to_vector(alg))
+    return CohomologyClass(cochain.degree, cochain, tuple(x[c] for c in positions))
 
 
 def cohomology_basis_size(alg, n):
-    return len(_cohomology_space(alg, n)[2])
+    return len(_cohomology_space(n, alg)[2])
 
 
 def canonical_generators(alg, allow_non_generic=False):
@@ -160,17 +135,6 @@ def _term_basis(alg, src_gen, target_degree):
     return slots
 
 
-def _terms_to_coords(alg, degree, terms):
-    """Coordinates over the underlying basis of P^degree of a term list."""
-    index = _p_basis_index(alg, degree)
-    coords = [Fraction(0)] * len(index)
-    for left, tgt, right in terms:
-        for ml, cl in left.coeffs.items():
-            for mr, cr in right.coeffs.items():
-                coords[index[(tgt, ml, mr)]] += cl * cr
-    return coords
-
-
 def lift_cocycle(f, k, alg):
     """Chain-map liftings L^0, ..., L^k of a positive-degree cocycle f.
 
@@ -204,7 +168,7 @@ def lift_cocycle(f, k, alg):
                         carried.append(
                             (alg.multiply(left, l2), tgt, alg.multiply(r2, right))
                         )
-                rhs = _terms_to_coords(alg, j - 1, carried)
+                rhs = term_coords(carried, j - 1, alg)
                 cols = []
                 for tgt, ml, mr in slots:
                     pushed = []
@@ -216,12 +180,8 @@ def lift_cocycle(f, k, alg):
                                 alg.multiply(r2, AlgebraElement.of(mr)),
                             )
                         )
-                    cols.append(_terms_to_coords(alg, j - 1, pushed))
-            mat = linalg.Matrix(len(rhs), len(slots))
-            for c, colvec in enumerate(cols):
-                for r, v in enumerate(colvec):
-                    if v:
-                        mat.set_entry(r, c, v)
+                    cols.append(term_coords(pushed, j - 1, alg))
+            mat = linalg.Matrix.from_columns(len(rhs), cols)
             try:
                 x = linalg.solve(mat, rhs)
             except linalg.InconsistentSystem as exc:

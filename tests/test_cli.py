@@ -104,6 +104,10 @@ def test_compute_bad_q(runner):
     assert (
         runner.invoke(cli.main, ["compute", "--m", "2", "--q", "0.5,1"]).exit_code == 2
     )
+    # only [+-]?digits(/digits)? is a rational, whatever Fraction accepts
+    for bad in ("1e3", "1_000", "1E-2", "\u0663", "1/-2", "inf"):
+        result = runner.invoke(cli.main, ["compute", "--m", "2", "--q", f"{bad},1"])
+        assert result.exit_code == 2, bad
 
 
 def test_verify_structure_checks(runner):
@@ -232,6 +236,14 @@ def test_sweep_skips_roots_of_unity(runner):
 def test_sweep_bad_range(runner):
     result = runner.invoke(cli.main, ["sweep", "--m-range", "15", "--zeta", "2"])
     assert result.exit_code == 2
+
+
+def test_sweep_rejects_allow_non_generic(runner):
+    result = runner.invoke(
+        cli.main, ["sweep", "--m-range", "1:1", "--zeta", "2", "--allow-non-generic"]
+    )
+    assert result.exit_code == 2
+    assert "--allow-non-generic" in result.output
 
 
 def test_output_file(runner, tmp_path):

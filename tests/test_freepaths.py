@@ -4,7 +4,6 @@ import pytest
 
 from hhdeform.algebra import AlgebraElement, a, abar, algebra, e, z
 from hhdeform.freepaths import (
-    FreeElement,
     FreePath,
     _reduce_path,
     arrow_path,
@@ -20,7 +19,7 @@ F = Fraction
 
 
 def elt(path):
-    return FreeElement.of(path)
+    return AlgebraElement.of(path)
 
 
 def test_trivial_path_is_left_unit():

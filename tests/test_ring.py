@@ -1,9 +1,12 @@
 import pytest
 
+from hhdeform import linalg
 from hhdeform.algebra import AlgebraElement, NonGenericParameters, a, abar, algebra, e, z
 from hhdeform.resolution import BimoduleMap, Generator, augment, compose, differential, generators
+from hhdeform.homcomplex import coboundary_matrix
 from hhdeform.ring import (
     Cochain,
+    _cohomology_space,
     canonical_generators,
     class_of,
     cup_product,
@@ -202,3 +205,23 @@ def test_ring_report_m1():
     report = ring_report(algebra(1, (2,)))
     assert report["passed"], report["failures"]
     assert report["total_dim"] == 5
+
+
+def greedy_complement(alg, n):
+    """Extend the echelon image basis by each kernel vector that raises the
+    rank, in kernel order."""
+    span = linalg.rref(coboundary_matrix(n - 1, alg).transpose()).to_lists() if n else []
+    chosen = []
+    for vec in linalg.kernel_basis(coboundary_matrix(n, alg)):
+        if linalg.rank(linalg.Matrix.from_rows(span + [vec])) > len(span):
+            span.append(vec)
+            chosen.append(vec)
+    return chosen
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+@pytest.mark.parametrize("zeta", [2, 1, -1])
+def test_complement_is_the_greedy_choice(m, zeta):
+    alg = algebra(m, (zeta,) + (1,) * (m - 1))
+    for n in range(7):
+        assert _cohomology_space(n, alg)[2] == greedy_complement(alg, n)
