@@ -89,7 +89,11 @@ class AlgebraElement:
 
     @classmethod
     def of(cls, mono, coeff=1):
-        return cls({mono: Fraction(coeff)})
+        res = cls()
+        coeff = Fraction(coeff)
+        if coeff:
+            res.coeffs[mono] = coeff
+        return res
 
     def coefficient(self, mono):
         return self.coeffs.get(mono, Fraction(0))

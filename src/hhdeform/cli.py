@@ -152,7 +152,7 @@ def emit(payload, fmt, output):
 
 
 def common_options(f):
-    f = click.option("--max-degree", type=int, default=None, help="Top degree (default 2m+6).")(f)
+    f = click.option("--max-degree", type=click.IntRange(min=0), default=None, help="Top degree (default 2m+6).")(f)
     f = click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")(f)
     f = click.option("--output", type=click.Path(), default=None)(f)
     return f
@@ -264,6 +264,8 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
     unknown = [c for c in names if c not in ALL_CHECKS]
     if unknown:
         raise click.UsageError(f"unknown checks: {', '.join(unknown)}")
+    if max_degree == 0 and {"complex", "exactness"} & set(names):
+        raise click.UsageError("the complex and exactness checks need --max-degree >= 1")
     needs_generic = any(c in ("cohomology", "ring") for c in names)
     alg = make_algebra(m, q_text, allow_non_generic, needs_generic=needs_generic)
     if max_degree is None:

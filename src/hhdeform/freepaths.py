@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ARROW, BAR, AlgebraElement, a, abar, e, z
+from .algebra import ARROW, BAR, AlgebraElement, a, abar, e, memoised, z
 
 log = logging.getLogger(__name__)
 
@@ -89,6 +89,11 @@ def free_multiply(x, y, m):
 def q_run(alg, start, count):
     """Product q_start q_{start+1} ... of `count` consecutive parameters,
     indices reduced mod m; the empty product is 1."""
+    return _q_run(start % alg.m, count, alg)
+
+
+@memoised
+def _q_run(start, count, alg):
     prod = Fraction(1)
     for j in range(count):
         prod *= alg.q[(start + j) % alg.m]

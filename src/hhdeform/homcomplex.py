@@ -6,10 +6,12 @@ subspace e_i . Algebra . e_{(i+n-2r) mod m}.  That gives the canonical
 basis used everywhere here: generators in their fixed order, corner
 monomials in theirs.
 
-The coboundary d^n is computed generically by pushing the generators of
-P^{n+1} through the differential; the closed-form dimension tables from
-the kernel/image analysis live in the expected_* functions and are used
-as comparison data, never as a computation path.
+The coboundary d^n is computed generically from the differential, in
+one walk over the terms of d^{n+1}: the term (left, tgt, right) of the
+image of a generator of P^{n+1} feeds only the columns of the basis maps
+at tgt.  The closed-form dimension tables from the kernel/image analysis
+live in the expected_* functions and are used as comparison data, never
+as a computation path.
 """
 
 from . import linalg
@@ -35,22 +37,23 @@ def hom_dimension(n, alg):
 @memoised
 def coboundary_matrix(n, alg):
     """Matrix of f |-> f o d^{n+1}, columns over the basis of Hom(P^n, .),
-    rows over the basis of Hom(P^{n+1}, .)."""
-    m = alg.m
-    source = hom_space_basis(n, alg)
-    target = hom_space_basis(n + 1, alg)
-    target_index = {item: k for k, item in enumerate(target)}
-    d = differential(n + 1, alg)
-    mat = linalg.Matrix(len(target), len(source))
-    for col, (gen0, mono0) in enumerate(source):
-        mono_elt = AlgebraElement.of(mono0)
-        for gen in generators(n + 1, m):
-            acc = alg.zero()
-            for left, tgt, right in d.terms(gen):
-                if tgt == gen0:
-                    acc = acc + alg.multiply(alg.multiply(left, mono_elt), right)
-            for mono, c in acc.coeffs.items():
-                mat.add_to_entry(target_index[(gen, mono)], col, c)
+    rows over the basis of Hom(P^{n+1}, .).
+
+    One walk over the terms of d^{n+1}: a term (left, tgt, right) of the
+    image of gen sends the basis map (tgt, mono0) to left . mono0 . right
+    at gen, for each corner monomial mono0 of tgt.
+    """
+    columns = {}
+    for col, (gen0, mono0) in enumerate(hom_space_basis(n, alg)):
+        columns.setdefault(gen0, []).append((col, AlgebraElement.of(mono0)))
+    target_index = {item: k for k, item in enumerate(hom_space_basis(n + 1, alg))}
+    mat = linalg.Matrix(len(target_index), hom_dimension(n, alg))
+    for gen, terms in differential(n + 1, alg).assignments.items():
+        for left, tgt, right in terms:
+            for col, mono0 in columns.get(tgt, ()):
+                value = alg.multiply(alg.multiply(left, mono0), right)
+                for mono, c in value.coeffs.items():
+                    mat.add_to_entry(target_index[(gen, mono)], col, c)
     return mat
 
 

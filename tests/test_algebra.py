@@ -142,6 +142,12 @@ def test_center_dimension(m):
     assert len(linalg.kernel_basis(mat)) == m + 1
 
 
+def test_of_drops_zero_and_normalises():
+    assert AlgebraElement.of(a(0), 0).is_zero()
+    assert AlgebraElement.of(a(0), F(2, 4)) == AlgebraElement({a(0): F(1, 2)})
+    assert AlgebraElement.of(z(1)).coeffs == {z(1): F(1)}
+
+
 def test_build_algebra_from_spec():
     spec = AlgebraSpec(2, (F(1, 2), 4))
     alg = build_algebra(spec)

@@ -246,6 +246,40 @@ def test_sweep_rejects_allow_non_generic(runner):
     assert "--allow-non-generic" in result.output
 
 
+@pytest.mark.parametrize("check", ["complex", "exactness"])
+def test_verify_rejects_max_degree_zero_for_the_resolution_checks(runner, check):
+    result = runner.invoke(
+        cli.main,
+        ["verify", "--m", "2", "--q", "2,1", "--checks", check, "--max-degree", "0"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "--max-degree" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "--m", "2", "--q", "2,1"],
+        ["verify", "--m", "2", "--q", "2,1"],
+        ["sweep", "--m-range", "1:2", "--zeta", "2"],
+    ],
+    ids=["compute", "verify", "sweep"],
+)
+def test_negative_max_degree_rejected(runner, args):
+    result = runner.invoke(cli.main, args + ["--max-degree", "-1"])
+    assert result.exit_code == 2, result.output
+    assert "--max-degree" in result.output
+
+
+def test_verify_max_degree_zero_allowed_for_other_checks(runner):
+    result = runner.invoke(
+        cli.main,
+        ["verify", "--m", "2", "--q", "2,1", "--checks", "hom-dims,cohomology", "--max-degree", "0"],
+    )
+    assert result.exit_code == 0, result.output
+
+
 def test_output_file(runner, tmp_path):
     target = tmp_path / "out.json"
     result = runner.invoke(

@@ -10,6 +10,7 @@ from hhdeform.freepaths import (
     bar_path,
     free_multiply,
     g_generators,
+    q_run,
     reduce_to_algebra,
     trivial_path,
     verify_g_recursions,
@@ -139,3 +140,15 @@ def test_reduction_is_multiplicative(m):
             lhs = reduce_to_algebra(free_multiply(x, y, m), alg)
             rhs = alg.multiply(reduce_to_algebra(x, alg), reduce_to_algebra(y, alg))
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_q_run_is_the_product_of_consecutive_parameters(m):
+    q = tuple(F(k + 2, 2 * k + 1) * (-1) ** k for k in range(m))
+    alg = algebra(m, q)
+    for start in range(-2 * m - 1, 2 * m + 2):
+        for count in range(3 * m + 2):
+            naive = F(1)
+            for j in range(start, start + count):
+                naive *= q[j % m]
+            assert q_run(alg, start, count) == naive, (start, count)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hhdeform import linalg
-from hhdeform.algebra import NonGenericParameters, algebra, e, z
+from hhdeform.algebra import AlgebraElement, NonGenericParameters, algebra, e, z
 from hhdeform.homcomplex import (
     coboundary_matrix,
     cohomology_dimension,
@@ -16,7 +16,7 @@ from hhdeform.homcomplex import (
     kernel_basis,
     kernel_image_dims,
 )
-from hhdeform.resolution import Generator
+from hhdeform.resolution import Generator, differential, generators
 
 F = Fraction
 
@@ -142,3 +142,33 @@ def test_cochain_value_lands_in_corner():
     for gen, mono in hom_space_basis(2, alg):
         assert mono.origin(alg.m) == gen.i
         assert mono.terminus(alg.m) == gen.terminus(alg.m)
+
+
+def scan_coboundary(n, alg):
+    """Reference assembly: for each source column (gen0, mono0), scan every
+    generator of P^{n+1} and keep the terms of d^{n+1} that land on gen0."""
+    source = hom_space_basis(n, alg)
+    target_index = {item: k for k, item in enumerate(hom_space_basis(n + 1, alg))}
+    d = differential(n + 1, alg)
+    mat = linalg.Matrix(len(target_index), len(source))
+    for col, (gen0, mono0) in enumerate(source):
+        for gen in generators(n + 1, alg.m):
+            acc = alg.zero()
+            for left, tgt, right in d.terms(gen):
+                if tgt == gen0:
+                    acc = acc + alg.multiply(
+                        alg.multiply(left, AlgebraElement.of(mono0)), right
+                    )
+            for mono, c in acc.coeffs.items():
+                mat.add_to_entry(target_index[(gen, mono)], col, c)
+    return mat
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1, 3), F(1), F(-1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_coboundary_matches_the_scan_reference(m, zeta):
+    # spread zeta over unequal parameters, so every q-run coefficient shows
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    for n in range(7):
+        assert coboundary_matrix(n, alg) == scan_coboundary(n, alg), n
