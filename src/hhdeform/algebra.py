@@ -226,21 +226,29 @@ class Algebra:
 
     def multiply(self, x, y):
         out = {}
-        for mx, cx in x.coeffs.items():
-            for my, cy in y.coeffs.items():
-                prod = self._table.get((mx, my))
-                if prod is None:
-                    continue
-                cxy = cx * cy
-                for mono, c in prod.items():
-                    s = out.get(mono, Fraction(0)) + cxy * c
-                    if s:
-                        out[mono] = s
-                    else:
-                        out.pop(mono, None)
+        for mono, c in self.products(x.coeffs.items(), y.coeffs.items()):
+            s = out.get(mono, Fraction(0)) + c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
         res = AlgebraElement()
         res.coeffs = out
         return res
+
+    def products(self, xs, ys):
+        """The nonzero products x . y for x in xs and y in ys, read from the
+        structure constants.  xs, ys and the result are sequences of
+        (monomial, coefficient) pairs; like monomials are not collected."""
+        table = self._table
+        out = []
+        for mx, cx in xs:
+            for my, cy in ys:
+                prod = table.get((mx, my))
+                if prod is not None:
+                    for mono, c in prod.items():
+                        out.append((mono, cx * cy * c))
+        return out
 
     def monomial_multiply(self, mx, my):
         prod = self._table.get((mx, my))

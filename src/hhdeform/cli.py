@@ -39,8 +39,16 @@ def parse_rational(text):
         raise click.BadParameter(f"not a rational: {text!r}") from exc
 
 
+def parse_list(text, option):
+    """The stripped entries of a comma list; an empty entry is refused."""
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
+        raise click.BadParameter(f"{option} has an empty entry: {text!r}")
+    return parts
+
+
 def parse_q(text, m):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = parse_list(text, "--q")
     if len(parts) != m:
         raise click.BadParameter(f"expected {m} parameters, got {len(parts)}")
     return tuple(parse_rational(p) for p in parts)
@@ -260,7 +268,7 @@ def run_check(name, alg, max_degree):
 @allow_non_generic_option
 def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
     """Run the selected verification suites."""
-    names = [c.strip() for c in checks_text.split(",") if c.strip()]
+    names = parse_list(checks_text, "--checks")
     unknown = [c for c in names if c not in ALL_CHECKS]
     if unknown:
         raise click.UsageError(f"unknown checks: {', '.join(unknown)}")
@@ -296,11 +304,15 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
 @common_options
 def sweep(m_range, zeta_text, max_degree, fmt, output):
     """Total cohomology dimension for q = (zeta, 1, ..., 1) over a range of m."""
-    try:
-        lo, hi = (int(p) for p in m_range.split(":"))
-    except ValueError:
+    match = re.fullmatch(r"([0-9]+):([0-9]+)", m_range.strip())
+    if not match:
         raise click.UsageError("--m-range must look like 1:5")
-    zetas = [parse_rational(p) for p in zeta_text.split(",") if p.strip()]
+    lo, hi = int(match[1]), int(match[2])
+    if not 1 <= lo <= hi:
+        raise click.UsageError(f"--m-range {m_range} needs 1 <= LO <= HI")
+    zetas = [parse_rational(p) for p in parse_list(zeta_text, "--zeta")]
+    if 0 in zetas:
+        raise click.UsageError("--zeta values must be nonzero")
     results = []
     failed = False
     for m in range(lo, hi + 1):

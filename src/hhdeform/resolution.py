@@ -11,6 +11,9 @@ A BimoduleMap stores, per source generator, a list of terms
 chain-map liftings both live in this form.  `underlying_matrix` flattens a
 map to exact rational linear algebra on the 16m(n+1)-dimensional underlying
 vector spaces, which is how kernels, images and exactness are computed.
+It and `compose` walk the terms once and read each product of factors
+from the structure constants (`Algebra.products`) as a short list of
+(monomial, coefficient) pairs, building no intermediate AlgebraElement.
 """
 
 from dataclasses import dataclass
@@ -103,7 +106,8 @@ class BimoduleMap:
 
     def value_coords(self, gen):
         """Coordinates of the image of `gen` over the basis of P^{target_degree}."""
-        return term_coords(self.terms(gen), self.target_degree, self.alg)
+        terms = [(l.coeffs.items(), t, r.coeffs.items()) for l, t, r in self.terms(gen)]
+        return term_coords(terms, self.target_degree, self.alg)
 
     def __repr__(self):
         return (
@@ -220,8 +224,9 @@ def differential(n, alg):
 
 def compose(f, g):
     """f after g: if g maps P^c -> P^a and f maps P^a -> P^b, the result
-    maps P^c -> P^b.  Like terms are collected monomial by monomial so the
-    zero test is exact."""
+    maps P^c -> P^b.  The products l1 . l2 and r2 . r1 of each term of g
+    and each term of f at its target are read from the structure constants;
+    like terms are collected monomial by monomial so the zero test is exact."""
     if f.source_degree != g.target_degree:
         raise ValueError(
             f"degree mismatch: composing P^{g.source_degree}->P^{g.target_degree} "
@@ -233,12 +238,10 @@ def compose(f, g):
         acc = {}
         for l1, mid, r1 in terms:
             for l2, target, r2 in f.terms(mid):
-                left = alg.multiply(l1, l2)
-                right = alg.multiply(r2, r1)
-                if left.is_zero() or right.is_zero():
-                    continue
-                for ml, cl in left.coeffs.items():
-                    for mr, cr in right.coeffs.items():
+                left = alg.products(l1.coeffs.items(), l2.coeffs.items())
+                right = alg.products(r2.coeffs.items(), r1.coeffs.items())
+                for ml, cl in left:
+                    for mr, cr in right:
                         key = (target, ml, mr)
                         s = acc.get(key, Fraction(0)) + cl * cr
                         if s:
@@ -293,33 +296,49 @@ def p_dimension(alg, n):
 
 def term_coords(terms, n, alg):
     """Coordinates over the underlying basis of P^n of a list of
-    (left, target, right) terms."""
+    (left, target, right) terms whose factors are sequences of
+    (monomial, coefficient) pairs."""
     index = _p_basis_index(n, alg)
     coords = [Fraction(0)] * len(index)
     for left, target, right in terms:
-        for ml, cl in left.coeffs.items():
-            for mr, cr in right.coeffs.items():
+        for ml, cl in left:
+            for mr, cr in right:
                 coords[index[(target, ml, mr)]] += cl * cr
     return coords
 
 
 def underlying_matrix(f):
     """The matrix of f on underlying vector spaces; rows are indexed by the
-    basis of the target P, columns by the basis of the source P."""
+    basis of the target P, columns by the basis of the source P.
+
+    One walk over the terms of f: for the term (left, target, right) of gen,
+    bl . left for the four monomials bl into gen's origin and right . br for
+    the four out of its terminus are read from the structure constants once
+    each, and fill the 16 columns (gen, bl, br)."""
     alg = f.alg
-    source = _p_basis(f.source_degree, alg)
     target_index = _p_basis_index(f.target_degree, alg)
-    mat = linalg.Matrix(len(target_index), len(source))
-    for col, (gen, bl, br) in enumerate(source):
+    rows = [{} for _ in target_index]
+    col = 0
+    for gen in generators(f.source_degree, alg.m):
+        into = [((bl, linalg.F1),) for bl in alg.monomials_into(gen.i)]
+        out_of = [((br, linalg.F1),) for br in alg.monomials_from(gen.terminus(alg.m))]
         for left, target, right in f.terms(gen):
-            new_left = alg.multiply(AlgebraElement.of(bl), left)
-            if new_left.is_zero():
-                continue
-            new_right = alg.multiply(right, AlgebraElement.of(br))
-            for ml, cl in new_left.coeffs.items():
-                for mr, cr in new_right.coeffs.items():
-                    mat.add_to_entry(target_index[(target, ml, mr)], col, cl * cr)
-    return mat
+            new_lefts = [alg.products(bl, left.coeffs.items()) for bl in into]
+            new_rights = [alg.products(right.coeffs.items(), br) for br in out_of]
+            c = col
+            for new_left in new_lefts:
+                for new_right in new_rights:
+                    for ml, cl in new_left:
+                        for mr, cr in new_right:
+                            row = rows[target_index[(target, ml, mr)]]
+                            s = row.get(c, linalg.F0) + cl * cr
+                            if s:
+                                row[c] = s
+                            else:
+                                del row[c]
+                    c += 1
+        col += len(into) * len(out_of)
+    return linalg.Matrix(len(rows), col, rows)
 
 
 @memoised

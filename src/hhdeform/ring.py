@@ -166,7 +166,11 @@ def lift_cocycle(f, k, alg):
                 for left, mid, right in d_src.terms(gen):
                     for l2, tgt, r2 in prev.terms(mid):
                         carried.append(
-                            (alg.multiply(left, l2), tgt, alg.multiply(r2, right))
+                            (
+                                alg.products(left.coeffs.items(), l2.coeffs.items()),
+                                tgt,
+                                alg.products(r2.coeffs.items(), right.coeffs.items()),
+                            )
                         )
                 rhs = term_coords(carried, j - 1, alg)
                 cols = []
@@ -175,9 +179,9 @@ def lift_cocycle(f, k, alg):
                     for l2, tgt2, r2 in d_j.terms(tgt):
                         pushed.append(
                             (
-                                alg.multiply(AlgebraElement.of(ml), l2),
+                                alg.products(((ml, linalg.F1),), l2.coeffs.items()),
                                 tgt2,
-                                alg.multiply(r2, AlgebraElement.of(mr)),
+                                alg.products(r2.coeffs.items(), ((mr, linalg.F1),)),
                             )
                         )
                     cols.append(term_coords(pushed, j - 1, alg))

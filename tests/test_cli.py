@@ -246,6 +246,32 @@ def test_sweep_rejects_allow_non_generic(runner):
     assert "--allow-non-generic" in result.output
 
 
+@pytest.mark.parametrize(
+    "m_range,zeta",
+    [("0:2", "2"), ("3:1", "2"), ("+1:2", "2"), ("0_1:2", "2"), ("1:2", "0"), ("1:2", ",")],
+    ids=["lo-zero", "lo-above-hi", "signed", "underscore", "zeta-zero", "zeta-empty"],
+)
+def test_sweep_rejects_bad_arguments(runner, m_range, zeta):
+    result = runner.invoke(cli.main, ["sweep", "--m-range", m_range, "--zeta", zeta])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "--m", "2", "--q", "1,,2"],
+        ["compute", "--m", "2", "--q", ",1,2,"],
+        ["verify", "--m", "2", "--q", "2,1", "--checks", ","],
+    ],
+    ids=["q-inner", "q-outer", "checks"],
+)
+def test_empty_list_entries_rejected(runner, args):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2, result.output
+    assert "empty entry" in result.output
+
+
 @pytest.mark.parametrize("check", ["complex", "exactness"])
 def test_verify_rejects_max_degree_zero_for_the_resolution_checks(runner, check):
     result = runner.invoke(

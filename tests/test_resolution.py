@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhdeform import linalg
 from hhdeform.algebra import AlgebraElement, a, abar, algebra, e
@@ -8,6 +10,8 @@ from hhdeform.freepaths import q_run
 from hhdeform.resolution import (
     BimoduleMap,
     Generator,
+    _p_basis,
+    _p_basis_index,
     augment,
     augmentation_matrix,
     check_complex,
@@ -226,3 +230,147 @@ def test_fault_injection_breaks_complex():
     bad = flip_one_sign(differential(2, alg), alg)
     assert not check_complex(2, alg, differentials={2: bad}, via="maps")
     assert not check_complex(2, alg, differentials={2: bad}, via="matrices")
+
+
+def rule_multiply(alg):
+    """Reference product of algebra elements, from the product rule of two
+    basis monomials rather than the structure-constant table."""
+    rule = {(x, y): alg._monomial_product(x, y) for x in alg.basis for y in alg.basis}
+
+    def multiply(x, y):
+        out = AlgebraElement()
+        for mx, cx in x.coeffs.items():
+            for my, cy in y.coeffs.items():
+                if rule[(mx, my)] is not None:
+                    out = out + AlgebraElement(rule[(mx, my)]).scale(cx * cy)
+        return out
+
+    return multiply
+
+
+def multiply_underlying(f):
+    """Reference assembly: for every source column (gen, bl, br) and every
+    term, multiply whole algebra elements."""
+    alg = f.alg
+    multiply = rule_multiply(alg)
+    source = _p_basis(f.source_degree, alg)
+    target_index = _p_basis_index(f.target_degree, alg)
+    mat = linalg.Matrix(len(target_index), len(source))
+    for col, (gen, bl, br) in enumerate(source):
+        for left, target, right in f.terms(gen):
+            new_left = multiply(AlgebraElement.of(bl), left)
+            new_right = multiply(right, AlgebraElement.of(br))
+            for ml, cl in new_left.coeffs.items():
+                for mr, cr in new_right.coeffs.items():
+                    mat.add_to_entry(target_index[(target, ml, mr)], col, cl * cr)
+    return mat
+
+
+def multiply_compose(f, g):
+    """Reference composite f after g, as {gen: {(target, ml, mr): coeff}}."""
+    multiply = rule_multiply(f.alg)
+    out = {}
+    for gen, terms in g.assignments.items():
+        acc = {}
+        for l1, mid, r1 in terms:
+            for l2, target, r2 in f.terms(mid):
+                left = multiply(l1, l2)
+                right = multiply(r2, r1)
+                for ml, cl in left.coeffs.items():
+                    for mr, cr in right.coeffs.items():
+                        key = (target, ml, mr)
+                        acc[key] = acc.get(key, F(0)) + cl * cr
+        acc = {key: c for key, c in acc.items() if c}
+        if acc:
+            out[gen] = acc
+    return out
+
+
+def collected(f):
+    """The terms of a map with single-monomial factors, as in `multiply_compose`."""
+    out = {}
+    for gen, terms in f.assignments.items():
+        acc = {}
+        for left, target, right in terms:
+            (ml, cl), = left.coeffs.items()
+            (mr, cr), = right.coeffs.items()
+            key = (target, ml, mr)
+            assert key not in acc
+            acc[key] = cl * cr
+        out[gen] = acc
+    return out
+
+
+def assert_fraction_entries(mat):
+    for row in mat._rows:
+        for v in row.values():
+            assert type(v) is F and v
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1, 3), F(1), F(-1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_assembly_matches_the_multiply_reference(m, zeta):
+    # spread zeta over unequal parameters, so every q-run coefficient shows
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    for n in range(1, 2 * m + 7):
+        d = differential(n, alg)
+        mat = underlying_matrix(d)
+        assert mat == multiply_underlying(d), n
+        assert_fraction_entries(mat)
+        if n > 1:
+            prev = differential(n - 1, alg)
+            assert collected(compose(prev, d)) == multiply_compose(prev, d), n
+
+
+@st.composite
+def factor(draw, alg, i, j):
+    """A combination of one or more monomials of e_i . Algebra . e_j."""
+    corner = alg.corner_basis(i, j)
+    monos = draw(st.lists(st.sampled_from(corner), min_size=1, max_size=len(corner), unique=True))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    return AlgebraElement({mono: draw(coeffs) for mono in monos})
+
+
+@st.composite
+def bimodule_maps(draw, alg, source_degree, target_degree):
+    """A random map whose factors combine several corner monomials."""
+    m = alg.m
+    assignments = {}
+    for gen in generators(source_degree, m):
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            target = draw(st.sampled_from(generators(target_degree, m)))
+            if not alg.corner_basis(gen.i, target.i):
+                continue
+            if not alg.corner_basis(target.terminus(m), gen.terminus(m)):
+                continue
+            left = draw(factor(alg, gen.i, target.i))
+            right = draw(factor(alg, target.terminus(m), gen.terminus(m)))
+            terms.append((left, target, right))
+        assignments[gen] = terms
+    return BimoduleMap(alg, source_degree, target_degree, assignments)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_assembly_of_random_maps_matches_the_multiply_reference(data):
+    m = data.draw(st.integers(1, 3))
+    q = data.draw(
+        st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    alg = algebra(m, q)
+    a_deg, b_deg, c_deg = (data.draw(st.integers(0, 2)) for _ in range(3))
+    g = data.draw(bimodule_maps(alg, c_deg, a_deg))
+    f = data.draw(bimodule_maps(alg, a_deg, b_deg))
+    for h in (f, g):
+        mat = underlying_matrix(h)
+        assert mat == multiply_underlying(h)
+        assert_fraction_entries(mat)
+    fg = compose(f, g)
+    assert collected(fg) == multiply_compose(f, g)
+    assert underlying_matrix(fg) == multiply_underlying(f).matmul(multiply_underlying(g))
