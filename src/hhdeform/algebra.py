@@ -8,7 +8,11 @@ path algebra modulo the ideal generated by
 
 for a tuple q of m nonzero rationals.  A monomial basis is given by the
 vertices e_i, the arrows a_i and abar_i, and the loops z_i = a_i abar_i;
-the third relation rewrites abar_{i-1} a_{i-1} as q_i z_i.
+the third relation rewrites abar_{i-1} a_{i-1} as q_i z_i.  So the
+product of two basis monomials is one scaled monomial or zero, and
+`Algebra.product` reads it from the structure-constant table as a pair
+(monomial, coefficient) or None; every assembly loop in the package calls
+it once per product of monomials.
 
 The product of the deformation parameters, zeta, governs everything: the
 finiteness theorems hold exactly when zeta is not a root of unity, which
@@ -191,7 +195,8 @@ class Algebra:
             for y in self.basis:
                 p = self._monomial_product(x, y)
                 if p is not None:
-                    self._table[(x, y)] = p
+                    ((mono, c),) = p.items()
+                    self._table[(x, y)] = (mono, c)
         self._into = {v: [mono for mono in self.basis if mono.terminus(self.m) == v] for v in range(self.m)}
         self._from = {v: [mono for mono in self.basis if mono.origin(self.m) == v] for v in range(self.m)}
         self.cache = {}
@@ -224,37 +229,25 @@ class Algebra:
         # a_i a_{i+1} and abar_i abar_{i-1} are relations
         return None
 
-    def multiply(self, x, y):
-        out = {}
-        for mono, c in self.products(x.coeffs.items(), y.coeffs.items()):
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = AlgebraElement()
-        res.coeffs = out
-        return res
+    def product(self, x, y):
+        """The product of basis monomials x . y as (monomial, coefficient),
+        or None when it is zero."""
+        return self._table.get((x, y))
 
-    def products(self, xs, ys):
-        """The nonzero products x . y for x in xs and y in ys, read from the
-        structure constants.  xs, ys and the result are sequences of
-        (monomial, coefficient) pairs; like monomials are not collected."""
-        table = self._table
-        out = []
-        for mx, cx in xs:
-            for my, cy in ys:
-                prod = table.get((mx, my))
+    def multiply(self, x, y):
+        out = AlgebraElement()
+        for mx, cx in x.coeffs.items():
+            for my, cy in y.coeffs.items():
+                prod = self.product(mx, my)
                 if prod is not None:
-                    for mono, c in prod.items():
-                        out.append((mono, cx * cy * c))
+                    out = out + AlgebraElement.of(prod[0], cx * cy * prod[1])
         return out
 
     def monomial_multiply(self, mx, my):
-        prod = self._table.get((mx, my))
+        prod = self.product(mx, my)
         if prod is None:
             return AlgebraElement()
-        return AlgebraElement(prod)
+        return AlgebraElement.of(*prod)
 
     def zero(self):
         return AlgebraElement()

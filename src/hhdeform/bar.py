@@ -7,14 +7,18 @@ endpoints -- into the algebra.  This computes the same Ext groups as the
 resolution-based complex, but through a construction that shares no code
 with the resolution, which is the whole point.
 
+The coboundary is assembled in one walk over the (n+1)-tuples: each of a
+tuple's n+2 faces (the outer factor split off at either end, or two
+neighbours contracted to their product, read from the structure constants
+by `Algebra.product`) feeds only the columns of the cochains on that
+face's n-tuple.
+
 Sizes explode with the degree, so a hard cap is enforced rather than any
 silent truncation.
 """
 
-from fractions import Fraction
-
 from . import linalg
-from .algebra import ARROW, BAR, LOOP, AlgebraElement, memoised
+from .algebra import ARROW, BAR, LOOP, memoised
 
 
 class DegreeCapExceeded(Exception):
@@ -70,49 +74,51 @@ def bar_cochain_dimension(n, alg):
     return len(bar_basis(n, alg))
 
 
-@memoised
 def _bar_coboundary(n, alg):
     """Matrix of the standard coboundary from degree n to degree n + 1:
 
     (d f)(r_1 ... r_{n+1}) = r_1 f(r_2 ...)
                              + sum_j (-1)^j f(... r_j r_{j+1} ...)
                              + (-1)^{n+1} f(... r_n) r_{n+1}
+
+    At n = 0 a cochain is a value at each vertex, and the two outer faces
+    of (r_1,) are the vertices r_1 ends and starts at.
     """
     m = alg.m
-    source = bar_basis(n, alg)
-    target = bar_basis(n + 1, alg)
-    mat = linalg.Matrix(len(target), len(source))
-    # column-oriented: for each basis cochain, expand d(f) over all
-    # (n+1)-tuples and read off corner coordinates
-    target_index = {item: k for k, item in enumerate(target)}
-    for col, (tup0, mono0) in enumerate(source):
-        mono_elt = AlgebraElement.of(mono0)
-        for big in _tuples(n + 1, alg):
-            acc = alg.zero()
-            if n == 0:
-                r1 = big[0]
-                # r . f(e at terminus) - f(e at origin) . r
-                if (r1.terminus(m),) == tup0:
-                    acc = acc + alg.multiply(AlgebraElement.of(r1), mono_elt)
-                if (r1.origin(m),) == tup0:
-                    acc = acc - alg.multiply(mono_elt, AlgebraElement.of(r1))
-            else:
-                if big[1:] == tup0:
-                    acc = acc + alg.multiply(AlgebraElement.of(big[0]), mono_elt)
-                for j in range(1, n + 1):
-                    prod = alg.monomial_multiply(big[j - 1], big[j])
-                    sign = Fraction((-1) ** j)
-                    for mono, c in prod.coeffs.items():
-                        contracted = big[: j - 1] + (mono,) + big[j + 1 :]
-                        if contracted == tup0:
-                            acc = acc + mono_elt.scale(sign * c)
-                if big[:-1] == tup0:
-                    acc = acc + alg.multiply(
-                        mono_elt, AlgebraElement.of(big[-1])
-                    ).scale((-1) ** (n + 1))
-            for mono, c in acc.coeffs.items():
-                mat.add_to_entry(target_index[(big, mono)], col, c)
+    product = alg.product
+    columns = {}
+    for col, (tup0, mono0) in enumerate(bar_basis(n, alg)):
+        columns.setdefault(tup0, []).append((col, mono0))
+    target_index = {item: k for k, item in enumerate(bar_basis(n + 1, alg))}
+    mat = linalg.Matrix(len(target_index), bar_cochain_dimension(n, alg))
+    last_sign = linalg.F1 if n % 2 else -linalg.F1
+    for big in _tuples(n + 1, alg):
+        if n == 0:
+            first, last = (big[0].terminus(m),), (big[0].origin(m),)
+        else:
+            first, last = big[1:], big[:-1]
+        for col, mono0 in columns.get(first, ()):
+            value = product(big[0], mono0)
+            if value is not None:
+                mat.add_to_entry(target_index[(big, value[0])], col, value[1])
+        for j in range(1, n + 1):
+            prod = product(big[j - 1], big[j])
+            if prod is None:
+                continue
+            face = big[: j - 1] + (prod[0],) + big[j + 1 :]
+            coeff = prod[1] if j % 2 == 0 else -prod[1]
+            for col, mono0 in columns.get(face, ()):
+                mat.add_to_entry(target_index[(big, mono0)], col, coeff)
+        for col, mono0 in columns.get(last, ()):
+            value = product(mono0, big[-1])
+            if value is not None:
+                mat.add_to_entry(target_index[(big, value[0])], col, last_sign * value[1])
     return mat
+
+
+@memoised
+def _bar_rank(n, alg):
+    return linalg.rank(_bar_coboundary(n, alg))
 
 
 def bar_cohomology_dimension(n, alg, degree_cap=3, m_cap=3):
@@ -121,7 +127,6 @@ def bar_cohomology_dimension(n, alg, degree_cap=3, m_cap=3):
         raise DegreeCapExceeded(
             f"bar oracle capped at n <= {degree_cap}, m <= {m_cap}"
         )
-    dn = _bar_coboundary(n, alg)
-    ker = dn.cols - linalg.rank(dn)
-    im = linalg.rank(_bar_coboundary(n - 1, alg)) if n >= 1 else 0
+    ker = bar_cochain_dimension(n, alg) - _bar_rank(n, alg)
+    im = _bar_rank(n - 1, alg) if n >= 1 else 0
     return ker - im

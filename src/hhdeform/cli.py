@@ -162,7 +162,7 @@ def emit(payload, fmt, output):
 def common_options(f):
     f = click.option("--max-degree", type=click.IntRange(min=0), default=None, help="Top degree (default 2m+6).")(f)
     f = click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")(f)
-    f = click.option("--output", type=click.Path(), default=None)(f)
+    f = click.option("--output", type=click.Path(dir_okay=False), default=None)(f)
     return f
 
 
@@ -175,7 +175,7 @@ def main():
 
 
 @main.command()
-@click.option("--m", "m", type=int, required=True)
+@click.option("--m", "m", type=click.IntRange(min=1), required=True)
 @click.option("--q", "q_text", type=str, required=True, help="Comma list of m rationals.")
 @common_options
 @allow_non_generic_option
@@ -261,7 +261,7 @@ def run_check(name, alg, max_degree):
 
 
 @main.command()
-@click.option("--m", "m", type=int, required=True)
+@click.option("--m", "m", type=click.IntRange(min=1), required=True)
 @click.option("--q", "q_text", type=str, required=True)
 @click.option("--checks", "checks_text", type=str, default=",".join(ALL_CHECKS))
 @common_options

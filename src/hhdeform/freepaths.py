@@ -100,9 +100,10 @@ def _q_run(start, count, alg):
     return prod
 
 
+@memoised
 def g_generators(n, alg):
-    """The full table {(r, i): g[n][r,i]} built by the right-multiplication
-    recursion
+    """The full table {(r, i): g[n][r,i]} built from the degree n - 1 table
+    by the right-multiplication recursion
 
         g[n][r,i] = g[n-1][r,i] . a_{i+n-2r-1}
                     + (-1)^n (q_{i-r+1} ... q_{i+n-2r}) g[n-1][r-1,i] . abar_{i+n-2r}
@@ -110,27 +111,29 @@ def g_generators(n, alg):
     with missing summands treated as zero and the empty q-product as 1.
     """
     m = alg.m
-    table = {(0, i): AlgebraElement.of(trivial_path(i)) for i in range(m)}
-    for deg in range(1, n + 1):
-        new = {}
-        for i in range(m):
-            for r in range(deg + 1):
-                acc = AlgebraElement()
-                prev = table.get((r, i))
-                if prev is not None and r <= deg - 1:
-                    step = AlgebraElement.of(arrow_path(i + deg - 2 * r - 1, m))
-                    acc = acc + free_multiply(prev, step, m)
-                prev2 = table.get((r - 1, i))
-                if prev2 is not None:
-                    coeff = q_run(alg, i - r + 1, deg - r) * (-1) ** deg
-                    step = AlgebraElement.of(bar_path(i + deg - 2 * r, m))
-                    acc = acc + free_multiply(prev2, step, m).scale(coeff)
-                new[(r, i)] = acc
-        table = new
-    return table
+    if n < 0:
+        raise ValueError("the generator tables start at degree 0")
+    if n == 0:
+        return {(0, i): AlgebraElement.of(trivial_path(i)) for i in range(m)}
+    table = g_generators(n - 1, alg)
+    new = {}
+    for i in range(m):
+        for r in range(n + 1):
+            acc = AlgebraElement()
+            prev = table.get((r, i))
+            if prev is not None and r <= n - 1:
+                step = AlgebraElement.of(arrow_path(i + n - 2 * r - 1, m))
+                acc = acc + free_multiply(prev, step, m)
+            prev2 = table.get((r - 1, i))
+            if prev2 is not None:
+                coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
+                step = AlgebraElement.of(bar_path(i + n - 2 * r, m))
+                acc = acc + free_multiply(prev2, step, m).scale(coeff)
+            new[(r, i)] = acc
+    return new
 
 
-def g_left_form(n, alg, table_prev=None):
+def g_left_form(n, alg):
     """The left-multiplication form of the same table,
 
         (-1)^r (q_{i-r+1} ... q_i) a_i . g[n-1][r,i+1]
@@ -139,8 +142,7 @@ def g_left_form(n, alg, table_prev=None):
     used to cross-check the defining recursion.
     """
     m = alg.m
-    if table_prev is None:
-        table_prev = g_generators(n - 1, alg)
+    table_prev = g_generators(n - 1, alg)
     out = {}
     for i in range(m):
         for r in range(n + 1):
@@ -168,8 +170,7 @@ def verify_g_recursions(n, alg):
     the quotient holds, the discrepancy is logged rather than accepted.
     """
     table = g_generators(n, alg)
-    prev = g_generators(n - 1, alg)
-    left = g_left_form(n, alg, table_prev=prev)
+    left = g_left_form(n, alg)
     ok = True
     for key in table:
         if table[key] != left[key]:

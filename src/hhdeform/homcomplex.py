@@ -7,15 +7,16 @@ basis used everywhere here: generators in their fixed order, corner
 monomials in theirs.
 
 The coboundary d^n is computed generically from the differential, in
-one walk over the terms of d^{n+1}: the term (left, tgt, right) of the
-image of a generator of P^{n+1} feeds only the columns of the basis maps
-at tgt.  The closed-form dimension tables from the kernel/image analysis
-live in the expected_* functions and are used as comparison data, never
-as a computation path.
+one walk over the terms of d^{n+1}: the monomial term (c, left, tgt,
+right) of the image of a generator of P^{n+1} feeds only the columns of
+the basis maps at tgt, each with the one monomial c . left . mono0 . right
+read from the structure constants (`Algebra.product`).  The closed-form
+dimension tables from the kernel/image analysis live in the expected_*
+functions and are used as comparison data, never as a computation path.
 """
 
 from . import linalg
-from .algebra import AlgebraElement, memoised
+from .algebra import memoised
 from .resolution import differential, generators
 
 
@@ -39,21 +40,25 @@ def coboundary_matrix(n, alg):
     """Matrix of f |-> f o d^{n+1}, columns over the basis of Hom(P^n, .),
     rows over the basis of Hom(P^{n+1}, .).
 
-    One walk over the terms of d^{n+1}: a term (left, tgt, right) of the
-    image of gen sends the basis map (tgt, mono0) to left . mono0 . right
+    One walk over the terms of d^{n+1}: a term (c, left, tgt, right) of the
+    image of gen sends the basis map (tgt, mono0) to c . left . mono0 . right
     at gen, for each corner monomial mono0 of tgt.
     """
+    product = alg.product
     columns = {}
     for col, (gen0, mono0) in enumerate(hom_space_basis(n, alg)):
-        columns.setdefault(gen0, []).append((col, AlgebraElement.of(mono0)))
+        columns.setdefault(gen0, []).append((col, mono0))
     target_index = {item: k for k, item in enumerate(hom_space_basis(n + 1, alg))}
     mat = linalg.Matrix(len(target_index), hom_dimension(n, alg))
     for gen, terms in differential(n + 1, alg).assignments.items():
-        for left, tgt, right in terms:
+        for c, left, tgt, right in terms:
             for col, mono0 in columns.get(tgt, ()):
-                value = alg.multiply(alg.multiply(left, mono0), right)
-                for mono, c in value.coeffs.items():
-                    mat.add_to_entry(target_index[(gen, mono)], col, c)
+                inner = product(left, mono0)
+                if inner is None:
+                    continue
+                value = product(inner[0], right)
+                if value is not None:
+                    mat.add_to_entry(target_index[(gen, value[0])], col, c * inner[1] * value[1])
     return mat
 
 

@@ -6,21 +6,21 @@ with 0 <= r <= n and 0 <= i < m; the summand attached to (n, r, i) is
 kept unreduced for bookkeeping and only reduced mod m when a vertex is
 actually needed.
 
-A BimoduleMap stores, per source generator, a list of terms
-(left element, target generator, right element); the differential and the
-chain-map liftings both live in this form.  `underlying_matrix` flattens a
-map to exact rational linear algebra on the 16m(n+1)-dimensional underlying
-vector spaces, which is how kernels, images and exactness are computed.
-It and `compose` walk the terms once and read each product of factors
-from the structure constants (`Algebra.products`) as a short list of
-(monomial, coefficient) pairs, building no intermediate AlgebraElement.
+A BimoduleMap stores, per source generator, a list of monomial terms
+(c, left, target, right): the rational c times left (x) right in the
+summand of `target`, with left and right basis monomials.  The
+differential, identity maps, composites and the chain-map liftings all
+live in this form.  `underlying_matrix` flattens a map to exact rational
+linear algebra on the 16m(n+1)-dimensional underlying vector spaces, which
+is how kernels, images and exactness are computed.  It and `compose` walk
+the terms once and read each product of two monomials from the structure
+constants (`Algebra.product`), building no intermediate AlgebraElement.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraElement, a, abar, e, memoised
+from .algebra import AlgebraElement, e, memoised
 from .freepaths import q_run
 
 
@@ -62,7 +62,8 @@ def generators(n, m):
 
 class BimoduleMap:
     """A bimodule map P^{source_degree} -> P^{target_degree} given by its
-    values on generators: a list of (left, target, right) terms each."""
+    values on generators: a list of (c, left, target, right) terms each,
+    with c a Fraction and left, right basis monomials."""
 
     def __init__(self, alg, source_degree, target_degree, assignments):
         self.alg = alg
@@ -72,25 +73,20 @@ class BimoduleMap:
         m = alg.m
         for gen, terms in assignments.items():
             kept = []
-            for left, target, right in terms:
-                if left.is_zero() or right.is_zero():
+            for c, left, target, right in terms:
+                if not c:
                     continue
-                for mono in left.coeffs:
-                    if mono.origin(m) != gen.i % m or mono.terminus(m) != target.i % m:
-                        raise ValueError(
-                            f"left factor {mono} of {gen}->{target} is not in "
-                            f"e_{gen.i} . Algebra . e_{target.i}"
-                        )
-                for mono in right.coeffs:
-                    if (
-                        mono.origin(m) != target.terminus(m)
-                        or mono.terminus(m) != gen.terminus(m)
-                    ):
-                        raise ValueError(
-                            f"right factor {mono} of {gen}->{target} is not in "
-                            f"e_{target.terminus(m)} . Algebra . e_{gen.terminus(m)}"
-                        )
-                kept.append((left, target, right))
+                if left.origin(m) != gen.i % m or left.terminus(m) != target.i % m:
+                    raise ValueError(
+                        f"left factor {left} of {gen}->{target} is not in "
+                        f"e_{gen.i} . Algebra . e_{target.i}"
+                    )
+                if right.origin(m) != target.terminus(m) or right.terminus(m) != gen.terminus(m):
+                    raise ValueError(
+                        f"right factor {right} of {gen}->{target} is not in "
+                        f"e_{target.terminus(m)} . Algebra . e_{gen.terminus(m)}"
+                    )
+                kept.append((c, left, target, right))
             if kept:
                 self.assignments[gen] = kept
 
@@ -106,8 +102,7 @@ class BimoduleMap:
 
     def value_coords(self, gen):
         """Coordinates of the image of `gen` over the basis of P^{target_degree}."""
-        terms = [(l.coeffs.items(), t, r.coeffs.items()) for l, t, r in self.terms(gen)]
-        return term_coords(terms, self.target_degree, self.alg)
+        return term_coords(self.terms(gen), self.target_degree, self.alg)
 
     def __repr__(self):
         return (
@@ -123,14 +118,7 @@ def zero_map(alg, source_degree, target_degree):
 def identity_map(n, alg):
     m = alg.m
     assignments = {
-        gen: [
-            (
-                AlgebraElement.of(e(gen.i)),
-                gen,
-                AlgebraElement.of(e(gen.terminus(m))),
-            )
-        ]
-        for gen in generators(n, m)
+        gen: [(linalg.F1, e(gen.i), gen, e(gen.terminus(m)))] for gen in generators(n, m)
     }
     return BimoduleMap(alg, n, n, assignments)
 
@@ -142,82 +130,39 @@ def differential(n, alg):
     if n < 1:
         raise ValueError("the differential is defined for n >= 1")
     m = alg.m
-    sign_n = (-1) ** n
-    one = Fraction(1)
+    # e_i, a_i and abar_i, in the order of alg.basis
+    E, A, B = alg.basis[:m], alg.basis[m : 2 * m], alg.basis[2 * m : 3 * m]
+    targets = generators(n - 1, m)  # Generator(n - 1, r, i) sits at i * n + r
+
+    def to(r, i):
+        return targets[i % m * n + r]
+
+    one = linalg.F1
+    sign_n = one if n % 2 == 0 else -one
     assignments = {}
     for gen in generators(n, m):
         r, i = gen.r, gen.i
-        terms = []
         if r == 0:
             #  e_i (x)_0 a_{i+n-1}  +  (-1)^n a_i (x)_0 e_{i+n}
-            t1 = Generator(n - 1, 0, i)
-            terms.append(
-                (
-                    AlgebraElement.of(e(i)),
-                    t1,
-                    AlgebraElement.of(a((i + n - 1) % m)),
-                )
-            )
-            t2 = Generator(n - 1, 0, (i + 1) % m)
-            terms.append(
-                (
-                    AlgebraElement.of(a(i), sign_n),
-                    t2,
-                    AlgebraElement.of(e(t2.terminus(m))),
-                )
-            )
+            terms = [
+                (one, E[i], to(0, i), A[(i + n - 1) % m]),
+                (sign_n, A[i], to(0, i + 1), E[(i + n) % m]),
+            ]
         elif r == n:
             #  (-1)^n e_i (x)_{n-1} abar_{i-n}  +  abar_{i-1} (x)_{n-1} e_{i-n}
-            t1 = Generator(n - 1, n - 1, i)
-            terms.append(
-                (
-                    AlgebraElement.of(e(i), sign_n),
-                    t1,
-                    AlgebraElement.of(abar((i - n) % m)),
-                )
-            )
-            t2 = Generator(n - 1, n - 1, (i - 1) % m)
-            terms.append(
-                (
-                    AlgebraElement.of(abar((i - 1) % m)),
-                    t2,
-                    AlgebraElement.of(e(t2.terminus(m))),
-                )
-            )
+            terms = [
+                (sign_n, E[i], to(n - 1, i), B[(i - n) % m]),
+                (one, B[(i - 1) % m], to(n - 1, i - 1), E[(i - n) % m]),
+            ]
         else:
-            sign_r = (-1) ** r
-            t1 = Generator(n - 1, r, i)
-            terms.append(
-                (
-                    AlgebraElement.of(e(i)),
-                    t1,
-                    AlgebraElement.of(a((i + n - 2 * r - 1) % m)),
-                )
-            )
-            t2 = Generator(n - 1, r - 1, i)
-            terms.append(
-                (
-                    AlgebraElement.of(e(i), sign_n * q_run(alg, i - r + 1, n - r)),
-                    t2,
-                    AlgebraElement.of(abar((i + n - 2 * r) % m)),
-                )
-            )
-            t3 = Generator(n - 1, r, (i + 1) % m)
-            terms.append(
-                (
-                    AlgebraElement.of(a(i), sign_n * sign_r * q_run(alg, i - r + 1, r)),
-                    t3,
-                    AlgebraElement.of(e(t3.terminus(m)), one),
-                )
-            )
-            t4 = Generator(n - 1, r - 1, (i - 1) % m)
-            terms.append(
-                (
-                    AlgebraElement.of(abar((i - 1) % m), sign_n * sign_r),
-                    t4,
-                    AlgebraElement.of(e(t4.terminus(m))),
-                )
-            )
+            sign = sign_n if r % 2 == 0 else -sign_n
+            k = (i + n - 2 * r) % m
+            terms = [
+                (one, E[i], to(r, i), A[(k - 1) % m]),
+                (sign_n * q_run(alg, i - r + 1, n - r), E[i], to(r - 1, i), B[k]),
+                (sign * q_run(alg, i - r + 1, r), A[i], to(r, i + 1), E[k]),
+                (sign, B[(i - 1) % m], to(r - 1, i - 1), E[k]),
+            ]
         assignments[gen] = terms
     return BimoduleMap(alg, n, n - 1, assignments)
 
@@ -226,34 +171,30 @@ def compose(f, g):
     """f after g: if g maps P^c -> P^a and f maps P^a -> P^b, the result
     maps P^c -> P^b.  The products l1 . l2 and r2 . r1 of each term of g
     and each term of f at its target are read from the structure constants;
-    like terms are collected monomial by monomial so the zero test is exact."""
+    like terms are collected so the zero test is exact."""
     if f.source_degree != g.target_degree:
         raise ValueError(
             f"degree mismatch: composing P^{g.source_degree}->P^{g.target_degree} "
             f"with P^{f.source_degree}->P^{f.target_degree}"
         )
-    alg = f.alg
+    product = f.alg.product
     assignments = {}
     for gen, terms in g.assignments.items():
         acc = {}
-        for l1, mid, r1 in terms:
-            for l2, target, r2 in f.terms(mid):
-                left = alg.products(l1.coeffs.items(), l2.coeffs.items())
-                right = alg.products(r2.coeffs.items(), r1.coeffs.items())
-                for ml, cl in left:
-                    for mr, cr in right:
-                        key = (target, ml, mr)
-                        s = acc.get(key, Fraction(0)) + cl * cr
-                        if s:
-                            acc[key] = s
-                        else:
-                            acc.pop(key, None)
-        if acc:
-            assignments[gen] = [
-                (AlgebraElement.of(ml, c), target, AlgebraElement.of(mr))
-                for (target, ml, mr), c in acc.items()
-            ]
-    return BimoduleMap(alg, g.source_degree, f.target_degree, assignments)
+        for c1, l1, mid, r1 in terms:
+            for c2, l2, target, r2 in f.terms(mid):
+                left = product(l1, l2)
+                right = product(r2, r1)
+                if left is None or right is None:
+                    continue
+                key = (left[0], target, right[0])
+                s = acc.get(key, linalg.F0) + c1 * c2 * left[1] * right[1]
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        assignments[gen] = [(c, ml, target, mr) for (ml, target, mr), c in acc.items()]
+    return BimoduleMap(f.alg, g.source_degree, f.target_degree, assignments)
 
 
 def augment(f):
@@ -265,8 +206,10 @@ def augment(f):
     out = {}
     for gen, terms in f.assignments.items():
         acc = alg.zero()
-        for left, _target, right in terms:
-            acc = acc + alg.multiply(left, right)
+        for c, left, _target, right in terms:
+            prod = alg.product(left, right)
+            if prod is not None:
+                acc = acc + AlgebraElement.of(prod[0], c * prod[1])
         out[gen] = acc
     return out
 
@@ -296,14 +239,11 @@ def p_dimension(alg, n):
 
 def term_coords(terms, n, alg):
     """Coordinates over the underlying basis of P^n of a list of
-    (left, target, right) terms whose factors are sequences of
-    (monomial, coefficient) pairs."""
+    (c, left, target, right) monomial terms."""
     index = _p_basis_index(n, alg)
-    coords = [Fraction(0)] * len(index)
-    for left, target, right in terms:
-        for ml, cl in left:
-            for mr, cr in right:
-                coords[index[(target, ml, mr)]] += cl * cr
+    coords = [linalg.F0] * len(index)
+    for c, ml, target, mr in terms:
+        coords[index[(target, ml, mr)]] += c
     return coords
 
 
@@ -311,32 +251,35 @@ def underlying_matrix(f):
     """The matrix of f on underlying vector spaces; rows are indexed by the
     basis of the target P, columns by the basis of the source P.
 
-    One walk over the terms of f: for the term (left, target, right) of gen,
-    bl . left for the four monomials bl into gen's origin and right . br for
-    the four out of its terminus are read from the structure constants once
-    each, and fill the 16 columns (gen, bl, br)."""
+    One walk over the terms of f: for the term (c, left, target, right) of
+    gen, bl . left for the four monomials bl into gen's origin and
+    right . br for the four out of its terminus are read from the structure
+    constants once each, and fill the 16 columns (gen, bl, br)."""
     alg = f.alg
+    product = alg.product
     target_index = _p_basis_index(f.target_degree, alg)
     rows = [{} for _ in target_index]
     col = 0
     for gen in generators(f.source_degree, alg.m):
-        into = [((bl, linalg.F1),) for bl in alg.monomials_into(gen.i)]
-        out_of = [((br, linalg.F1),) for br in alg.monomials_from(gen.terminus(alg.m))]
-        for left, target, right in f.terms(gen):
-            new_lefts = [alg.products(bl, left.coeffs.items()) for bl in into]
-            new_rights = [alg.products(right.coeffs.items(), br) for br in out_of]
-            c = col
-            for new_left in new_lefts:
-                for new_right in new_rights:
-                    for ml, cl in new_left:
-                        for mr, cr in new_right:
-                            row = rows[target_index[(target, ml, mr)]]
-                            s = row.get(c, linalg.F0) + cl * cr
-                            if s:
-                                row[c] = s
-                            else:
-                                del row[c]
-                    c += 1
+        into = alg.monomials_into(gen.i)
+        out_of = alg.monomials_from(gen.terminus(alg.m))
+        for c, left, target, right in f.terms(gen):
+            rights = [product(right, br) for br in out_of]
+            for k, bl in enumerate(into):
+                new_left = product(bl, left)
+                if new_left is None:
+                    continue
+                ml, cl = new_left
+                cl *= c
+                for cc, new_right in enumerate(rights, col + k * len(out_of)):
+                    if new_right is None:
+                        continue
+                    row = rows[target_index[(target, ml, new_right[0])]]
+                    s = row.get(cc, linalg.F0) + cl * new_right[1]
+                    if s:
+                        row[cc] = s
+                    else:
+                        del row[cc]
         col += len(into) * len(out_of)
     return linalg.Matrix(len(rows), col, rows)
 
@@ -347,9 +290,9 @@ def augmentation_matrix(alg):
     source = _p_basis(0, alg)
     mat = linalg.Matrix(len(alg.basis), len(source))
     for col, (_gen, bl, br) in enumerate(source):
-        prod = alg.monomial_multiply(bl, br)
-        for mono, c in prod.coeffs.items():
-            mat.add_to_entry(alg.basis_index[mono], col, c)
+        prod = alg.product(bl, br)
+        if prod is not None:
+            mat.add_to_entry(alg.basis_index[prod[0]], col, prod[1])
     return mat
 
 

@@ -21,6 +21,7 @@ from .homcomplex import coboundary_matrix, hom_space_basis, image_basis, kernel_
 from .resolution import (
     BimoduleMap,
     Generator,
+    compose,
     differential,
     generators,
     term_coords,
@@ -146,44 +147,29 @@ def lift_cocycle(f, k, alg):
     degree = f.degree
     if degree < 1:
         raise ValueError("lift positive-degree cocycles; degree 0 acts by value")
+    product = alg.product
     lifts = []
     for j in range(k + 1):
         assignments = {}
-        d_j = differential(j, alg) if j >= 1 else None
-        d_src = differential(degree + j, alg) if j >= 1 else None
+        if j >= 1:
+            d_j = differential(j, alg)
+            carried = compose(lifts[j - 1], differential(degree + j, alg))
         for gen in generators(degree + j, alg.m):
             slots = _term_basis(alg, gen, j)
             if j == 0:
                 # target side: coordinates in the algebra itself
-                rhs_elt = f.value(gen)
-                rhs = alg.element_coords(rhs_elt)
-                cols = []
-                for tgt, ml, mr in slots:
-                    cols.append(alg.element_coords(alg.monomial_multiply(ml, mr)))
+                rhs = alg.element_coords(f.value(gen))
+                cols = [alg.element_coords(alg.monomial_multiply(ml, mr)) for _, ml, mr in slots]
             else:
-                prev = lifts[j - 1]
-                carried = []
-                for left, mid, right in d_src.terms(gen):
-                    for l2, tgt, r2 in prev.terms(mid):
-                        carried.append(
-                            (
-                                alg.products(left.coeffs.items(), l2.coeffs.items()),
-                                tgt,
-                                alg.products(r2.coeffs.items(), right.coeffs.items()),
-                            )
-                        )
-                rhs = term_coords(carried, j - 1, alg)
+                rhs = carried.value_coords(gen)
                 cols = []
                 for tgt, ml, mr in slots:
                     pushed = []
-                    for l2, tgt2, r2 in d_j.terms(tgt):
-                        pushed.append(
-                            (
-                                alg.products(((ml, linalg.F1),), l2.coeffs.items()),
-                                tgt2,
-                                alg.products(r2.coeffs.items(), ((mr, linalg.F1),)),
-                            )
-                        )
+                    for c, l2, tgt2, r2 in d_j.terms(tgt):
+                        left = product(ml, l2)
+                        right = product(r2, mr)
+                        if left is not None and right is not None:
+                            pushed.append((c * left[1] * right[1], left[0], tgt2, right[0]))
                     cols.append(term_coords(pushed, j - 1, alg))
             mat = linalg.Matrix.from_columns(len(rhs), cols)
             try:
@@ -192,13 +178,7 @@ def lift_cocycle(f, k, alg):
                 raise LiftingError(
                     f"inconsistent lifting system at level {j}, generator {gen}"
                 ) from exc
-            terms = [
-                (AlgebraElement.of(ml, coeff), tgt, AlgebraElement.of(mr))
-                for (tgt, ml, mr), coeff in zip(slots, x)
-                if coeff
-            ]
-            if terms:
-                assignments[gen] = terms
+            assignments[gen] = [(coeff, ml, tgt, mr) for (tgt, ml, mr), coeff in zip(slots, x)]
         lifts.append(BimoduleMap(alg, degree + j, j, assignments))
     return lifts
 
@@ -219,13 +199,18 @@ def cup_product(f, g, alg, allow_non_generic=False):
         return class_of(
             Cochain(other.degree, values), alg, allow_non_generic
         )
-    lifts = lift_cocycle(g.representative, f.degree, alg)
-    top = lifts[f.degree]
+    top = lift_cocycle(g.representative, f.degree, alg)[f.degree]
     values = {}
     for gen in generators(f.degree + g.degree, alg.m):
         acc = alg.zero()
-        for left, mid, right in top.terms(gen):
-            acc = acc + alg.multiply(alg.multiply(left, f.representative.value(mid)), right)
+        for c, left, mid, right in top.terms(gen):
+            for mono, cv in f.representative.value(mid).coeffs.items():
+                inner = alg.product(left, mono)
+                if inner is None:
+                    continue
+                outer = alg.product(inner[0], right)
+                if outer is not None:
+                    acc = acc + AlgebraElement.of(outer[0], c * cv * inner[1] * outer[1])
         if not acc.is_zero():
             values[gen] = acc
     return class_of(

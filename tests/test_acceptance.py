@@ -34,8 +34,8 @@ F = Fraction
 def flip_one_sign(d, alg):
     gen = next(iter(d.assignments))
     assignments = {g: list(ts) for g, ts in d.assignments.items()}
-    left, target, right = assignments[gen][0]
-    assignments[gen][0] = (left.scale(-1), target, right)
+    c, left, target, right = assignments[gen][0]
+    assignments[gen][0] = (-c, left, target, right)
     return BimoduleMap(alg, d.source_degree, d.target_degree, assignments)
 
 

@@ -153,3 +153,18 @@ def test_build_algebra_from_spec():
     alg = build_algebra(spec)
     assert alg.zeta == 2
     assert alg.generic
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_product_is_the_product_rule(m):
+    # unequal parameters, so the abar . a coefficient differs per vertex
+    alg = algebra(m, tuple(F(k + 2, k + 1) for k in range(m)))
+    for x in alg.basis:
+        for y in alg.basis:
+            rule = alg._monomial_product(x, y)
+            prod = alg.product(x, y)
+            if rule is None:
+                assert prod is None, (x, y)
+            else:
+                assert {prod[0]: prod[1]} == rule, (x, y)
+                assert type(prod[1]) is F and prod[1]

@@ -1,14 +1,20 @@
+from fractions import Fraction
+
 import pytest
 
-from hhdeform.algebra import algebra
+from hhdeform import linalg
+from hhdeform.algebra import AlgebraElement, algebra
 from hhdeform.bar import (
     DegreeCapExceeded,
     _bar_coboundary,
+    _tuples,
     bar_basis,
     bar_cochain_dimension,
     bar_cohomology_dimension,
 )
 from hhdeform.homcomplex import cohomology_dimension
+
+F = Fraction
 
 
 def test_cochain_dimensions():
@@ -80,3 +86,62 @@ def test_degree_cap_enforced():
         bar_cohomology_dimension(0, algebra(4, (2, 1, 1, 1)))
     # caps are arguments, not constants
     assert bar_cohomology_dimension(0, algebra(2, (3, 1)), degree_cap=1) == 3
+
+
+def scan_bar_coboundary(n, alg):
+    """Reference assembly: for each source cochain, expand its coboundary
+    over every (n+1)-tuple, multiplying whole algebra elements by the
+    product rule of two basis monomials rather than the structure-constant
+    table."""
+    m = alg.m
+
+    def rule(x, y):
+        return AlgebraElement(alg._monomial_product(x, y) or {})
+
+    def multiply(x, y):
+        out = AlgebraElement()
+        for mx, cx in x.coeffs.items():
+            for my, cy in y.coeffs.items():
+                out = out + rule(mx, my).scale(cx * cy)
+        return out
+
+    source = bar_basis(n, alg)
+    target_index = {item: k for k, item in enumerate(bar_basis(n + 1, alg))}
+    mat = linalg.Matrix(len(target_index), len(source))
+    for col, (tup0, mono0) in enumerate(source):
+        mono_elt = AlgebraElement.of(mono0)
+        for big in _tuples(n + 1, alg):
+            acc = AlgebraElement()
+            if n == 0:
+                r1 = AlgebraElement.of(big[0])
+                if (big[0].terminus(m),) == tup0:
+                    acc = acc + multiply(r1, mono_elt)
+                if (big[0].origin(m),) == tup0:
+                    acc = acc - multiply(mono_elt, r1)
+            else:
+                if big[1:] == tup0:
+                    acc = acc + multiply(AlgebraElement.of(big[0]), mono_elt)
+                for j in range(1, n + 1):
+                    for mono, c in rule(big[j - 1], big[j]).coeffs.items():
+                        if big[: j - 1] + (mono,) + big[j + 1 :] == tup0:
+                            acc = acc + mono_elt.scale((-1) ** j * c)
+                if big[:-1] == tup0:
+                    last = multiply(mono_elt, AlgebraElement.of(big[-1]))
+                    acc = acc + last.scale((-1) ** (n + 1))
+            for mono, c in acc.coeffs.items():
+                mat.add_to_entry(target_index[(big, mono)], col, c)
+    return mat
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1, 3), F(1), F(-1)])
+@pytest.mark.parametrize("m,top", [(1, 3), (2, 3), (3, 3), (4, 2), (5, 2)])
+def test_coboundary_matches_the_scan_reference(m, top, zeta):
+    # spread zeta over unequal parameters, so every contraction coefficient shows
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    for n in range(top + 1):
+        mat = _bar_coboundary(n, alg)
+        assert mat == scan_bar_coboundary(n, alg), n
+        for row in mat._rows:
+            for v in row.values():
+                assert type(v) is F and v

@@ -298,6 +298,31 @@ def test_negative_max_degree_rejected(runner, args):
     assert "--max-degree" in result.output
 
 
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_m_below_one_rejected(runner, command):
+    result = runner.invoke(cli.main, [command, "--m", "0", "--q", "1"])
+    assert result.exit_code == 2, result.output
+    assert "--m" in result.output
+    assert "parameters" not in result.output
+
+
+@pytest.mark.parametrize("command", ["compute", "verify", "sweep"])
+def test_output_directory_rejected_before_any_work(runner, monkeypatch, tmp_path, command):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "make_algebra", refuse)
+    monkeypatch.setattr(cli, "build_algebra", refuse)
+    args = {
+        "compute": ["compute", "--m", "2", "--q", "2,1"],
+        "verify": ["verify", "--m", "2", "--q", "2,1"],
+        "sweep": ["sweep", "--m-range", "1:2", "--zeta", "2"],
+    }[command]
+    result = runner.invoke(cli.main, args + ["--output", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "--output" in result.output and "directory" in result.output
+
+
 def test_verify_max_degree_zero_allowed_for_other_checks(runner):
     result = runner.invoke(
         cli.main,

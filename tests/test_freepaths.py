@@ -152,3 +152,25 @@ def test_q_run_is_the_product_of_consecutive_parameters(m):
             for j in range(start, start + count):
                 naive *= q[j % m]
             assert q_run(alg, start, count) == naive, (start, count)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_memoised_tables_match_a_from_scratch_loop(m):
+    alg = algebra(m, tuple(F(k + 2, k + 1) for k in range(m)))
+    assert g_generators(8, alg) is g_generators(8, alg)
+    table = {(0, i): elt(trivial_path(i)) for i in range(m)}
+    for n in range(9):
+        if n:
+            prev, table = table, {}
+            for i in range(m):
+                for r in range(n + 1):
+                    acc = AlgebraElement()
+                    if r <= n - 1:
+                        step = elt(arrow_path(i + n - 2 * r - 1, m))
+                        acc = acc + free_multiply(prev[(r, i)], step, m)
+                    if r >= 1:
+                        coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
+                        step = elt(bar_path(i + n - 2 * r, m))
+                        acc = acc + free_multiply(prev[(r - 1, i)], step, m).scale(coeff)
+                    table[(r, i)] = acc
+        assert g_generators(n, alg) == table, n

@@ -154,10 +154,11 @@ def scan_coboundary(n, alg):
     for col, (gen0, mono0) in enumerate(source):
         for gen in generators(n + 1, alg.m):
             acc = alg.zero()
-            for left, tgt, right in d.terms(gen):
+            for c, left, tgt, right in d.terms(gen):
                 if tgt == gen0:
                     acc = acc + alg.multiply(
-                        alg.multiply(left, AlgebraElement.of(mono0)), right
+                        alg.multiply(AlgebraElement.of(left, c), AlgebraElement.of(mono0)),
+                        AlgebraElement.of(right),
                     )
             for mono, c in acc.coeffs.items():
                 mat.add_to_entry(target_index[(gen, mono)], col, c)

@@ -49,13 +49,13 @@ def test_differential_degree_1():
     d1 = differential(1, alg)
     terms = d1.terms(Generator(1, 0, 0))
     assert terms == [
-        (AlgebraElement.of(e(0)), Generator(0, 0, 0), AlgebraElement.of(a(0))),
-        (AlgebraElement.of(a(0), -1), Generator(0, 0, 1), AlgebraElement.of(e(1))),
+        (F(1), e(0), Generator(0, 0, 0), a(0)),
+        (F(-1), a(0), Generator(0, 0, 1), e(1)),
     ]
     terms = d1.terms(Generator(1, 1, 0))
     assert terms == [
-        (AlgebraElement.of(e(0), -1), Generator(0, 0, 0), AlgebraElement.of(abar(2))),
-        (AlgebraElement.of(abar(2)), Generator(0, 0, 2), AlgebraElement.of(e(2))),
+        (F(-1), e(0), Generator(0, 0, 0), abar(2)),
+        (F(1), abar(2), Generator(0, 0, 2), e(2)),
     ]
 
 
@@ -64,19 +64,19 @@ def test_differential_degree_2_middle_coefficients():
     d2 = differential(2, alg)
     n, r, i = 2, 1, 1
     terms = d2.terms(Generator(n, r, i))
-    by_target = {t: (l, rr) for l, t, rr in terms}
+    by_target = {t: (c, l, rr) for c, l, t, rr in terms}
     # e_1 (x)_1 a_0
-    l, rr = by_target[Generator(1, 1, 1)]
-    assert l == AlgebraElement.of(e(1)) and rr == AlgebraElement.of(a(0))
+    c, l, rr = by_target[Generator(1, 1, 1)]
+    assert (c, l, rr) == (1, e(1), a(0))
     # (-1)^2 q_1 e_1 (x)_0 abar_1
-    l, rr = by_target[Generator(1, 0, 1)]
-    assert l == AlgebraElement.of(e(1), alg.q[1]) and rr == AlgebraElement.of(abar(1))
+    c, l, rr = by_target[Generator(1, 0, 1)]
+    assert (c, l, rr) == (alg.q[1], e(1), abar(1))
     # (-1)^{2+1} q_1 a_1 (x)_1 e
-    l, rr = by_target[Generator(1, 1, 2)]
-    assert l == AlgebraElement.of(a(1), -alg.q[1])
+    c, l, rr = by_target[Generator(1, 1, 2)]
+    assert (c, l) == (-alg.q[1], a(1))
     # (-1)^{2+1} abar_0 (x)_0 e
-    l, rr = by_target[Generator(1, 0, 0)]
-    assert l == AlgebraElement.of(abar(0), -1)
+    c, l, rr = by_target[Generator(1, 0, 0)]
+    assert (c, l) == (-1, abar(0))
 
 
 @pytest.mark.parametrize("m,q", [(3, (2, 1, 1)), (2, (3, 1)), (1, (2,))])
@@ -114,16 +114,26 @@ def test_vertex_compatibility_enforced():
             alg,
             1,
             0,
-            {
-                Generator(1, 0, 0): [
-                    (
-                        AlgebraElement.of(a(1)),
-                        Generator(0, 0, 0),
-                        AlgebraElement.of(e(1)),
-                    )
-                ]
-            },
+            {Generator(1, 0, 0): [(F(1), a(1), Generator(0, 0, 0), e(1))]},
         )
+
+
+def test_right_factor_outside_its_corner_refused():
+    # the right factor of G(1;0,0) -> G(0;0,0) lies in e_0 . Algebra . e_1
+    alg = algebra(3, (2, 1, 1))
+    BimoduleMap(alg, 1, 0, {Generator(1, 0, 0): [(F(1), e(0), Generator(0, 0, 0), a(0))]})
+    with pytest.raises(ValueError, match="right factor"):
+        BimoduleMap(
+            alg, 1, 0, {Generator(1, 0, 0): [(F(1), e(0), Generator(0, 0, 0), a(1))]}
+        )
+
+
+def test_zero_coefficient_terms_dropped():
+    alg = algebra(3, (2, 1, 1))
+    gen, target = Generator(1, 0, 0), Generator(0, 0, 0)
+    f = BimoduleMap(alg, 1, 0, {gen: [(F(0), e(0), target, a(0)), (F(2), e(0), target, a(0))]})
+    assert f.terms(gen) == [(F(2), e(0), target, a(0))]
+    assert BimoduleMap(alg, 1, 0, {gen: [(F(0), e(0), target, a(0))]}).assignments == {}
 
 
 def test_minimality_no_unit_terms():
@@ -132,9 +142,9 @@ def test_minimality_no_unit_terms():
     for n in range(1, 8):
         d = differential(n, alg)
         for gen in generators(n, 4):
-            for left, _t, right in d.terms(gen):
-                left_radical = all(mono.kind != "e" for mono in left.coeffs)
-                right_radical = all(mono.kind != "e" for mono in right.coeffs)
+            for _c, left, _t, right in d.terms(gen):
+                left_radical = left.kind != "e"
+                right_radical = right.kind != "e"
                 assert left_radical or right_radical
 
 
@@ -148,19 +158,19 @@ def test_differential_matches_g_recursion_coefficients(m):
         for gen in generators(n, m):
             r, i = gen.r, gen.i
             by_target = {}
-            for l, t, rr in d.terms(gen):
-                by_target.setdefault(t, []).append((l, rr))
+            for c, l, t, rr in d.terms(gen):
+                by_target.setdefault(t, []).append((c, l, rr))
             if r <= n - 1:
                 t1 = Generator(n - 1, r, i)
-                (l, rr), = by_target[t1]
-                assert l == AlgebraElement.of(e(i))
-                assert rr == AlgebraElement.of(a((i + n - 2 * r - 1) % m))
+                (c, l, rr), = by_target[t1]
+                assert (c, l) == (1, e(i))
+                assert rr == a((i + n - 2 * r - 1) % m)
             if r >= 1:
                 t2 = Generator(n - 1, r - 1, i)
-                (l, rr), = by_target[t2]
+                (c, l, rr), = by_target[t2]
                 coeff = F((-1) ** n) * q_run(alg, i - r + 1, n - r)
-                assert l == AlgebraElement.of(e(i), coeff)
-                assert rr == AlgebraElement.of(abar((i + n - 2 * r) % m))
+                assert (c, l) == (coeff, e(i))
+                assert rr == abar((i + n - 2 * r) % m)
 
 
 def test_underlying_dimensions():
@@ -220,8 +230,8 @@ def test_exactness_desk_scale(m, q, N):
 def flip_one_sign(d, alg):
     gen = next(iter(d.assignments))
     assignments = {g: list(ts) for g, ts in d.assignments.items()}
-    left, target, right = assignments[gen][0]
-    assignments[gen][0] = (left.scale(-1), target, right)
+    c, left, target, right = assignments[gen][0]
+    assignments[gen][0] = (-c, left, target, right)
     return BimoduleMap(alg, d.source_degree, d.target_degree, assignments)
 
 
@@ -257,9 +267,9 @@ def multiply_underlying(f):
     target_index = _p_basis_index(f.target_degree, alg)
     mat = linalg.Matrix(len(target_index), len(source))
     for col, (gen, bl, br) in enumerate(source):
-        for left, target, right in f.terms(gen):
-            new_left = multiply(AlgebraElement.of(bl), left)
-            new_right = multiply(right, AlgebraElement.of(br))
+        for c, left, target, right in f.terms(gen):
+            new_left = multiply(AlgebraElement.of(bl), AlgebraElement.of(left, c))
+            new_right = multiply(AlgebraElement.of(right), AlgebraElement.of(br))
             for ml, cl in new_left.coeffs.items():
                 for mr, cr in new_right.coeffs.items():
                     mat.add_to_entry(target_index[(target, ml, mr)], col, cl * cr)
@@ -272,10 +282,10 @@ def multiply_compose(f, g):
     out = {}
     for gen, terms in g.assignments.items():
         acc = {}
-        for l1, mid, r1 in terms:
-            for l2, target, r2 in f.terms(mid):
-                left = multiply(l1, l2)
-                right = multiply(r2, r1)
+        for c1, l1, mid, r1 in terms:
+            for c2, l2, target, r2 in f.terms(mid):
+                left = multiply(AlgebraElement.of(l1, c1), AlgebraElement.of(l2, c2))
+                right = multiply(AlgebraElement.of(r2), AlgebraElement.of(r1))
                 for ml, cl in left.coeffs.items():
                     for mr, cr in right.coeffs.items():
                         key = (target, ml, mr)
@@ -287,16 +297,14 @@ def multiply_compose(f, g):
 
 
 def collected(f):
-    """The terms of a map with single-monomial factors, as in `multiply_compose`."""
+    """The terms of a map, as in `multiply_compose`."""
     out = {}
     for gen, terms in f.assignments.items():
         acc = {}
-        for left, target, right in terms:
-            (ml, cl), = left.coeffs.items()
-            (mr, cr), = right.coeffs.items()
+        for c, ml, target, mr in terms:
             key = (target, ml, mr)
             assert key not in acc
-            acc[key] = cl * cr
+            acc[key] = c
         out[gen] = acc
     return out
 
@@ -324,30 +332,24 @@ def test_assembly_matches_the_multiply_reference(m, zeta):
 
 
 @st.composite
-def factor(draw, alg, i, j):
-    """A combination of one or more monomials of e_i . Algebra . e_j."""
-    corner = alg.corner_basis(i, j)
-    monos = draw(st.lists(st.sampled_from(corner), min_size=1, max_size=len(corner), unique=True))
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
-    return AlgebraElement({mono: draw(coeffs) for mono in monos})
-
-
-@st.composite
 def bimodule_maps(draw, alg, source_degree, target_degree):
-    """A random map whose factors combine several corner monomials."""
+    """A random map with several terms per (generator, target); their
+    (left, right) pairs may repeat, so like terms need collecting."""
     m = alg.m
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
     assignments = {}
     for gen in generators(source_degree, m):
         terms = []
         for _ in range(draw(st.integers(0, 3))):
             target = draw(st.sampled_from(generators(target_degree, m)))
-            if not alg.corner_basis(gen.i, target.i):
+            lefts = alg.corner_basis(gen.i, target.i)
+            rights = alg.corner_basis(target.terminus(m), gen.terminus(m))
+            if not lefts or not rights:
                 continue
-            if not alg.corner_basis(target.terminus(m), gen.terminus(m)):
-                continue
-            left = draw(factor(alg, gen.i, target.i))
-            right = draw(factor(alg, target.terminus(m), gen.terminus(m)))
-            terms.append((left, target, right))
+            for _ in range(draw(st.integers(1, 4))):
+                left = draw(st.sampled_from(lefts))
+                right = draw(st.sampled_from(rights))
+                terms.append((draw(coeffs), left, target, right))
         assignments[gen] = terms
     return BimoduleMap(alg, source_degree, target_degree, assignments)
 

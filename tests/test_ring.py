@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hhdeform import linalg
@@ -13,6 +15,8 @@ from hhdeform.ring import (
     lift_cocycle,
     ring_report,
 )
+
+F = Fraction
 
 
 @pytest.fixture(scope="module")
@@ -75,18 +79,10 @@ def explicit_lifts(alg):
         0,
         {
             Generator(1, 0, (m - 1) % m): [
-                (
-                    AlgebraElement.of(a((m - 1) % m)),
-                    Generator(0, 0, 0),
-                    AlgebraElement.of(e(0)),
-                )
+                (F(1), a((m - 1) % m), Generator(0, 0, 0), e(0))
             ],
             Generator(1, 1, 0): [
-                (
-                    AlgebraElement.of(abar((m - 1) % m)),
-                    Generator(0, 0, (m - 1) % m),
-                    AlgebraElement.of(e((m - 1) % m)),
-                )
+                (F(1), abar((m - 1) % m), Generator(0, 0, (m - 1) % m), e((m - 1) % m))
             ],
         },
     )
@@ -100,31 +96,20 @@ def explicit_lifts(alg):
         {
             Generator(2, 0, (m - 1) % m): [
                 (
-                    AlgebraElement.of(a((m - 1) % m)),
+                    F(1),
+                    a((m - 1) % m),
                     Generator(1, 0, 0),
-                    AlgebraElement.of(e(Generator(1, 0, 0).terminus(m))),
+                    e(Generator(1, 0, 0).terminus(m)),
                 )
             ],
             Generator(2, 1, 0): [
-                (
-                    AlgebraElement.of(abar((m - 1) % m)),
-                    g10m1,
-                    AlgebraElement.of(e(g10m1.terminus(m))),
-                )
+                (F(1), abar((m - 1) % m), g10m1, e(g10m1.terminus(m)))
             ],
             Generator(2, 1, (m - 1) % m): [
-                (
-                    AlgebraElement.of(a((m - 1) % m), -alg.q[(m - 1) % m]),
-                    g110,
-                    AlgebraElement.of(e(g110.terminus(m))),
-                )
+                (-alg.q[(m - 1) % m], a((m - 1) % m), g110, e(g110.terminus(m)))
             ],
             Generator(2, 2, 0): [
-                (
-                    AlgebraElement.of(abar((m - 1) % m), -1),
-                    g11m1,
-                    AlgebraElement.of(e(g11m1.terminus(m))),
-                )
+                (F(-1), abar((m - 1) % m), g11m1, e(g11m1.terminus(m)))
             ],
         },
     )
@@ -153,9 +138,10 @@ def test_u1u2_class_matches_explicit_lift(alg3):
     values = {}
     for gen in generators(2, m):
         acc = alg3.zero()
-        for left, mid, right in lift1.terms(gen):
+        for c, left, mid, right in lift1.terms(gen):
             acc = acc + alg3.multiply(
-                alg3.multiply(left, u1.representative.value(mid)), right
+                alg3.multiply(AlgebraElement.of(left, c), u1.representative.value(mid)),
+                AlgebraElement.of(right),
             )
         if not acc.is_zero():
             values[gen] = acc
