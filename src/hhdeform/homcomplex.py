@@ -62,10 +62,8 @@ def coboundary_matrix(n, alg):
     return mat
 
 
-def kernel_image_dims(n, alg, strict=False):
+def kernel_image_dims(n, alg):
     """(dim ker d^n, dim im d^{n-1}) by exact rank computation."""
-    if strict:
-        alg.require_generic()
     dn = coboundary_matrix(n, alg)
     ker = dn.cols - linalg.rank(dn)
     im = linalg.rank(coboundary_matrix(n - 1, alg)) if n >= 1 else 0

@@ -200,8 +200,14 @@ def cup_product(f, g, alg, allow_non_generic=False):
             Cochain(other.degree, values), alg, allow_non_generic
         )
     top = lift_cocycle(g.representative, f.degree, alg)[f.degree]
+    return _cup_with_lift(f, top, alg, allow_non_generic)
+
+
+def _cup_with_lift(f, top, alg, allow_non_generic):
+    """The class of f o top, where top is the level-(f.degree) lifting of a
+    positive-degree cocycle g, so the class is the cup product of f and g."""
     values = {}
-    for gen in generators(f.degree + g.degree, alg.m):
+    for gen in generators(top.source_degree, alg.m):
         acc = alg.zero()
         for c, left, mid, right in top.terms(gen):
             for mono, cv in f.representative.value(mid).coeffs.items():
@@ -213,9 +219,7 @@ def cup_product(f, g, alg, allow_non_generic=False):
                     acc = acc + AlgebraElement.of(outer[0], c * cv * inner[1] * outer[1])
         if not acc.is_zero():
             values[gen] = acc
-    return class_of(
-        Cochain(f.degree + g.degree, values), alg, allow_non_generic
-    )
+    return class_of(Cochain(top.source_degree, values), alg, allow_non_generic)
 
 
 def ring_report(alg, max_degree=8, allow_non_generic=False):
@@ -252,10 +256,13 @@ def ring_report(alg, max_degree=8, allow_non_generic=False):
                 f"x{i} x{j} = 0",
                 cup_product(xs[i], xs[j], alg, allow_non_generic).is_zero(),
             )
-    u1u1 = cup_product(u1, u1, alg, allow_non_generic)
-    u2u2 = cup_product(u2, u2, alg, allow_non_generic)
-    u1u2 = cup_product(u1, u2, alg, allow_non_generic)
-    u2u1 = cup_product(u2, u1, alg, allow_non_generic)
+    # each of u1 and u2 is lifted once and serves both products it enters
+    lift1 = lift_cocycle(u1.representative, 1, alg)[1]
+    lift2 = lift_cocycle(u2.representative, 1, alg)[1]
+    u1u1 = _cup_with_lift(u1, lift1, alg, allow_non_generic)
+    u2u2 = _cup_with_lift(u2, lift2, alg, allow_non_generic)
+    u1u2 = _cup_with_lift(u1, lift2, alg, allow_non_generic)
+    u2u1 = _cup_with_lift(u2, lift1, alg, allow_non_generic)
     check("u1 u1 = 0", u1u1.is_zero())
     check("u2 u2 = 0", u2u2.is_zero())
     check("u1 u2 != 0", not u1u2.is_zero())

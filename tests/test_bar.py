@@ -59,6 +59,18 @@ def test_oracle_agrees_m3(q3):
         assert bar_cohomology_dimension(n, alg) == cohomology_dimension(n, alg)
 
 
+@pytest.mark.parametrize("zeta", [F(2), F(1), F(-1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_oracle_agrees_through_a_full_period(m, zeta):
+    # n <= m + 1 reaches the n = m - 1 (mod m) wrap of the resolution
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    for n in range(m + 2):
+        assert bar_cohomology_dimension(n, alg, degree_cap=m + 1, m_cap=4) == (
+            cohomology_dimension(n, alg, allow_non_generic=True)
+        ), n
+
+
 @pytest.mark.parametrize("m,q", [(1, (2,)), (1, (5,)), (2, (3, 1)), (2, (1, 7))])
 def test_oracle_agrees_small_m(m, q):
     alg = algebra(m, q)

@@ -110,7 +110,7 @@ def test_non_generic_refused():
     with pytest.raises(NonGenericParameters):
         cohomology_dimension(0, alg)
     with pytest.raises(NonGenericParameters):
-        kernel_image_dims(0, alg, strict=True)
+        cohomology_dimension(3, alg)
     # override allowed, and the raw dimensions diverge from the generic table
     assert cohomology_dimension(3, alg, allow_non_generic=True) > 0
 

@@ -5,9 +5,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhdeform import linalg
-from hhdeform.linalg import InconsistentSystem, Matrix, kernel_basis, rank, rref, solve
+from hhdeform.algebra import algebra
+from hhdeform.bar import _bar_coboundary
+from hhdeform.homcomplex import coboundary_matrix
+from hhdeform.linalg import (
+    InconsistentSystem,
+    Matrix,
+    kernel_basis,
+    pivot_columns,
+    rank,
+    rref,
+    solve,
+)
+from hhdeform.resolution import differential, underlying_matrix
 
 F = Fraction
+F0 = F(0)
+F1 = F(1)
 
 
 def test_rank_identity():
@@ -102,3 +116,140 @@ def test_matmul_matches_dense():
 def test_transpose_roundtrip():
     a = Matrix.from_rows([[1, 0, 2], [0, 3, 0]])
     assert a.transpose().transpose() == a
+
+
+def scan_rref(m):
+    """Reference elimination: for each column in turn, scan every remaining
+    row for the sparsest holder, eliminate below and back-substitute into
+    every echelon row at once."""
+    rows = [dict(r) for r in m._rows if r]
+    pivot_cols = []
+    echelon = []
+    for col in range(m.cols):
+        best = None
+        for idx, row in enumerate(rows):
+            if col in row and (best is None or len(row) < len(rows[best])):
+                best = idx
+        if best is None:
+            continue
+        pivot = rows.pop(best)
+        inv = F1 / pivot[col]
+        if inv != F1:
+            pivot = {c: v * inv for c, v in pivot.items()}
+        remaining = []
+        for row in rows:
+            f = row.get(col)
+            if f:
+                new = dict(row)
+                for c, v in pivot.items():
+                    w = new.get(c, F0) - f * v
+                    if w:
+                        new[c] = w
+                    else:
+                        new.pop(c, None)
+                if new:
+                    remaining.append(new)
+            else:
+                remaining.append(row)
+        rows = remaining
+        for k, row in enumerate(echelon):
+            f = row.get(col)
+            if f:
+                new = dict(row)
+                for c, v in pivot.items():
+                    w = new.get(c, F0) - f * v
+                    if w:
+                        new[c] = w
+                    else:
+                        new.pop(c, None)
+                echelon[k] = new
+        pivot_cols.append(col)
+        echelon.append(pivot)
+        if not rows:
+            break
+    return pivot_cols, echelon
+
+
+def assert_fraction_rows(rows):
+    for row in rows:
+        for v in row.values():
+            assert type(v) is F and v
+
+
+def assert_matches_scan(m):
+    """The echelon form, the RREF and its pivots agree with `scan_rref`."""
+    expected_pivots, expected_rows = scan_rref(m)
+    pivots, rows = linalg._echelon(m)
+    assert pivots == expected_pivots
+    assert_fraction_rows(rows)
+    for col, row in zip(pivots, rows):
+        assert min(row) == col and row[col] == F1
+    echelon = Matrix(len(rows), m.cols, rows)
+    assert scan_rref(echelon) == (expected_pivots, expected_rows)
+    pivots, rows = linalg._rref_rows(m)
+    assert (pivots, rows) == (expected_pivots, expected_rows)
+    assert_fraction_rows(rows)
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 12 x 12 and block diagonal after a permutation: each row and
+    column gets one of up to four block labels, and only entries joining
+    equal labels may be nonzero (a label with rows but no columns leaves
+    zero rows, and the other way round zero columns).  Some rows are then
+    replaced by scaled copies of others."""
+    n_rows = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(1, 12))
+    labels = st.integers(0, draw(st.integers(0, 3)))
+    row_label = [draw(labels) for _ in range(n_rows)]
+    col_label = [draw(labels) for _ in range(n_cols)]
+    density = draw(st.integers(1, 9))
+    rows = []
+    for r in range(n_rows):
+        row = {}
+        for c in range(n_cols):
+            if row_label[r] == col_label[c] and draw(st.integers(0, 9)) < density:
+                row[c] = draw(nonzero_rationals)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 3))):
+        src = draw(st.integers(0, n_rows - 1))
+        scale = draw(nonzero_rationals)
+        rows[draw(st.integers(0, n_rows - 1))] = {c: scale * v for c, v in rows[src].items()}
+    return Matrix(n_rows, n_cols, rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_elimination_matches_the_scan_reference(m, data):
+    assert_matches_scan(m)
+    b = m.mul_vector(data.draw(st.lists(rationals, min_size=m.cols, max_size=m.cols)))
+    if b:
+        b[data.draw(st.integers(0, len(b) - 1))] += data.draw(rationals)
+
+    def results():
+        try:
+            x = solve(m, b)
+        except InconsistentSystem:
+            x = None
+        return rref(m), rank(m), pivot_columns(m), kernel_basis(m), x
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_rref_rows", scan_rref)
+        patch.setattr(linalg, "_echelon", scan_rref)
+        expected = results()
+    assert results() == expected
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1), F(-1)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_package_matrices_match_the_scan_reference(m, zeta):
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    for n in range(5):
+        assert_matches_scan(coboundary_matrix(n, alg))
+        assert_matches_scan(_bar_coboundary(n, alg))
+        if n:
+            assert_matches_scan(underlying_matrix(differential(n, alg)))

@@ -217,7 +217,7 @@ def test_augmentation_matrix_surjective():
 
 @pytest.mark.parametrize(
     "m,q,N",
-    [(2, (3, 1), 5), (3, (2, 1, 1), 4), (1, (1,), 4)],
+    [(2, (3, 1), 5), (3, (2, 1, 1), 4), (1, (1,), 4), (8, (2,) + (1,) * 7, 22)],
 )
 def test_exactness_desk_scale(m, q, N):
     # valid for every nonzero q, including zeta a root of unity

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hhdeform import linalg
+from hhdeform import linalg, ring
 from hhdeform.algebra import AlgebraElement, NonGenericParameters, a, abar, algebra, e, z
 from hhdeform.resolution import BimoduleMap, Generator, augment, compose, differential, generators
 from hhdeform.homcomplex import coboundary_matrix
@@ -191,6 +191,19 @@ def test_ring_report_m1():
     report = ring_report(algebra(1, (2,)))
     assert report["passed"], report["failures"]
     assert report["total_dim"] == 5
+
+
+def test_ring_report_lifts_u1_and_u2_once_each(monkeypatch):
+    calls = []
+
+    def counted(f, k, alg):
+        calls.append((f.degree, k))
+        return lift_cocycle(f, k, alg)
+
+    monkeypatch.setattr(ring, "lift_cocycle", counted)
+    report = ring_report(algebra(2, (3, 1)))
+    assert report["passed"], report["failures"]
+    assert calls == [(1, 1), (1, 1)]
 
 
 def greedy_complement(alg, n):
