@@ -15,7 +15,6 @@ from .freepaths import (
     FreePath,
     free_multiply,
     g_generators,
-    reduce_to_algebra,
     verify_g_recursions,
 )
 from .homcomplex import (
@@ -73,7 +72,6 @@ __all__ = [
     "hom_space_basis",
     "kernel_image_dims",
     "lift_cocycle",
-    "reduce_to_algebra",
     "ring_report",
     "underlying_matrix",
     "verify_exactness",

@@ -50,8 +50,6 @@ class BasisMonomial:
     def terminus(self, m):
         if self.kind == ARROW:
             return (self.index + 1) % m
-        if self.kind == BAR:
-            return self.index
         return self.index
 
     def sort_key(self):
@@ -195,8 +193,7 @@ class Algebra:
             for y in self.basis:
                 p = self._monomial_product(x, y)
                 if p is not None:
-                    ((mono, c),) = p.items()
-                    self._table[(x, y)] = (mono, c)
+                    self._table[(x, y)] = p
         self._into = {v: [mono for mono in self.basis if mono.terminus(self.m) == v] for v in range(self.m)}
         self._from = {v: [mono for mono in self.basis if mono.origin(self.m) == v] for v in range(self.m)}
         self.cache = {}
@@ -208,24 +205,24 @@ class Algebra:
             )
 
     def _monomial_product(self, x, y):
-        """Product of two basis monomials as {mono: coeff}, or None if zero."""
+        """Product of two basis monomials as (mono, coeff), or None if zero."""
         m = self.m
         if x.terminus(m) != y.origin(m):
             return None
         if x.kind == VERTEX:
-            return {y: Fraction(1)}
+            return y, Fraction(1)
         if y.kind == VERTEX:
-            return {x: Fraction(1)}
+            return x, Fraction(1)
         # socle kills the radical on both sides
         if x.kind == LOOP or y.kind == LOOP:
             return None
         if x.kind == ARROW and y.kind == BAR:
             # a_i abar_i = z_i (composability forces the indices to agree)
-            return {z(x.index): Fraction(1)}
+            return z(x.index), Fraction(1)
         if x.kind == BAR and y.kind == ARROW:
             # abar_j a_j = q_{j+1} z_{j+1}
             j1 = (x.index + 1) % m
-            return {z(j1): self.q[j1]}
+            return z(j1), self.q[j1]
         # a_i a_{i+1} and abar_i abar_{i-1} are relations
         return None
 

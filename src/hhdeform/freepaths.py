@@ -2,9 +2,9 @@
 
 This module keeps everything *before* the relations are imposed: the
 recursive generator families g[n][r,i] live here, as do the two recursion
-identities relating right- and left-multiplication forms, and the
-rewriting map down to the quotient algebra.  The quotient never feeds
-back into this module, so reduction can serve as an independent oracle.
+identities relating right- and left-multiplication forms.  The quotient
+never feeds back into this module; the rewriting map down to it is kept
+in tests/test_freepaths.py as an independent reference.
 
 Paths are written left to right.  A step is ("a", j) for the forward
 arrow j -> j+1 or ("abar", j) for the backward arrow j+1 -> j; indices
@@ -15,7 +15,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ARROW, BAR, AlgebraElement, a, abar, e, memoised, z
+from .algebra import ARROW, BAR, AlgebraElement, memoised
 
 log = logging.getLogger(__name__)
 
@@ -164,86 +164,13 @@ def g_left_form(n, alg):
 
 def verify_g_recursions(n, alg):
     """True iff the left-multiplication form reproduces g[n][r,i] for every
-    (r, i), as literal equality of free elements.
-
-    If literal equality were ever to fail while equality after reduction to
-    the quotient holds, the discrepancy is logged rather than accepted.
-    """
+    (r, i), as literal equality of free elements; each (r, i) where the
+    two forms differ is logged."""
     table = g_generators(n, alg)
     left = g_left_form(n, alg)
     ok = True
     for key in table:
         if table[key] != left[key]:
             ok = False
-            if reduce_to_algebra(table[key] - left[key], alg).is_zero():
-                log.warning(
-                    "g recursion at n=%d, (r,i)=%s: forms differ in the free "
-                    "algebra but agree after reduction",
-                    n,
-                    key,
-                )
-            else:
-                log.warning(
-                    "g recursion at n=%d, (r,i)=%s: forms differ even after "
-                    "reduction",
-                    n,
-                    key,
-                )
+            log.warning("g recursion at n=%d, (r,i)=%s: the two forms differ", n, key)
     return ok
-
-
-def _reduce_path(path, alg, rightmost=False):
-    """Normal form of a single path in the quotient: (coeff, monomial) or
-    None when the path reduces to zero.
-
-    Rewrites to fixpoint with
-        a_i a_{i+1} -> 0,   abar_i abar_{i-1} -> 0,
-        abar_j a_j -> q_{j+1} a_{j+1} abar_{j+1},
-    scanning leftmost-first by default (rightmost-first exists only so the
-    tests can confirm confluence at desk scale).
-    """
-    m = alg.m
-    coeff = Fraction(1)
-    steps = list(path.steps)
-    while True:
-        positions = range(len(steps) - 1)
-        if rightmost:
-            positions = reversed(positions)
-        for t in positions:
-            k1, i1 = steps[t]
-            k2, i2 = steps[t + 1]
-            if k1 == ARROW and k2 == ARROW:
-                return None
-            if k1 == BAR and k2 == BAR:
-                return None
-            if k1 == BAR and k2 == ARROW:
-                j1 = (i1 + 1) % m
-                coeff *= alg.q[j1]
-                steps[t] = (ARROW, j1)
-                steps[t + 1] = (BAR, j1)
-                break
-        else:
-            break
-    if not steps:
-        return coeff, e(path.origin)
-    if len(steps) == 1:
-        kind, idx = steps[0]
-        return coeff, (a(idx) if kind == ARROW else abar(idx))
-    if len(steps) == 2:
-        # the only irreducible length-2 shape is a_j abar_j
-        return coeff, z(steps[0][1])
-    # any longer irreducible word would need an a->abar->a alternation,
-    # which the abar a rule always breaks up
-    raise AssertionError(f"irreducible path of length {len(steps)}: {steps}")
-
-
-def reduce_to_algebra(x, alg, rightmost=False):
-    """The quotient map: rewrite each path to its normal form and collect."""
-    out = AlgebraElement()
-    for path, c in x.coeffs.items():
-        reduced = _reduce_path(path, alg, rightmost=rightmost)
-        if reduced is None:
-            continue
-        coeff, mono = reduced
-        out = out + AlgebraElement.of(mono, c * coeff)
-    return out

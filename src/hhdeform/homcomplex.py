@@ -6,13 +6,16 @@ subspace e_i . Algebra . e_{(i+n-2r) mod m}.  That gives the canonical
 basis used everywhere here: generators in their fixed order, corner
 monomials in theirs.
 
-The coboundary d^n is computed generically from the differential, in
-one walk over the terms of d^{n+1}: the monomial term (c, left, tgt,
-right) of the image of a generator of P^{n+1} feeds only the columns of
-the basis maps at tgt, each with the one monomial c . left . mono0 . right
-read from the structure constants (`Algebra.product`).  The closed-form
-dimension tables from the kernel/image analysis live in the expected_*
-functions and are used as comparison data, never as a computation path.
+Precomposition with a bimodule map g: P^N -> P^n is one matrix,
+`pullback_matrix(g)`, built in one walk over the terms of g: the monomial
+term (c, left, tgt, right) of the image of a generator of P^N feeds only
+the columns of the basis maps at tgt, each with the one monomial
+c . left . mono0 . right read from the structure constants
+(`Algebra.product`).  The coboundary d^n is the pullback along the
+differential d^{n+1}; cup products are pullbacks along chain-map
+liftings.  The closed-form dimension tables from the kernel/image
+analysis live in the expected_* functions and are used as comparison
+data, never as a computation path.
 """
 
 from . import linalg
@@ -35,22 +38,21 @@ def hom_dimension(n, alg):
     return len(hom_space_basis(n, alg))
 
 
-@memoised
-def coboundary_matrix(n, alg):
-    """Matrix of f |-> f o d^{n+1}, columns over the basis of Hom(P^n, .),
-    rows over the basis of Hom(P^{n+1}, .).
+def pullback_matrix(g, alg):
+    """Matrix of f |-> f o g for a bimodule map g: P^N -> P^n, columns over
+    the basis of Hom(P^n, .), rows over the basis of Hom(P^N, .).
 
-    One walk over the terms of d^{n+1}: a term (c, left, tgt, right) of the
+    One walk over the terms of g: a term (c, left, tgt, right) of the
     image of gen sends the basis map (tgt, mono0) to c . left . mono0 . right
     at gen, for each corner monomial mono0 of tgt.
     """
     product = alg.product
     columns = {}
-    for col, (gen0, mono0) in enumerate(hom_space_basis(n, alg)):
+    for col, (gen0, mono0) in enumerate(hom_space_basis(g.target_degree, alg)):
         columns.setdefault(gen0, []).append((col, mono0))
-    target_index = {item: k for k, item in enumerate(hom_space_basis(n + 1, alg))}
-    mat = linalg.Matrix(len(target_index), hom_dimension(n, alg))
-    for gen, terms in differential(n + 1, alg).assignments.items():
+    target_index = {item: k for k, item in enumerate(hom_space_basis(g.source_degree, alg))}
+    mat = linalg.Matrix(len(target_index), hom_dimension(g.target_degree, alg))
+    for gen, terms in g.assignments.items():
         for c, left, tgt, right in terms:
             for col, mono0 in columns.get(tgt, ()):
                 inner = product(left, mono0)
@@ -60,6 +62,13 @@ def coboundary_matrix(n, alg):
                 if value is not None:
                     mat.add_to_entry(target_index[(gen, value[0])], col, c * inner[1] * value[1])
     return mat
+
+
+@memoised
+def coboundary_matrix(n, alg):
+    """The coboundary d^n: Hom(P^n, .) -> Hom(P^{n+1}, .), the pullback
+    along the differential d^{n+1}."""
+    return pullback_matrix(differential(n + 1, alg), alg)
 
 
 def kernel_image_dims(n, alg):

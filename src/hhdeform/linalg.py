@@ -85,9 +85,6 @@ class Matrix:
     def zero(cls, rows, cols):
         return cls(rows, cols)
 
-    def entry(self, r, c):
-        return self._rows[r].get(c, F0)
-
     def set_entry(self, r, c, v):
         v = Fraction(v)
         if v:

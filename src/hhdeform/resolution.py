@@ -296,14 +296,14 @@ def augmentation_matrix(alg):
     return mat
 
 
-def check_complex(N, alg, differentials=None, via="both"):
+def check_complex(N, alg, differentials=None):
     """True iff d^n o d^{n+1} = 0 for 1 <= n < N and the augmentation
     composed with d^1 vanishes.
 
+    Each d^n o d^{n+1} is checked twice, by composing the maps and by
+    multiplying their underlying matrices, and the two must agree.
     `differentials` may override individual degrees (used for fault
-    injection in the tests).  `via` selects the check path: "maps"
-    composes BimoduleMaps, "matrices" multiplies underlying matrices,
-    "both" cross-checks that the two agree.
+    injection in the tests).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
@@ -317,17 +317,13 @@ def check_complex(N, alg, differentials=None, via="both"):
     if any(not v.is_zero() for v in aug.values()):
         return False
     for n in range(1, N):
-        ok_maps = ok_mats = None
-        if via in ("maps", "both"):
-            ok_maps = compose(diffs[n], diffs[n + 1]).is_zero()
-        if via in ("matrices", "both"):
-            prod = underlying_matrix(diffs[n]).matmul(underlying_matrix(diffs[n + 1]))
-            ok_mats = prod.is_zero()
-        if via == "both" and ok_maps != ok_mats:
+        ok_maps = compose(diffs[n], diffs[n + 1]).is_zero()
+        prod = underlying_matrix(diffs[n]).matmul(underlying_matrix(diffs[n + 1]))
+        if ok_maps != prod.is_zero():
             raise AssertionError(
                 f"map-level and matrix-level complex checks disagree at n={n}"
             )
-        if not (ok_maps if ok_maps is not None else ok_mats):
+        if not ok_maps:
             return False
     return True
 

@@ -1,23 +1,31 @@
 """Ring structure of the Hochschild cohomology: generators, liftings and
 cup products.
 
-Classes are represented by cochains on the resolution.  Coordinates of a
-class are taken relative to a deterministic complement of im d^{n-1}
-inside ker d^n: the echelon basis of the image is extended greedily by
-kernel basis vectors, in their canonical order, until the kernel is
-spanned; the coefficients along the added vectors are the class
-coordinates.
+Classes are represented by cochains on the resolution, each a vector over
+the Hom-basis `hom_space_basis(n)`.  Coordinates of a class are taken
+relative to a deterministic complement of im d^{n-1} inside ker d^n: the
+echelon basis of the image is extended greedily by kernel basis vectors,
+in their canonical order, until the kernel is spanned; the coefficients
+along the added vectors are the class coordinates.
 
-Products of positive-degree classes go through chain-map liftings found
-by exact linear solves; a degree-0 class acts by multiplying cochain
-values with its central element, which is the same thing but cheaper.
+Every cup product takes one path, in every degree: f . g is the class of
+f o L, where L is the level-(deg f) chain-map lifting of g, found by
+exact linear solves, and f o L is the pullback matrix of L applied to the
+vector of f.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraElement, a, abar, memoised, z
-from .homcomplex import coboundary_matrix, hom_space_basis, image_basis, kernel_basis
+from .algebra import a, abar, memoised, z
+from .homcomplex import (
+    coboundary_matrix,
+    hom_space_basis,
+    image_basis,
+    kernel_basis,
+    pullback_matrix,
+)
 from .resolution import (
     BimoduleMap,
     Generator,
@@ -34,21 +42,22 @@ class LiftingError(Exception):
 
 @dataclass
 class Cochain:
-    """An element of Hom(P^n, Algebra): degree and generator -> value."""
+    """An element of Hom(P^n, Algebra): its vector over hom_space_basis(n)."""
 
     degree: int
-    values: dict
+    vector: list
 
-    def value(self, gen):
-        return self.values.get(gen, AlgebraElement())
-
-    def to_vector(self, alg):
-        basis = hom_space_basis(self.degree, alg)
-        return [self.value(gen).coefficient(mono) for gen, mono in basis]
+    @classmethod
+    def of(cls, degree, values, alg):
+        """The cochain with coefficient values[(gen, mono)] on each Hom-basis
+        map (gen, mono), zero on the others."""
+        basis = hom_space_basis(degree, alg)
+        if not set(values).issubset(basis):
+            raise ValueError(f"values off the Hom-basis of degree {degree}")
+        return cls(degree, [Fraction(values.get(item, 0)) for item in basis])
 
     def is_cocycle(self, alg):
-        image = coboundary_matrix(self.degree, alg).mul_vector(self.to_vector(alg))
-        return not any(image)
+        return not any(coboundary_matrix(self.degree, alg).mul_vector(self.vector))
 
 
 @dataclass
@@ -82,13 +91,13 @@ def _cohomology_space(n, alg):
     return columns, positions, [vectors[c] for c in positions]
 
 
-def class_of(cochain, alg, allow_non_generic=False):
+def class_of(cochain, alg):
     """The cohomology class of a cocycle, with complement coordinates."""
-    alg.require_generic(allow_non_generic)
+    alg.require_generic()
     if not cochain.is_cocycle(alg):
         raise ValueError("representative is not a cocycle")
     columns, positions, _ = _cohomology_space(cochain.degree, alg)
-    x = linalg.solve(columns, cochain.to_vector(alg))
+    x = linalg.solve(columns, cochain.vector)
     return CohomologyClass(cochain.degree, cochain, tuple(x[c] for c in positions))
 
 
@@ -96,28 +105,22 @@ def cohomology_basis_size(alg, n):
     return len(_cohomology_space(n, alg)[2])
 
 
-def canonical_generators(alg, allow_non_generic=False):
+def canonical_generators(alg):
     """(x classes, u1, u2): the central loops in degree 0 and the two
     degree-1 generators."""
-    alg.require_generic(allow_non_generic)
+    alg.require_generic()
     m = alg.m
-    xs = []
-    for i in range(m):
-        cochain = Cochain(0, {Generator(0, 0, i): AlgebraElement.of(z(i))})
-        xs.append(class_of(cochain, alg, allow_non_generic))
-    u1_cochain = Cochain(
-        1, {Generator(1, 0, i): AlgebraElement.of(a(i)) for i in range(m)}
-    )
-    u2_cochain = Cochain(
+    xs = [class_of(Cochain.of(0, {(Generator(0, 0, i), z(i)): 1}, alg), alg) for i in range(m)]
+    u1_cochain = Cochain.of(1, {(Generator(1, 0, i), a(i)): 1 for i in range(m)}, alg)
+    u2_cochain = Cochain.of(
         1,
         {
-            Generator(1, 0, (m - 1) % m): AlgebraElement.of(a((m - 1) % m)),
-            Generator(1, 1, 0): AlgebraElement.of(abar((m - 1) % m)),
+            (Generator(1, 0, (m - 1) % m), a((m - 1) % m)): 1,
+            (Generator(1, 1, 0), abar((m - 1) % m)): 1,
         },
+        alg,
     )
-    u1 = class_of(u1_cochain, alg, allow_non_generic)
-    u2 = class_of(u2_cochain, alg, allow_non_generic)
-    return xs, u1, u2
+    return xs, class_of(u1_cochain, alg), class_of(u2_cochain, alg)
 
 
 def _term_basis(alg, src_gen, target_degree):
@@ -137,7 +140,7 @@ def _term_basis(alg, src_gen, target_degree):
 
 
 def lift_cocycle(f, k, alg):
-    """Chain-map liftings L^0, ..., L^k of a positive-degree cocycle f.
+    """Chain-map liftings L^0, ..., L^k of a cocycle f of any degree.
 
     L^j maps P^{a+j} -> P^j where a = f.degree; L^0 satisfies
     (multiplication) o L^0 = f and each later level satisfies
@@ -145,9 +148,11 @@ def lift_cocycle(f, k, alg):
     independent linear system, solved exactly with free variables zero.
     """
     degree = f.degree
-    if degree < 1:
-        raise ValueError("lift positive-degree cocycles; degree 0 acts by value")
     product = alg.product
+    # the value of f at each generator, in coordinates over the algebra basis
+    values = {gen: [linalg.F0] * len(alg.basis) for gen in generators(degree, alg.m)}
+    for (gen, mono), c in zip(hom_space_basis(degree, alg), f.vector):
+        values[gen][alg.basis_index[mono]] = c
     lifts = []
     for j in range(k + 1):
         assignments = {}
@@ -158,7 +163,7 @@ def lift_cocycle(f, k, alg):
             slots = _term_basis(alg, gen, j)
             if j == 0:
                 # target side: coordinates in the algebra itself
-                rhs = alg.element_coords(f.value(gen))
+                rhs = values[gen]
                 cols = [alg.element_coords(alg.monomial_multiply(ml, mr)) for _, ml, mr in slots]
             else:
                 rhs = carried.value_coords(gen)
@@ -183,46 +188,20 @@ def lift_cocycle(f, k, alg):
     return lifts
 
 
-def cup_product(f, g, alg, allow_non_generic=False):
+def cup_product(f, g, alg):
     """The product class of f and g, as f composed with a lifting of g."""
-    alg.require_generic(allow_non_generic)
-    if f.degree == 0 or g.degree == 0:
-        zero_deg, other = (f, g) if f.degree == 0 else (g, f)
-        central = AlgebraElement()
-        for gen in generators(0, alg.m):
-            central = central + zero_deg.representative.value(gen)
-        values = {}
-        for gen, val in other.representative.values.items():
-            prod = alg.multiply(central, val)
-            if not prod.is_zero():
-                values[gen] = prod
-        return class_of(
-            Cochain(other.degree, values), alg, allow_non_generic
-        )
-    top = lift_cocycle(g.representative, f.degree, alg)[f.degree]
-    return _cup_with_lift(f, top, alg, allow_non_generic)
+    alg.require_generic()
+    return _cup_along(f, lift_cocycle(g.representative, f.degree, alg)[f.degree], alg)
 
 
-def _cup_with_lift(f, top, alg, allow_non_generic):
-    """The class of f o top, where top is the level-(f.degree) lifting of a
-    positive-degree cocycle g, so the class is the cup product of f and g."""
-    values = {}
-    for gen in generators(top.source_degree, alg.m):
-        acc = alg.zero()
-        for c, left, mid, right in top.terms(gen):
-            for mono, cv in f.representative.value(mid).coeffs.items():
-                inner = alg.product(left, mono)
-                if inner is None:
-                    continue
-                outer = alg.product(inner[0], right)
-                if outer is not None:
-                    acc = acc + AlgebraElement.of(outer[0], c * cv * inner[1] * outer[1])
-        if not acc.is_zero():
-            values[gen] = acc
-    return class_of(Cochain(top.source_degree, values), alg, allow_non_generic)
+def _cup_along(f, lift, alg):
+    """The class of f o lift; when lift is the level-(f.degree) lifting of
+    a cocycle g, that is the cup product of f and g."""
+    vector = pullback_matrix(lift, alg).mul_vector(f.representative.vector)
+    return class_of(Cochain(lift.source_degree, vector), alg)
 
 
-def ring_report(alg, max_degree=8, allow_non_generic=False):
+def ring_report(alg, max_degree=8):
     """Verify the presentation of the cohomology ring and report.
 
     Checks: degree dimensions (m+1, 2, 1, 0, ...), vanishing of all
@@ -230,7 +209,7 @@ def ring_report(alg, max_degree=8, allow_non_generic=False):
     u1 u2 nonzero and spanning degree 2, u1 u2 + u2 u1 = 0, and the
     annihilation of u1, u2 by every x_i.  Total dimension must be m + 4.
     """
-    alg.require_generic(allow_non_generic)
+    alg.require_generic()
     m = alg.m
     failures = []
     verified = []
@@ -248,21 +227,20 @@ def ring_report(alg, max_degree=8, allow_non_generic=False):
     for n in range(3, max_degree + 1):
         check(f"dim HH^{n} = 0", dims[n] == 0)
 
-    xs, u1, u2 = canonical_generators(alg, allow_non_generic)
+    xs, u1, u2 = canonical_generators(alg)
     check("u1, u2 independent", _independent(u1, u2))
+    # each generator is lifted once: x_j to level 0, u1 and u2 to level 1,
+    # whose level-0 part serves the products x_i u
+    x_lifts = [lift_cocycle(x.representative, 0, alg)[0] for x in xs]
     for i in range(m):
         for j in range(m):
-            check(
-                f"x{i} x{j} = 0",
-                cup_product(xs[i], xs[j], alg, allow_non_generic).is_zero(),
-            )
-    # each of u1 and u2 is lifted once and serves both products it enters
-    lift1 = lift_cocycle(u1.representative, 1, alg)[1]
-    lift2 = lift_cocycle(u2.representative, 1, alg)[1]
-    u1u1 = _cup_with_lift(u1, lift1, alg, allow_non_generic)
-    u2u2 = _cup_with_lift(u2, lift2, alg, allow_non_generic)
-    u1u2 = _cup_with_lift(u1, lift2, alg, allow_non_generic)
-    u2u1 = _cup_with_lift(u2, lift1, alg, allow_non_generic)
+            check(f"x{i} x{j} = 0", _cup_along(xs[i], x_lifts[j], alg).is_zero())
+    lift1 = lift_cocycle(u1.representative, 1, alg)
+    lift2 = lift_cocycle(u2.representative, 1, alg)
+    u1u1 = _cup_along(u1, lift1[1], alg)
+    u2u2 = _cup_along(u2, lift2[1], alg)
+    u1u2 = _cup_along(u1, lift2[1], alg)
+    u2u1 = _cup_along(u2, lift1[1], alg)
     check("u1 u1 = 0", u1u1.is_zero())
     check("u2 u2 = 0", u2u2.is_zero())
     check("u1 u2 != 0", not u1u2.is_zero())
@@ -274,14 +252,8 @@ def ring_report(alg, max_degree=8, allow_non_generic=False):
         ),
     )
     for i in range(m):
-        check(
-            f"x{i} u1 = 0",
-            cup_product(xs[i], u1, alg, allow_non_generic).is_zero(),
-        )
-        check(
-            f"x{i} u2 = 0",
-            cup_product(xs[i], u2, alg, allow_non_generic).is_zero(),
-        )
+        check(f"x{i} u1 = 0", _cup_along(xs[i], lift1[0], alg).is_zero())
+        check(f"x{i} u2 = 0", _cup_along(xs[i], lift2[0], alg).is_zero())
 
     total = sum(dims.values())
     check("total dimension = m+4", total == m + 4)

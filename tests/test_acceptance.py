@@ -71,7 +71,7 @@ def test_criterion_03_complex_property():
     ok = True
     for m in range(1, 6):
         alg = algebra(m, standard_q(m))
-        ok = ok and check_complex(10, alg, via="both")
+        ok = ok and check_complex(10, alg)
     report("criterion 3: d o d = 0 through degree 10 (maps and matrices), m = 1..5", ok)
 
 

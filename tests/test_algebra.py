@@ -166,5 +166,5 @@ def test_product_is_the_product_rule(m):
             if rule is None:
                 assert prod is None, (x, y)
             else:
-                assert {prod[0]: prod[1]} == rule, (x, y)
+                assert prod == rule, (x, y)
                 assert type(prod[1]) is F and prod[1]

@@ -108,7 +108,8 @@ def scan_bar_coboundary(n, alg):
     m = alg.m
 
     def rule(x, y):
-        return AlgebraElement(alg._monomial_product(x, y) or {})
+        prod = alg._monomial_product(x, y)
+        return AlgebraElement.of(*prod) if prod else AlgebraElement()
 
     def multiply(x, y):
         out = AlgebraElement()

@@ -2,21 +2,80 @@ from fractions import Fraction
 
 import pytest
 
-from hhdeform.algebra import AlgebraElement, a, abar, algebra, e, z
+from hhdeform.algebra import ARROW, BAR, AlgebraElement, a, abar, algebra, e, z
 from hhdeform.freepaths import (
     FreePath,
-    _reduce_path,
     arrow_path,
     bar_path,
     free_multiply,
     g_generators,
     q_run,
-    reduce_to_algebra,
     trivial_path,
     verify_g_recursions,
 )
 
 F = Fraction
+
+
+# The rewriting map from free paths down to the quotient algebra: a
+# reference for the structure constants that shares no code with them.
+
+
+def _reduce_path(path, alg, rightmost=False):
+    """Normal form of a single path in the quotient: (coeff, monomial) or
+    None when the path reduces to zero.
+
+    Rewrites to fixpoint with
+        a_i a_{i+1} -> 0,   abar_i abar_{i-1} -> 0,
+        abar_j a_j -> q_{j+1} a_{j+1} abar_{j+1},
+    scanning leftmost-first by default (rightmost-first confirms
+    confluence at desk scale).
+    """
+    m = alg.m
+    coeff = Fraction(1)
+    steps = list(path.steps)
+    while True:
+        positions = range(len(steps) - 1)
+        if rightmost:
+            positions = reversed(positions)
+        for t in positions:
+            k1, i1 = steps[t]
+            k2, i2 = steps[t + 1]
+            if k1 == ARROW and k2 == ARROW:
+                return None
+            if k1 == BAR and k2 == BAR:
+                return None
+            if k1 == BAR and k2 == ARROW:
+                j1 = (i1 + 1) % m
+                coeff *= alg.q[j1]
+                steps[t] = (ARROW, j1)
+                steps[t + 1] = (BAR, j1)
+                break
+        else:
+            break
+    if not steps:
+        return coeff, e(path.origin)
+    if len(steps) == 1:
+        kind, idx = steps[0]
+        return coeff, (a(idx) if kind == ARROW else abar(idx))
+    if len(steps) == 2:
+        # the only irreducible length-2 shape is a_j abar_j
+        return coeff, z(steps[0][1])
+    # any longer irreducible word would need an a->abar->a alternation,
+    # which the abar a rule always breaks up
+    raise AssertionError(f"irreducible path of length {len(steps)}: {steps}")
+
+
+def reduce_to_algebra(x, alg, rightmost=False):
+    """The quotient map: rewrite each path to its normal form and collect."""
+    out = AlgebraElement()
+    for path, c in x.coeffs.items():
+        reduced = _reduce_path(path, alg, rightmost=rightmost)
+        if reduced is None:
+            continue
+        coeff, mono = reduced
+        out = out + AlgebraElement.of(mono, c * coeff)
+    return out
 
 
 def elt(path):

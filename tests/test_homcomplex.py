@@ -15,8 +15,10 @@ from hhdeform.homcomplex import (
     hom_space_basis,
     kernel_basis,
     kernel_image_dims,
+    pullback_matrix,
 )
-from hhdeform.resolution import Generator, differential, generators
+from hhdeform.resolution import Generator, compose, differential, generators
+from hhdeform.ring import canonical_generators, lift_cocycle
 
 F = Fraction
 
@@ -173,3 +175,24 @@ def test_coboundary_matches_the_scan_reference(m, zeta):
     alg = algebra(m, q)
     for n in range(7):
         assert coboundary_matrix(n, alg) == scan_coboundary(n, alg), n
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_pullback_is_functorial(m):
+    # (f o g)^* = g^* f^*, for pairs of differentials (a zero composite)
+    # and for each lifting level of x_0, u1 and u2 before and after a
+    # differential
+    alg = algebra(m, (2,) + (1,) * (m - 1))
+    pairs = [(differential(n, alg), differential(n + 1, alg)) for n in range(1, 6)]
+    xs, u1, u2 = canonical_generators(alg)
+    for cls in (xs[0], u1, u2):
+        for lift in lift_cocycle(cls.representative, 2, alg):
+            pairs.append((lift, differential(lift.source_degree + 1, alg)))
+            if lift.target_degree:
+                pairs.append((differential(lift.target_degree, alg), lift))
+    for f, g in pairs:
+        composite = pullback_matrix(compose(f, g), alg)
+        assert composite == pullback_matrix(g, alg).matmul(pullback_matrix(f, alg))
+        assert composite.rows == hom_dimension(g.source_degree, alg)
+        assert composite.cols == hom_dimension(f.target_degree, alg)
+    assert pullback_matrix(differential(3, alg), alg) == coboundary_matrix(2, alg)
