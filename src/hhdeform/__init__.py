@@ -11,12 +11,7 @@ from .algebra import (
     build_algebra,
 )
 from .bar import bar_cochain_dimension, bar_cohomology_dimension
-from .freepaths import (
-    FreePath,
-    free_multiply,
-    g_generators,
-    verify_g_recursions,
-)
+from .freepaths import g_generators, verify_g_recursions
 from .homcomplex import (
     coboundary_matrix,
     cohomology_dimension,
@@ -51,7 +46,6 @@ __all__ = [
     "BimoduleMap",
     "Cochain",
     "CohomologyClass",
-    "FreePath",
     "Generator",
     "NonGenericParameters",
     "algebra",
@@ -65,7 +59,6 @@ __all__ = [
     "compose",
     "cup_product",
     "differential",
-    "free_multiply",
     "g_generators",
     "generators",
     "hom_dimension",

@@ -76,8 +76,7 @@ def z(i):
 
 
 class AlgebraElement:
-    """A finitely supported rational combination of basis monomials, or of
-    free paths before the relations are imposed."""
+    """A finitely supported rational combination of basis monomials."""
 
     __slots__ = ("coeffs",)
 

@@ -25,6 +25,9 @@ from .algebra import AlgebraSpec, NonGenericParameters, build_algebra
 from .freepaths import verify_g_recursions
 
 ALL_CHECKS = ("complex", "exactness", "recursions", "hom-dims", "cohomology", "ring", "oracle")
+# The least --max-degree at which a check does its work: the resolution
+# checks need d^1, and the ring (like sweep's total dimension m+4) needs HH^2.
+MIN_DEGREE = {"complex": 1, "exactness": 1, "recursions": 1, "ring": 2}
 
 
 RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -272,8 +275,12 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
     unknown = [c for c in names if c not in ALL_CHECKS]
     if unknown:
         raise click.UsageError(f"unknown checks: {', '.join(unknown)}")
-    if max_degree == 0 and {"complex", "exactness"} & set(names):
-        raise click.UsageError("the complex and exactness checks need --max-degree >= 1")
+    if max_degree is not None:
+        for name in names:
+            if max_degree < MIN_DEGREE.get(name, 0):
+                raise click.UsageError(
+                    f"the {name} check needs --max-degree >= {MIN_DEGREE[name]}"
+                )
     needs_generic = any(c in ("cohomology", "ring") for c in names)
     alg = make_algebra(m, q_text, allow_non_generic, needs_generic=needs_generic)
     if max_degree is None:
@@ -304,6 +311,8 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
 @common_options
 def sweep(m_range, zeta_text, max_degree, fmt, output):
     """Total cohomology dimension for q = (zeta, 1, ..., 1) over a range of m."""
+    if max_degree is not None and max_degree < 2:
+        raise click.UsageError("sweep needs --max-degree >= 2")
     match = re.fullmatch(r"([0-9]+):([0-9]+)", m_range.strip())
     if not match:
         raise click.UsageError("--m-range must look like 1:5")

@@ -1,89 +1,22 @@
-"""Formal paths in the free path algebra of the cycle quiver.
+"""The generator tables g[n][r,i] of the minimal bimodule resolution in
+the free path algebra of the cycle quiver, and the check that their right-
+and left-multiplication recursions agree.
 
-This module keeps everything *before* the relations are imposed: the
-recursive generator families g[n][r,i] live here, as do the two recursion
-identities relating right- and left-multiplication forms.  The quotient
-never feeds back into this module; the rewriting map down to it is kept
-in tests/test_freepaths.py as an independent reference.
-
-Paths are written left to right.  A step is ("a", j) for the forward
-arrow j -> j+1 or ("abar", j) for the backward arrow j+1 -> j; indices
-are stored reduced mod m.
+An entry is a plain dict {steps: coefficient}: `steps` is a path read left
+to right from vertex i, the origin given by the entry's key (r, i), and ()
+is e_i.  A step is ("a", j) for the forward arrow j -> j+1 or ("abar", j)
+for the backward arrow j+1 -> j, with j reduced mod m.  Each recursion
+appends or prepends one arrow, and its two summands end (or start) with
+arrows of different kinds, so they never share a path.  The rewriting map
+down to the quotient is kept in tests/test_freepaths.py as a reference.
 """
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import ARROW, BAR, AlgebraElement, memoised
+from .algebra import ARROW, BAR, memoised
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class FreePath:
-    origin: int
-    steps: tuple  # of (direction, index) pairs
-
-    def terminus(self, m):
-        v = self.origin
-        for kind, idx in self.steps:
-            v = (idx + 1) % m if kind == ARROW else idx
-        return v
-
-    def is_composable(self, m):
-        v = self.origin
-        for kind, idx in self.steps:
-            start = idx if kind == ARROW else (idx + 1) % m
-            if v != start:
-                return False
-            v = (idx + 1) % m if kind == ARROW else idx
-        return True
-
-    def __len__(self):
-        return len(self.steps)
-
-    def sort_key(self):
-        return (len(self.steps), self.origin, self.steps)
-
-    def __repr__(self):
-        if not self.steps:
-            return f"e{self.origin}"
-        return "".join(
-            (f"a{i}" if kind == ARROW else f"A{i}") for kind, i in self.steps
-        )
-
-
-def trivial_path(i):
-    return FreePath(i, ())
-
-
-def arrow_path(i, m):
-    return FreePath(i % m, ((ARROW, i % m),))
-
-
-def bar_path(i, m):
-    """The backward arrow indexed i, from vertex i+1 to vertex i."""
-    return FreePath((i + 1) % m, ((BAR, i % m),))
-
-
-def free_multiply(x, y, m):
-    """Concatenation product; endpoint-mismatched pairs contribute zero."""
-    out = {}
-    for px, cx in x.coeffs.items():
-        tx = px.terminus(m)
-        for py, cy in y.coeffs.items():
-            if py.origin != tx:
-                continue
-            p = FreePath(px.origin, px.steps + py.steps)
-            s = out.get(p, Fraction(0)) + cx * cy
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-    res = AlgebraElement()
-    res.coeffs = out
-    return res
 
 
 def q_run(alg, start, count):
@@ -114,23 +47,21 @@ def g_generators(n, alg):
     if n < 0:
         raise ValueError("the generator tables start at degree 0")
     if n == 0:
-        return {(0, i): AlgebraElement.of(trivial_path(i)) for i in range(m)}
-    table = g_generators(n - 1, alg)
-    new = {}
+        return {(0, i): {(): Fraction(1)} for i in range(m)}
+    prev = g_generators(n - 1, alg)
+    table = {}
     for i in range(m):
         for r in range(n + 1):
-            acc = AlgebraElement()
-            prev = table.get((r, i))
-            if prev is not None and r <= n - 1:
-                step = AlgebraElement.of(arrow_path(i + n - 2 * r - 1, m))
-                acc = acc + free_multiply(prev, step, m)
-            prev2 = table.get((r - 1, i))
-            if prev2 is not None:
+            entry = {}
+            if r < n:
+                step = (ARROW, (i + n - 2 * r - 1) % m)
+                entry.update({p + (step,): c for p, c in prev[(r, i)].items()})
+            if r > 0:
+                step = (BAR, (i + n - 2 * r) % m)
                 coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
-                step = AlgebraElement.of(bar_path(i + n - 2 * r, m))
-                acc = acc + free_multiply(prev2, step, m).scale(coeff)
-            new[(r, i)] = acc
-    return new
+                entry.update({p + (step,): coeff * c for p, c in prev[(r - 1, i)].items()})
+            table[(r, i)] = entry
+    return table
 
 
 def g_left_form(n, alg):
@@ -142,30 +73,28 @@ def g_left_form(n, alg):
     used to cross-check the defining recursion.
     """
     m = alg.m
-    table_prev = g_generators(n - 1, alg)
-    out = {}
+    prev = g_generators(n - 1, alg)
+    table = {}
     for i in range(m):
         for r in range(n + 1):
-            acc = AlgebraElement()
-            prev = table_prev.get((r, (i + 1) % m))
-            if prev is not None and r <= n - 1:
-                coeff = q_run(alg, i - r + 1, r) * (-1) ** r
-                acc = acc + free_multiply(
-                    AlgebraElement.of(arrow_path(i, m)), prev, m
-                ).scale(coeff)
-            prev2 = table_prev.get((r - 1, (i - 1) % m))
-            if prev2 is not None:
-                acc = acc + free_multiply(
-                    AlgebraElement.of(bar_path(i - 1, m)), prev2, m
-                ).scale((-1) ** r)
-            out[(r, i)] = acc
-    return out
+            entry = {}
+            sign = (-1) ** r
+            if r < n:
+                coeff = q_run(alg, i - r + 1, r) * sign
+                entry.update(
+                    {((ARROW, i),) + p: coeff * c for p, c in prev[(r, (i + 1) % m)].items()}
+                )
+            if r > 0:
+                j = (i - 1) % m
+                entry.update({((BAR, j),) + p: sign * c for p, c in prev[(r - 1, j)].items()})
+            table[(r, i)] = entry
+    return table
 
 
 def verify_g_recursions(n, alg):
     """True iff the left-multiplication form reproduces g[n][r,i] for every
-    (r, i), as literal equality of free elements; each (r, i) where the
-    two forms differ is logged."""
+    (r, i), as equal step dictionaries; each (r, i) where the two forms
+    differ is logged once."""
     table = g_generators(n, alg)
     left = g_left_form(n, alg)
     ok = True

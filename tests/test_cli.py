@@ -284,6 +284,42 @@ def test_verify_rejects_max_degree_zero_for_the_resolution_checks(runner, check)
 
 
 @pytest.mark.parametrize(
+    "args,needed",
+    [
+        (["verify", "--m", "2", "--q", "2,1", "--checks", "recursions", "--max-degree", "0"], 1),
+        (["verify", "--m", "2", "--q", "2,1", "--checks", "hom-dims,ring", "--max-degree", "1"], 2),
+        (["sweep", "--m-range", "1:2", "--zeta", "2", "--max-degree", "1"], 2),
+    ],
+    ids=["recursions", "ring", "sweep"],
+)
+def test_max_degree_below_what_the_work_needs_is_rejected_before_any_work(
+    runner, monkeypatch, args, needed
+):
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "make_algebra", refuse)
+    monkeypatch.setattr(cli, "build_algebra", refuse)
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2, result.output
+    assert f"--max-degree >= {needed}" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--m", "2", "--q", "2,1", "--checks", "recursions", "--max-degree", "1"],
+        ["verify", "--m", "2", "--q", "2,1", "--checks", "ring", "--max-degree", "2"],
+        ["sweep", "--m-range", "1:2", "--zeta", "2", "--max-degree", "2"],
+    ],
+    ids=["recursions", "ring", "sweep"],
+)
+def test_least_max_degree_that_the_work_needs_passes(runner, args):
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["compute", "--m", "2", "--q", "2,1"],

@@ -1,20 +1,51 @@
+import logging
 from fractions import Fraction
+from math import comb
 
 import pytest
 
+from hhdeform import freepaths
 from hhdeform.algebra import ARROW, BAR, AlgebraElement, a, abar, algebra, e, z
-from hhdeform.freepaths import (
-    FreePath,
-    arrow_path,
-    bar_path,
-    free_multiply,
-    g_generators,
-    q_run,
-    trivial_path,
-    verify_g_recursions,
-)
+from hhdeform.freepaths import g_generators, q_run, verify_g_recursions
 
 F = Fraction
+
+
+# Free paths on the test side are (origin, steps) pairs, and combinations
+# of them are dicts {(origin, steps): coefficient}.
+
+
+def walk(origin, steps, m):
+    """The end vertex of the path, or None when some step does not start
+    where the previous one ended."""
+    v = origin
+    for kind, idx in steps:
+        if v != (idx if kind == ARROW else (idx + 1) % m):
+            return None
+        v = (idx + 1) % m if kind == ARROW else idx
+    return v
+
+
+def arrow(i, m):
+    return {(i % m, ((ARROW, i % m),)): F(1)}
+
+
+def bar(i, m):
+    """The backward arrow indexed i, from vertex i+1 to vertex i."""
+    return {((i + 1) % m, ((BAR, i % m),)): F(1)}
+
+
+def multiply(x, y, m):
+    """Concatenation product; pairs whose endpoints do not meet contribute
+    zero, and so do cancelling sums."""
+    out = {}
+    for (ox, sx), cx in x.items():
+        tx = walk(ox, sx, m)
+        for (oy, sy), cy in y.items():
+            if oy == tx:
+                key = (ox, sx + sy)
+                out[key] = out.get(key, 0) + cx * cy
+    return {p: c for p, c in out.items() if c}
 
 
 # The rewriting map from free paths down to the quotient algebra: a
@@ -22,8 +53,8 @@ F = Fraction
 
 
 def _reduce_path(path, alg, rightmost=False):
-    """Normal form of a single path in the quotient: (coeff, monomial) or
-    None when the path reduces to zero.
+    """Normal form of a single path (origin, steps) in the quotient:
+    (coeff, monomial) or None when the path reduces to zero.
 
     Rewrites to fixpoint with
         a_i a_{i+1} -> 0,   abar_i abar_{i-1} -> 0,
@@ -32,8 +63,9 @@ def _reduce_path(path, alg, rightmost=False):
     confluence at desk scale).
     """
     m = alg.m
+    origin, steps = path
     coeff = Fraction(1)
-    steps = list(path.steps)
+    steps = list(steps)
     while True:
         positions = range(len(steps) - 1)
         if rightmost:
@@ -54,7 +86,7 @@ def _reduce_path(path, alg, rightmost=False):
         else:
             break
     if not steps:
-        return coeff, e(path.origin)
+        return coeff, e(origin)
     if len(steps) == 1:
         kind, idx = steps[0]
         return coeff, (a(idx) if kind == ARROW else abar(idx))
@@ -69,7 +101,7 @@ def _reduce_path(path, alg, rightmost=False):
 def reduce_to_algebra(x, alg, rightmost=False):
     """The quotient map: rewrite each path to its normal form and collect."""
     out = AlgebraElement()
-    for path, c in x.coeffs.items():
+    for path, c in x.items():
         reduced = _reduce_path(path, alg, rightmost=rightmost)
         if reduced is None:
             continue
@@ -78,37 +110,16 @@ def reduce_to_algebra(x, alg, rightmost=False):
     return out
 
 
-def elt(path):
-    return AlgebraElement.of(path)
-
-
-def test_trivial_path_is_left_unit():
-    m = 3
-    assert free_multiply(elt(trivial_path(0)), elt(arrow_path(0, m)), m) == elt(
-        arrow_path(0, m)
-    )
-
-
-def test_free_algebra_has_no_relations():
-    m = 3
-    prod = free_multiply(elt(arrow_path(0, m)), elt(arrow_path(1, m)), m)
-    assert prod == elt(FreePath(0, (("a", 0), ("a", 1))))
-
-
-def test_endpoint_mismatch_gives_zero():
-    m = 4
-    assert free_multiply(elt(arrow_path(0, m)), elt(arrow_path(2, m)), m).is_zero()
-
-
 def all_paths(m, length):
-    """Every composable path of the given length, at every origin."""
-    paths = [trivial_path(i) for i in range(m)]
+    """Every composable path (origin, steps) of the given length, at every
+    origin."""
+    paths = [(i, ()) for i in range(m)]
     for _ in range(length):
         new = []
-        for p in paths:
-            t = p.terminus(m)
-            new.append(FreePath(p.origin, p.steps + (("a", t),)))
-            new.append(FreePath(p.origin, p.steps + (("abar", (t - 1) % m),)))
+        for origin, steps in paths:
+            t = walk(origin, steps, m)
+            new.append((origin, steps + ((ARROW, t),)))
+            new.append((origin, steps + ((BAR, (t - 1) % m),)))
         paths = new
     return paths
 
@@ -116,23 +127,25 @@ def all_paths(m, length):
 def test_g_degree_0_and_1():
     alg = algebra(3, (2, 3, 5))
     g0 = g_generators(0, alg)
+    assert set(g0) == {(0, i) for i in range(3)}
     for i in range(3):
-        assert g0[(0, i)] == elt(trivial_path(i))
+        assert g0[(0, i)] == {(): 1}
     g1 = g_generators(1, alg)
+    assert set(g1) == {(r, i) for r in range(2) for i in range(3)}
     for i in range(3):
-        assert g1[(0, i)] == elt(arrow_path(i, 3))
-        assert g1[(1, i)] == elt(bar_path(i - 1, 3)).scale(-1)
+        assert g1[(0, i)] == {((ARROW, i),): 1}
+        assert g1[(1, i)] == {((BAR, (i - 1) % 3),): -1}
 
 
 def test_g_degree_2_middle():
     alg = algebra(3, (2, 3, 5))
     g2 = g_generators(2, alg)
     for i in range(3):
-        want = free_multiply(
-            elt(arrow_path(i, 3)), elt(bar_path(i, 3)), 3
-        ).scale(alg.q[i]) - free_multiply(
-            elt(bar_path(i - 1, 3)), elt(arrow_path(i - 1, 3)), 3
-        )
+        # q_i a_i abar_i - abar_{i-1} a_{i-1}
+        want = {
+            ((ARROW, i), (BAR, i)): alg.q[i],
+            ((BAR, (i - 1) % 3), (ARROW, (i - 1) % 3)): -1,
+        }
         assert g2[(1, i)] == want
 
 
@@ -141,13 +154,16 @@ def test_g_uniform_and_homogeneous(m):
     alg = algebra(m, (2,) + (1,) * (m - 1))
     for n in range(6):
         table = g_generators(n, alg)
+        assert set(table) == {(r, i) for r in range(n + 1) for i in range(m)}
         for (r, i), g in table.items():
-            assert not g.is_zero()
-            for path in g.coeffs:
-                assert len(path) == n
-                assert path.origin == i
-                assert path.terminus(m) == (i + n - 2 * r) % m
-                assert path.is_composable(m)
+            assert len(g) == comb(n, r)
+            for steps, c in g.items():
+                assert c != 0
+                assert len(steps) == n
+                kinds = [kind for kind, _ in steps]
+                assert kinds.count(ARROW) == n - r and kinds.count(BAR) == r
+                assert walk(i, steps, m) == (i + n - 2 * r) % m
+                assert all(0 <= idx < m for _, idx in steps)
 
 
 @pytest.mark.parametrize("m,q", [(1, (2,)), (2, (3, 1)), (3, (2, 3, 5)), (3, (2, 1, 1))])
@@ -157,26 +173,54 @@ def test_recursion_identity_small_degrees(m, q):
         assert verify_g_recursions(n, alg)
 
 
+def test_recursion_check_reports_a_perturbed_entry(monkeypatch, caplog):
+    alg = algebra(3, (2, 3, 5))
+    n, key = 4, (2, 1)
+    real = freepaths.g_generators
+
+    def perturbed(degree, alg):
+        table = real(degree, alg)
+        if degree != n:
+            return table
+        table = dict(table)
+        entry = dict(table[key])
+        steps = next(iter(entry))
+        entry[steps] *= 2
+        table[key] = entry
+        return table
+
+    monkeypatch.setattr(freepaths, "g_generators", perturbed)
+    with caplog.at_level(logging.WARNING, logger="hhdeform.freepaths"):
+        assert not verify_g_recursions(n, alg)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"g recursion at n={n}, (r,i)={key}: the two forms differ"
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="hhdeform.freepaths"):
+        assert verify_g_recursions(n - 1, alg)
+    assert not caplog.records
+
+
 def test_reduce_relation_path():
     alg = algebra(3, (2, 3, 5))
-    x = free_multiply(elt(bar_path(0, 3)), elt(arrow_path(0, 3)), 3)
+    x = multiply(bar(0, 3), arrow(0, 3), 3)
     assert reduce_to_algebra(x, alg) == AlgebraElement.of(z(1), 3)
 
 
 def test_reduce_zero_paths():
     alg = algebra(3, (2, 3, 5))
-    aa = free_multiply(elt(arrow_path(0, 3)), elt(arrow_path(1, 3)), 3)
+    aa = multiply(arrow(0, 3), arrow(1, 3), 3)
     assert reduce_to_algebra(aa, alg).is_zero()
     # a_0 abar_0 a_0 abar_0 lies in rad^4 = 0
-    loop = free_multiply(elt(arrow_path(0, 3)), elt(bar_path(0, 3)), 3)
-    assert reduce_to_algebra(free_multiply(loop, loop, 3), alg).is_zero()
+    loop = multiply(arrow(0, 3), bar(0, 3), 3)
+    assert reduce_to_algebra(multiply(loop, loop, 3), alg).is_zero()
 
 
 def test_reduce_short_paths():
     alg = algebra(2, (3, 1))
-    assert reduce_to_algebra(elt(trivial_path(1)), alg) == AlgebraElement.of(e(1))
-    assert reduce_to_algebra(elt(arrow_path(0, 2)), alg) == AlgebraElement.of(a(0))
-    assert reduce_to_algebra(elt(bar_path(1, 2)), alg) == AlgebraElement.of(abar(1))
+    assert reduce_to_algebra({(1, ()): F(1)}, alg) == AlgebraElement.of(e(1))
+    assert reduce_to_algebra(arrow(0, 2), alg) == AlgebraElement.of(a(0))
+    assert reduce_to_algebra(bar(1, 2), alg) == AlgebraElement.of(abar(1))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -193,10 +237,10 @@ def test_reduction_is_multiplicative(m):
     short = [p for length in range(4) for p in all_paths(m, length)]
     for p in short:
         for s in short:
-            if len(p) + len(s) > 4:
+            if len(p[1]) + len(s[1]) > 4:
                 continue
-            x, y = elt(p), elt(s)
-            lhs = reduce_to_algebra(free_multiply(x, y, m), alg)
+            x, y = {p: F(1)}, {s: F(1)}
+            lhs = reduce_to_algebra(multiply(x, y, m), alg)
             rhs = alg.multiply(reduce_to_algebra(x, alg), reduce_to_algebra(y, alg))
             assert lhs == rhs
 
@@ -217,19 +261,21 @@ def test_q_run_is_the_product_of_consecutive_parameters(m):
 def test_memoised_tables_match_a_from_scratch_loop(m):
     alg = algebra(m, tuple(F(k + 2, k + 1) for k in range(m)))
     assert g_generators(8, alg) is g_generators(8, alg)
-    table = {(0, i): elt(trivial_path(i)) for i in range(m)}
+    table = {(0, i): {(i, ()): F(1)} for i in range(m)}
     for n in range(9):
         if n:
             prev, table = table, {}
             for i in range(m):
                 for r in range(n + 1):
-                    acc = AlgebraElement()
+                    acc = {}
                     if r <= n - 1:
-                        step = elt(arrow_path(i + n - 2 * r - 1, m))
-                        acc = acc + free_multiply(prev[(r, i)], step, m)
+                        acc.update(multiply(prev[(r, i)], arrow(i + n - 2 * r - 1, m), m))
                     if r >= 1:
                         coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
-                        step = elt(bar_path(i + n - 2 * r, m))
-                        acc = acc + free_multiply(prev[(r - 1, i)], step, m).scale(coeff)
-                    table[(r, i)] = acc
-        assert g_generators(n, alg) == table, n
+                        product = multiply(prev[(r - 1, i)], bar(i + n - 2 * r, m), m)
+                        for path, c in product.items():
+                            acc[path] = acc.get(path, 0) + coeff * c
+                    table[(r, i)] = {p: c for p, c in acc.items() if c}
+        got = {key: {(key[1], steps): c for steps, c in g.items()}
+               for key, g in g_generators(n, alg).items()}
+        assert got == table, n
