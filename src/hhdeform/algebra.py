@@ -42,6 +42,13 @@ class BasisMonomial:
     kind: str
     index: int
 
+    def __post_init__(self):
+        # every table of the package is keyed by monomials: hash them once
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self):
+        return self._hash
+
     def origin(self, m):
         if self.kind == BAR:
             return (self.index + 1) % m
@@ -193,6 +200,8 @@ class Algebra:
                 p = self._monomial_product(x, y)
                 if p is not None:
                     self._table[(x, y)] = p
+        # (origin, terminus) of each basis monomial
+        self.endpoints = {mono: (mono.origin(self.m), mono.terminus(self.m)) for mono in self.basis}
         self._into = {v: [mono for mono in self.basis if mono.terminus(self.m) == v] for v in range(self.m)}
         self._from = {v: [mono for mono in self.basis if mono.origin(self.m) == v] for v in range(self.m)}
         self.cache = {}

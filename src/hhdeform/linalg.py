@@ -122,7 +122,8 @@ class Matrix:
             acc = {}
             for k, a in row.items():
                 for c, b in other._rows[k].items():
-                    acc[c] = acc.get(c, F0) + a * b
+                    old = acc.get(c)
+                    acc[c] = a * b if old is None else old + a * b
             out._rows[r] = {c: v for c, v in acc.items() if v}
         return out
 

@@ -12,12 +12,17 @@ summand of `target`, with left and right basis monomials.  The
 differential, identity maps, composites and the chain-map liftings all
 live in this form.  `underlying_matrix` flattens a map to exact rational
 linear algebra on the 16m(n+1)-dimensional underlying vector spaces, which
-is how kernels, images and exactness are computed.  It and `compose` walk
-the terms once and read each product of two monomials from the structure
-constants (`Algebra.product`), building no intermediate AlgebraElement.
+is how kernels, images and exactness are computed.  Every summand is 4 x 4,
+so it walks each term over the per-algebra stencil of its (left, right)
+pair: the nonzero products bl . left (x) right . br as offsets into the
+blocks of the source and target generators, with their coefficients.
+`compose` reads each product of two monomials from the structure constants
+(`Algebra.product`).  Neither multiplies by a structure constant of
+exactly 1 or adds a first value to zero.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraElement, e, memoised
@@ -63,7 +68,10 @@ def generators(n, m):
 class BimoduleMap:
     """A bimodule map P^{source_degree} -> P^{target_degree} given by its
     values on generators: a list of (c, left, target, right) terms each,
-    with c a Fraction and left, right basis monomials."""
+    with c a Fraction (other rationals are converted) and left, right
+    basis monomials.  Keys and targets must be generators of the declared
+    degrees and each factor must lie in its corner, read from the
+    algebra's endpoint table; anything else raises ValueError."""
 
     def __init__(self, alg, source_degree, target_degree, assignments):
         self.alg = alg
@@ -71,21 +79,30 @@ class BimoduleMap:
         self.target_degree = target_degree
         self.assignments = {}
         m = alg.m
+        ends = alg.endpoints
         for gen, terms in assignments.items():
+            if gen.n != source_degree or not 0 <= gen.i < m:
+                raise ValueError(f"{gen} is not a generator of P^{source_degree} at m = {m}")
+            start, end = gen.i, gen.terminus(m)
             kept = []
             for c, left, target, right in terms:
                 if not c:
                     continue
-                if left.origin(m) != gen.i % m or left.terminus(m) != target.i % m:
+                if target.n != target_degree or not 0 <= target.i < m:
+                    raise ValueError(f"{target} is not a generator of P^{target_degree} at m = {m}")
+                mid = (target.i + target.n - 2 * target.r) % m  # target.terminus(m), inlined
+                if ends.get(left) != (start, target.i):
                     raise ValueError(
                         f"left factor {left} of {gen}->{target} is not in "
-                        f"e_{gen.i} . Algebra . e_{target.i}"
+                        f"e_{start} . Algebra . e_{target.i}"
                     )
-                if right.origin(m) != target.terminus(m) or right.terminus(m) != gen.terminus(m):
+                if ends.get(right) != (mid, end):
                     raise ValueError(
                         f"right factor {right} of {gen}->{target} is not in "
-                        f"e_{target.terminus(m)} . Algebra . e_{gen.terminus(m)}"
+                        f"e_{mid} . Algebra . e_{end}"
                     )
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 kept.append((c, left, target, right))
             if kept:
                 self.assignments[gen] = kept
@@ -137,8 +154,9 @@ def differential(n, alg):
     def to(r, i):
         return targets[i % m * n + r]
 
-    one = linalg.F1
-    sign_n = one if n % 2 == 0 else -one
+    one, minus_one = linalg.F1, -linalg.F1
+    odd = n % 2
+    sign_n = minus_one if odd else one
     assignments = {}
     for gen in generators(n, m):
         r, i = gen.r, gen.i
@@ -155,13 +173,16 @@ def differential(n, alg):
                 (one, B[(i - 1) % m], to(n - 1, i - 1), E[(i - n) % m]),
             ]
         else:
-            sign = sign_n if r % 2 == 0 else -sign_n
+            # the signs (-1)^n and (-1)^(n+r), applied by negation
+            flip = (n + r) % 2
             k = (i + n - 2 * r) % m
+            q_n = q_run(alg, i - r + 1, n - r)
+            q_r = q_run(alg, i - r + 1, r)
             terms = [
                 (one, E[i], to(r, i), A[(k - 1) % m]),
-                (sign_n * q_run(alg, i - r + 1, n - r), E[i], to(r - 1, i), B[k]),
-                (sign * q_run(alg, i - r + 1, r), A[i], to(r, i + 1), E[k]),
-                (sign, B[(i - 1) % m], to(r - 1, i - 1), E[k]),
+                (-q_n if odd else q_n, E[i], to(r - 1, i), B[k]),
+                (-q_r if flip else q_r, A[i], to(r, i + 1), E[k]),
+                (minus_one if flip else one, B[(i - 1) % m], to(r - 1, i - 1), E[k]),
             ]
         assignments[gen] = terms
     return BimoduleMap(alg, n, n - 1, assignments)
@@ -187,12 +208,15 @@ def compose(f, g):
                 right = product(r2, r1)
                 if left is None or right is None:
                     continue
+                v = c1 * c2
+                if left[1] != 1 or right[1] != 1:
+                    v = v * left[1] * right[1]
                 key = (left[0], target, right[0])
-                s = acc.get(key, linalg.F0) + c1 * c2 * left[1] * right[1]
-                if s:
-                    acc[key] = s
+                old = acc.get(key)
+                if old is None:
+                    acc[key] = v
                 else:
-                    del acc[key]
+                    _collect(acc, key, old + v)
         assignments[gen] = [(c, ml, target, mr) for (ml, target, mr), c in acc.items()]
     return BimoduleMap(f.alg, g.source_degree, f.target_degree, assignments)
 
@@ -247,40 +271,61 @@ def term_coords(terms, n, alg):
     return coords
 
 
+@memoised
+def _stencil(left, right, alg):
+    """The nonzero products bl . left (x) right . br, for bl into the origin
+    of left and br out of the terminus of right, as (column offset, row
+    offset, coefficient) within the 4 x 4 blocks of the source and target
+    summands; the coefficient is None when it is exactly 1."""
+    m = alg.m
+    lefts = alg.monomials_into(left.terminus(m))
+    rights = alg.monomials_from(right.origin(m))
+    out_of = alg.monomials_from(right.terminus(m))
+    stencil = []
+    for k, bl in enumerate(alg.monomials_into(left.origin(m))):
+        for j, br in enumerate(out_of):
+            new_left, new_right = alg.product(bl, left), alg.product(right, br)
+            if new_left is not None and new_right is not None:
+                coeff = new_left[1] * new_right[1]
+                row = 4 * lefts.index(new_left[0]) + rights.index(new_right[0])
+                stencil.append((4 * k + j, row, None if coeff == 1 else coeff))
+    return stencil
+
+
+def _collect(acc, key, s):
+    """Store the sum s at key, or drop the key when s is zero."""
+    if s:
+        acc[key] = s
+    else:
+        del acc[key]
+
+
 def underlying_matrix(f):
     """The matrix of f on underlying vector spaces; rows are indexed by the
     basis of the target P, columns by the basis of the source P.
 
-    One walk over the terms of f: for the term (c, left, target, right) of
-    gen, bl . left for the four monomials bl into gen's origin and
-    right . br for the four out of its terminus are read from the structure
-    constants once each, and fill the 16 columns (gen, bl, br)."""
+    The summand of Generator(n, r, i) holds the 16 rows or columns from
+    16 (i (n+1) + r).  The term (c, left, target, right) of gen writes c
+    times each coefficient of the stencil of (left, right) at its offsets
+    from the blocks of target and gen; a unit coefficient writes c itself,
+    and the first write to an entry stores its value."""
     alg = f.alg
-    product = alg.product
-    target_index = _p_basis_index(f.target_degree, alg)
-    rows = [{} for _ in target_index]
+    m, n = alg.m, f.target_degree
+    rows = [{} for _ in range(16 * m * (n + 1))]
     col = 0
-    for gen in generators(f.source_degree, alg.m):
-        into = alg.monomials_into(gen.i)
-        out_of = alg.monomials_from(gen.terminus(alg.m))
+    for gen in generators(f.source_degree, m):
         for c, left, target, right in f.terms(gen):
-            rights = [product(right, br) for br in out_of]
-            for k, bl in enumerate(into):
-                new_left = product(bl, left)
-                if new_left is None:
-                    continue
-                ml, cl = new_left
-                cl *= c
-                for cc, new_right in enumerate(rights, col + k * len(out_of)):
-                    if new_right is None:
-                        continue
-                    row = rows[target_index[(target, ml, new_right[0])]]
-                    s = row.get(cc, linalg.F0) + cl * new_right[1]
-                    if s:
-                        row[cc] = s
-                    else:
-                        del row[cc]
-        col += len(into) * len(out_of)
+            base = 16 * (target.i * (n + 1) + target.r)
+            for dc, dr, coeff in _stencil(left, right, alg):
+                v = c if coeff is None else c * coeff
+                row = rows[base + dr]
+                cc = col + dc
+                old = row.get(cc)
+                if old is None:
+                    row[cc] = v
+                else:
+                    _collect(row, cc, old + v)
+        col += 16
     return linalg.Matrix(len(rows), col, rows)
 
 

@@ -113,6 +113,53 @@ def test_matmul_matches_dense():
     assert a.matmul(b).to_lists() == [[F(2), F(2)], [F(4), F(5)]]
 
 
+@st.composite
+def cancelling_products(draw):
+    """Dense factors a (rows x inner) and b (inner x cols) with sparse
+    entries.  b repeats some of its rows, and some rows of a take the
+    difference of two repeated rows' coordinates, so whole rows of the
+    product cancel to zero."""
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+    sparse = st.one_of(st.just(F0), rationals)
+    b = [[draw(sparse) for _ in range(cols)] for _ in range(inner)]
+    for k in range(1, inner):
+        if draw(st.booleans()):
+            b[k] = list(b[draw(st.integers(0, k - 1))])
+    repeats = [(j, k) for k in range(inner) for j in range(k) if b[j] == b[k]]
+    a = []
+    for _ in range(rows):
+        row = [draw(sparse) for _ in range(inner)]
+        if repeats and draw(st.booleans()):
+            j, k = draw(st.sampled_from(repeats))
+            row = [F0] * inner
+            row[j], row[k] = F1, -F1
+        a.append(row)
+    return a, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(cancelling_products())
+def test_matmul_matches_a_dense_reference(ab):
+    a, b = ab
+    product = Matrix.from_rows(a).matmul(Matrix.from_rows(b))
+    dense = [
+        [sum((a[r][k] * b[k][c] for k in range(len(b))), F0) for c in range(len(b[0]))]
+        for r in range(len(a))
+    ]
+    assert product.to_lists() == dense
+    for row in product._rows:
+        for v in row.values():
+            assert type(v) is F and v
+
+
+def test_matmul_of_rows_that_cancel_stores_nothing():
+    a = Matrix.from_rows([[1, -1, 0], [2, 0, 1]])
+    b = Matrix.from_rows([[F(1, 2), 3], [F(1, 2), 3], [-1, -6]])
+    product = a.matmul(b)
+    assert product._rows == [{}, {}]
+    assert product.nnz() == 0
+
+
 def test_transpose_roundtrip():
     a = Matrix.from_rows([[1, 0, 2], [0, 3, 0]])
     assert a.transpose().transpose() == a

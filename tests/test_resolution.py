@@ -128,6 +128,61 @@ def test_right_factor_outside_its_corner_refused():
         )
 
 
+def test_generators_outside_the_declared_degrees_refused():
+    alg = algebra(3, (2, 1, 1))
+    # corner-compatible, but the target is a generator of P^3, not P^1
+    with pytest.raises(ValueError, match="not a generator of P\\^1"):
+        BimoduleMap(alg, 2, 1, {Generator(2, 0, 0): [(F(1), e(0), Generator(3, 1, 0), a(1))]})
+    # a source key of P^1 in a map out of P^2
+    with pytest.raises(ValueError, match="not a generator of P\\^2"):
+        BimoduleMap(alg, 2, 1, {Generator(1, 0, 0): [(F(1), e(0), Generator(1, 0, 0), e(1))]})
+    # vertex indices outside 0..m-1, on the key and on the target
+    with pytest.raises(ValueError, match="not a generator"):
+        BimoduleMap(alg, 1, 0, {Generator(1, 0, 3): [(F(1), e(0), Generator(0, 0, 0), a(0))]})
+    with pytest.raises(ValueError, match="not a generator"):
+        BimoduleMap(alg, 1, 0, {Generator(1, 0, 0): [(F(1), e(0), Generator(0, 0, 3), a(0))]})
+
+
+def test_monomials_outside_the_algebra_refused():
+    # e_3 does not exist at m = 3, though it agrees with e_0 mod 3
+    alg = algebra(3, (2, 1, 1))
+    with pytest.raises(ValueError, match="left factor"):
+        BimoduleMap(alg, 1, 0, {Generator(1, 0, 0): [(F(1), e(3), Generator(0, 0, 0), a(0))]})
+    with pytest.raises(ValueError, match="right factor"):
+        BimoduleMap(alg, 1, 0, {Generator(1, 0, 0): [(F(1), e(0), Generator(0, 0, 0), a(3))]})
+
+
+def test_integer_coefficients_give_fraction_entries():
+    alg = algebra(2, (3, 1))
+    gen, target = Generator(1, 0, 0), Generator(0, 0, 0)
+    f = BimoduleMap(alg, 1, 0, {gen: [(2, e(0), target, a(0))]})
+    assert f.terms(gen) == [(F(2), e(0), target, a(0))]
+    assert_fraction_entries(underlying_matrix(f))
+    assert underlying_matrix(f) == multiply_underlying(f)
+
+
+def test_opposite_terms_leave_no_stored_entry():
+    # two opposite terms on each of two (left, target, right) triples
+    alg = algebra(3, (2, 1, 1))
+    gen = Generator(1, 0, 0)
+    triples = [(e(0), Generator(0, 0, 0), a(0)), (a(0), Generator(0, 0, 1), e(1))]
+    terms = [(s * F(5, 3), *t) for t in triples for s in (1, -1)]
+    f = BimoduleMap(alg, 1, 0, {gen: terms})
+    assert len(f.terms(gen)) == 4
+    mat = underlying_matrix(f)
+    assert (mat.rows, mat.cols) == (48, 96)
+    assert all(row == {} for row in mat._rows)
+    assert compose(identity_map(0, alg), f).assignments == {}
+    assert compose(f, identity_map(1, alg)).assignments == {}
+    assert compose(f, differential(2, alg)).assignments == {}
+    # a fifth term keeps exactly its own entries and its own term
+    rest = [(F(2), *triples[1])]
+    g = BimoduleMap(alg, 1, 0, {gen: terms + rest})
+    h = BimoduleMap(alg, 1, 0, {gen: rest})
+    assert underlying_matrix(g) == underlying_matrix(h)
+    assert compose(identity_map(0, alg), g).assignments == h.assignments
+
+
 def test_zero_coefficient_terms_dropped():
     alg = algebra(3, (2, 1, 1))
     gen, target = Generator(1, 0, 0), Generator(0, 0, 0)
@@ -327,9 +382,12 @@ def test_assembly_matches_the_multiply_reference(m, zeta):
         mat = underlying_matrix(d)
         assert mat == multiply_underlying(d), n
         assert_fraction_entries(mat)
+        assert not any(0 in row.values() for row in mat._rows), n
         if n > 1:
             prev = differential(n - 1, alg)
             assert collected(compose(prev, d)) == multiply_compose(prev, d), n
+            # d o d = 0: every product cancels and none is stored
+            assert all(row == {} for row in underlying_matrix(prev).matmul(mat)._rows), n
 
 
 @st.composite
