@@ -22,15 +22,19 @@ log = logging.getLogger(__name__)
 def q_run(alg, start, count):
     """Product q_start q_{start+1} ... of `count` consecutive parameters,
     indices reduced mod m; the empty product is 1."""
-    return _q_run(start % alg.m, count, alg)
+    m, q = alg.m, alg.q
+    start %= m
+    run = _q_runs(start, alg)
+    while len(run) <= count:
+        run.append(run[-1] * q[(start + len(run) - 1) % m])
+    return run[count]
 
 
 @memoised
-def _q_run(start, count, alg):
-    prod = Fraction(1)
-    for j in range(count):
-        prod *= alg.q[(start + j) % alg.m]
-    return prod
+def _q_runs(start, alg):
+    """The products of the first 0, 1, 2, ... parameters from q_start on,
+    extended by one factor at a time by `q_run`."""
+    return [Fraction(1)]
 
 
 @memoised

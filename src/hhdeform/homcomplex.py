@@ -60,7 +60,10 @@ def pullback_matrix(g, alg):
                     continue
                 value = product(inner[0], right)
                 if value is not None:
-                    mat.add_to_entry(target_index[(gen, value[0])], col, c * inner[1] * value[1])
+                    v = c
+                    if inner[1] != 1 or value[1] != 1:
+                        v = v * inner[1] * value[1]
+                    mat.add_to_entry(target_index[(gen, value[0])], col, v)
     return mat
 
 

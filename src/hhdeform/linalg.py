@@ -1,7 +1,9 @@
 """Exact sparse linear algebra over the rationals.
 
-Everything here works with `fractions.Fraction`; no floating point is used
-anywhere in the package.  Matrices reach tens of thousands of rows (the
+Every entry is a `fractions.Fraction`; no floating point is used anywhere
+in the package.  `Matrix.matmul` takes its sums in integers over the
+common denominators of its factors and builds a Fraction only for an entry
+it stores.  Matrices reach tens of thousands of rows (the
 bar coboundary at m = 1, n = 7 is 26244 x 8748), and every result is
 canonical:
 
@@ -21,9 +23,15 @@ makes even rank computations at desk scale unreasonably slow.
 """
 
 from fractions import Fraction
+from math import lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def _denominator(m):
+    """The least common denominator of the entries of m; 1 when it has none."""
+    return lcm(*{v.denominator for row in m._rows for v in row.values()})
 
 
 class InconsistentSystem(Exception):
@@ -85,15 +93,21 @@ class Matrix:
     def zero(cls, rows, cols):
         return cls(rows, cols)
 
-    def set_entry(self, r, c, v):
-        v = Fraction(v)
-        if v:
-            self._rows[r][c] = v
-        else:
-            self._rows[r].pop(c, None)
-
     def add_to_entry(self, r, c, v):
-        self.set_entry(r, c, self._rows[r].get(c, F0) + v)
+        """Add v to entry (r, c).  A first write stores v itself (converted
+        to a Fraction if it is not one); a sum that reaches zero is removed,
+        so a later write to that entry puts it last in its row."""
+        row = self._rows[r]
+        old = row.get(c)
+        if old is None:
+            if v:
+                row[c] = v if type(v) is Fraction else Fraction(v)
+        else:
+            s = old + v
+            if s:
+                row[c] = s
+            else:
+                del row[c]
 
     def row(self, r):
         return [self._rows[r].get(c, F0) for c in range(self.cols)]
@@ -115,16 +129,29 @@ class Matrix:
         return t
 
     def matmul(self, other):
-        """self @ other, exploiting sparsity."""
+        """self @ other, exploiting sparsity.
+
+        The sums are taken in integers: with da and db the least common
+        denominators of the two factors, entry (r, c) is the integer sum of
+        (a_rk da) (b_kc db) over k, divided by da db.  A Fraction is built
+        only for an entry that is stored, that is, a nonzero one.
+        """
         assert self.cols == other.rows, "dimension mismatch"
+        da, db = _denominator(self), _denominator(other)
+        d = da * db
         out = Matrix(self.rows, other.cols)
+        brows = other._rows
         for r, row in enumerate(self._rows):
             acc = {}
             for k, a in row.items():
-                for c, b in other._rows[k].items():
+                n, ad = a.as_integer_ratio()
+                a_scaled = n * (da // ad) * db
+                for c, b in brows[k].items():
+                    bn, bd = b.as_integer_ratio()
+                    v = a_scaled * bn // bd
                     old = acc.get(c)
-                    acc[c] = a * b if old is None else old + a * b
-            out._rows[r] = {c: v for c, v in acc.items() if v}
+                    acc[c] = v if old is None else old + v
+            out._rows[r] = {c: Fraction(v, d) for c, v in acc.items() if v}
         return out
 
     def mul_vector(self, vec):

@@ -17,8 +17,9 @@ so it walks each term over the per-algebra stencil of its (left, right)
 pair: the nonzero products bl . left (x) right . br as offsets into the
 blocks of the source and target generators, with their coefficients.
 `compose` reads each product of two monomials from the structure constants
-(`Algebra.product`).  Neither multiplies by a structure constant of
-exactly 1 or adds a first value to zero.
+(`Algebra.product`) and collects like terms as integer numerator and
+denominator pairs.  Neither multiplies by a structure constant of exactly 1
+or adds a first value to zero.
 """
 
 from dataclasses import dataclass
@@ -191,8 +192,11 @@ def differential(n, alg):
 def compose(f, g):
     """f after g: if g maps P^c -> P^a and f maps P^a -> P^b, the result
     maps P^c -> P^b.  The products l1 . l2 and r2 . r1 of each term of g
-    and each term of f at its target are read from the structure constants;
-    like terms are collected so the zero test is exact."""
+    and each term of f at its target are read from the structure constants.
+    Like terms are collected exactly, as unreduced (numerator, denominator)
+    pairs of integers: a term whose sum reaches zero is dropped at once, so
+    a later contribution puts it last, and a Fraction is built only for
+    each term that remains."""
     if f.source_degree != g.target_degree:
         raise ValueError(
             f"degree mismatch: composing P^{g.source_degree}->P^{g.target_degree} "
@@ -203,21 +207,29 @@ def compose(f, g):
     for gen, terms in g.assignments.items():
         acc = {}
         for c1, l1, mid, r1 in terms:
+            n1, d1 = c1.as_integer_ratio()
             for c2, l2, target, r2 in f.terms(mid):
                 left = product(l1, l2)
                 right = product(r2, r1)
                 if left is None or right is None:
                     continue
-                v = c1 * c2
+                n2, d2 = c2.as_integer_ratio()
+                n, d = n1 * n2, d1 * d2
                 if left[1] != 1 or right[1] != 1:
-                    v = v * left[1] * right[1]
+                    nl, dl = (left[1] * right[1]).as_integer_ratio()
+                    n, d = n * nl, d * dl
                 key = (left[0], target, right[0])
                 old = acc.get(key)
-                if old is None:
-                    acc[key] = v
-                else:
-                    _collect(acc, key, old + v)
-        assignments[gen] = [(c, ml, target, mr) for (ml, target, mr), c in acc.items()]
+                if old is not None:
+                    on, od = old
+                    n, d = (on + n, d) if od == d else (on * d + n * od, od * d)
+                    if not n:
+                        del acc[key]
+                        continue
+                acc[key] = (n, d)
+        assignments[gen] = [
+            (Fraction(n, d), ml, target, mr) for (ml, target, mr), (n, d) in acc.items()
+        ]
     return BimoduleMap(f.alg, g.source_degree, f.target_degree, assignments)
 
 
@@ -346,7 +358,9 @@ def check_complex(N, alg, differentials=None):
     composed with d^1 vanishes.
 
     Each d^n o d^{n+1} is checked twice, by composing the maps and by
-    multiplying their underlying matrices, and the two must agree.
+    multiplying their underlying matrices, and the two must agree.  Both
+    sum exactly in integers (see `compose` and `linalg.Matrix.matmul`), so
+    a product that cancels builds no Fraction.
     `differentials` may override individual degrees (used for fault
     injection in the tests).
     """

@@ -70,6 +70,7 @@ def test_rref_is_canonical():
 rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=4
 )
+nonzero_rationals = rationals.filter(bool)
 
 
 @st.composite
@@ -150,6 +151,87 @@ def test_matmul_matches_a_dense_reference(ab):
     for row in product._rows:
         for v in row.values():
             assert type(v) is F and v
+
+
+def fraction_matmul(a, b):
+    """Reference product: every step a Fraction multiply-and-add, each row
+    in first-touch order with the zero sums dropped at the end."""
+    rows = []
+    for row in a._rows:
+        acc = {}
+        for k, x in row.items():
+            for c, y in b._rows[k].items():
+                old = acc.get(c)
+                acc[c] = x * y if old is None else old + x * y
+        rows.append({c: v for c, v in acc.items() if v})
+    return rows
+
+
+wide_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)
+
+
+@st.composite
+def sparse_factors(draw):
+    """Sparse a (rows x inner) and b (inner x cols), any dimension possibly
+    0, with small and large co-prime denominators.  Some rows of b are
+    scaled copies of earlier ones, and a row of a may weight such a pair so
+    that their contributions cancel, before or after its other entries."""
+    rows, inner, cols = (draw(st.integers(0, 6)) for _ in range(3))
+    entry = st.one_of(st.just(F0), nonzero_rationals, wide_rationals)
+
+    def sparse(n_rows, n_cols):
+        return [{c: v for c in range(n_cols) if (v := draw(entry))} for _ in range(n_rows)]
+
+    b = sparse(inner, cols)
+    copies = []
+    for k in range(1, inner):
+        if draw(st.booleans()):
+            j, scale = draw(st.integers(0, k - 1)), draw(st.one_of(nonzero_rationals, wide_rationals))
+            b[k] = {c: scale * v for c, v in b[j].items()}
+            copies.append((j, k, scale))
+    a = sparse(rows, inner)
+    for row in a:
+        if copies and draw(st.booleans()):
+            j, k, scale = draw(st.sampled_from(copies))
+            row[j] = x = draw(st.one_of(nonzero_rationals, wide_rationals))
+            row[k] = -x / scale
+    return Matrix(rows, inner, a), Matrix(inner, cols, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_factors())
+def test_matmul_matches_the_fraction_reference(ab):
+    a, b = ab
+    product = a.matmul(b)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    expected = fraction_matmul(a, b)
+    assert [list(row.items()) for row in product._rows] == [list(row.items()) for row in expected]
+    assert_fraction_rows(product._rows)
+
+
+@pytest.mark.parametrize("shape", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0), (2, 3, 2)])
+def test_matmul_of_empty_factors(shape):
+    rows, inner, cols = shape
+    product = Matrix(rows, inner).matmul(Matrix(inner, cols))
+    assert (product.rows, product.cols) == (rows, cols)
+    assert product._rows == [{} for _ in range(rows)]
+
+
+def test_add_to_entry():
+    m = Matrix(1, 3)
+    m.add_to_entry(0, 1, 2)
+    m.add_to_entry(0, 0, 0)
+    assert list(m._rows[0].items()) == [(1, F(2))]
+    assert type(m._rows[0][1]) is F
+    m.add_to_entry(0, 0, F(1, 3))
+    m.add_to_entry(0, 2, F(5))
+    m.add_to_entry(0, 0, F(-1, 3))
+    assert list(m._rows[0].items()) == [(1, F(2)), (2, F(5))]
+    # a write after the cancellation puts the entry last
+    m.add_to_entry(0, 0, F(7, 2))
+    m.add_to_entry(0, 1, 1)
+    assert list(m._rows[0].items()) == [(1, F(3)), (2, F(5)), (0, F(7, 2))]
+    assert_fraction_rows(m._rows)
 
 
 def test_matmul_of_rows_that_cancel_stores_nothing():
@@ -236,9 +318,6 @@ def assert_matches_scan(m):
     pivots, rows = linalg._rref_rows(m)
     assert (pivots, rows) == (expected_pivots, expected_rows)
     assert_fraction_rows(rows)
-
-
-nonzero_rationals = rationals.filter(bool)
 
 
 @st.composite

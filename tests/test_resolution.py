@@ -352,6 +352,41 @@ def multiply_compose(f, g):
     return out
 
 
+def fraction_compose(f, g):
+    """Reference composite f after g, as {gen: terms}: the loop of `compose`
+    in Fraction arithmetic.  Each (left, target, right) key is stored on
+    first touch and deleted when its sum reaches zero, so a later touch
+    puts it last."""
+    product = f.alg.product
+    out = {}
+    for gen, terms in g.assignments.items():
+        acc = {}
+        for c1, l1, mid, r1 in terms:
+            for c2, l2, target, r2 in f.terms(mid):
+                left, right = product(l1, l2), product(r2, r1)
+                if left is None or right is None:
+                    continue
+                key = (left[0], target, right[0])
+                s = acc.get(key, F(0)) + c1 * c2 * left[1] * right[1]
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+        if acc:
+            out[gen] = [(c, ml, target, mr) for (ml, target, mr), c in acc.items()]
+    return out
+
+
+def assert_matches_fraction_compose(f, g):
+    """compose(f, g) has the reference's terms, in the same order, each
+    with a nonzero Fraction coefficient."""
+    fg = compose(f, g)
+    assert list(fg.assignments.items()) == list(fraction_compose(f, g).items())
+    for terms in fg.assignments.values():
+        for c, *_ in terms:
+            assert type(c) is F and c
+
+
 def collected(f):
     """The terms of a map, as in `multiply_compose`."""
     out = {}
@@ -386,16 +421,20 @@ def test_assembly_matches_the_multiply_reference(m, zeta):
         if n > 1:
             prev = differential(n - 1, alg)
             assert collected(compose(prev, d)) == multiply_compose(prev, d), n
+            assert_matches_fraction_compose(prev, d)
+            assert_matches_fraction_compose(d, identity_map(n, alg))
             # d o d = 0: every product cancels and none is stored
             assert all(row == {} for row in underlying_matrix(prev).matmul(mat)._rows), n
 
 
+small_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+
+
 @st.composite
-def bimodule_maps(draw, alg, source_degree, target_degree):
+def bimodule_maps(draw, alg, source_degree, target_degree, coeffs=small_coeffs):
     """A random map with several terms per (generator, target); their
     (left, right) pairs may repeat, so like terms need collecting."""
     m = alg.m
-    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
     assignments = {}
     for gen in generators(source_degree, m):
         terms = []
@@ -435,3 +474,32 @@ def test_assembly_of_random_maps_matches_the_multiply_reference(data):
     fg = compose(f, g)
     assert collected(fg) == multiply_compose(f, g)
     assert underlying_matrix(fg) == multiply_underlying(f).matmul(multiply_underlying(g))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_compose_matches_the_fraction_reference(data):
+    m = data.draw(st.integers(1, 3))
+    q = data.draw(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=10**6).filter(bool),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    alg = algebra(m, q)
+    coeffs = st.one_of(
+        small_coeffs,
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12).filter(bool),
+    )
+    a_deg, b_deg, c_deg = (data.draw(st.integers(0, 2)) for _ in range(3))
+    f = data.draw(bimodule_maps(alg, a_deg, b_deg, coeffs))
+    g = data.draw(bimodule_maps(alg, c_deg, a_deg, coeffs))
+    assert_matches_fraction_compose(f, g)
+    # append each generator's first term negated, then once more: the keys
+    # that only this term reaches cancel and are touched again
+    echoed = {
+        gen: terms + [(-terms[0][0], *terms[0][1:]), terms[0]]
+        for gen, terms in g.assignments.items()
+    }
+    assert_matches_fraction_compose(f, BimoduleMap(alg, c_deg, a_deg, echoed))
