@@ -22,6 +22,8 @@ over the rationals means zeta not in {1, -1}.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .linalg import exact
+
 VERTEX = "e"
 ARROW = "a"
 BAR = "abar"
@@ -157,7 +159,7 @@ class AlgebraSpec:
     q: tuple = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(Fraction(v) for v in self.q))
+        object.__setattr__(self, "q", tuple(exact(v) for v in self.q))
         if self.m < 1:
             raise ValueError("m must be at least 1")
         if len(self.q) != self.m:
@@ -204,6 +206,10 @@ class Algebra:
         self.endpoints = {mono: (mono.origin(self.m), mono.terminus(self.m)) for mono in self.basis}
         self._into = {v: [mono for mono in self.basis if mono.terminus(self.m) == v] for v in range(self.m)}
         self._from = {v: [mono for mono in self.basis if mono.origin(self.m) == v] for v in range(self.m)}
+        # the basis is in canonical order, so each corner list is too
+        self._corners = {(i, j): [] for i in range(self.m) for j in range(self.m)}
+        for mono in self.basis:
+            self._corners[self.endpoints[mono]].append(mono)
         self.cache = {}
 
     def require_generic(self, allow_non_generic=False):
@@ -261,24 +267,12 @@ class Algebra:
         return AlgebraElement({e(i): Fraction(1) for i in range(self.m)})
 
     def corner_basis(self, i, j):
-        """Monomial basis of e_i . Algebra . e_j.
+        """Monomial basis of e_i . Algebra . e_j, for vertices i, j in 0..m-1.
 
-        The congruences are mod m, so m = 1 and m = 2 get their enlarged
-        corners from the same logic.
+        Endpoints are taken mod m, so m = 1 and m = 2 get their enlarged
+        corners from the same table, in the canonical basis order.
         """
-        m = self.m
-        out = []
-        if i == j:
-            out.append(e(i))
-        if j == (i + 1) % m:
-            out.append(a(i))
-        if j == (i - 1) % m:
-            out.append(abar(j))
-        if i == j:
-            out.append(z(i))
-        # m = 1 needs the canonical basis order e, a, abar, z
-        out.sort(key=BasisMonomial.sort_key)
-        return out
+        return self._corners[i, j]
 
     def monomials_into(self, v):
         """Basis of Algebra . e_v (monomials with terminus v)."""

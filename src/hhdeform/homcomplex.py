@@ -8,12 +8,13 @@ monomials in theirs.
 
 Precomposition with a bimodule map g: P^N -> P^n is one matrix,
 `pullback_matrix(g)`, built in one walk over the terms of g: the monomial
-term (c, left, tgt, right) of the image of a generator of P^N feeds only
-the columns of the basis maps at tgt, each with the one monomial
-c . left . mono0 . right read from the structure constants
-(`Algebra.product`).  The coboundary d^n is the pullback along the
-differential d^{n+1}; cup products are pullbacks along chain-map
-liftings.  The closed-form dimension tables from the kernel/image
+term (c, left, tgt, right) of the image of a generator gen of P^N feeds
+only the corner block of tgt, and lands in the corner block of gen.  So
+it walks the per-algebra stencil of its (left, right) pair: the nonzero
+products left . mono0 . right over the corner monomials mono0, as offsets
+into the two blocks, with their coefficients.  The coboundary d^n is the
+pullback along the differential d^{n+1}; cup products are pullbacks along
+chain-map liftings.  The closed-form dimension tables from the kernel/image
 analysis live in the expected_* functions and are used as comparison
 data, never as a computation path.
 """
@@ -38,32 +39,62 @@ def hom_dimension(n, alg):
     return len(hom_space_basis(n, alg))
 
 
+@memoised
+def _block_starts(n, alg):
+    """The first index of each generator's corner block in
+    hom_space_basis(n); a generator with an empty corner has none."""
+    starts = {}
+    for k, (gen, _mono) in enumerate(hom_space_basis(n, alg)):
+        starts.setdefault(gen, k)
+    return starts
+
+
+@memoised
+def _pullback_stencil(left, right, alg):
+    """The nonzero products left . mono0 . right, for mono0 in the corner
+    e_{terminus of left} . Algebra . e_{origin of right}, as (column offset
+    of mono0, row offset of the product in the corner e_{origin of left} .
+    Algebra . e_{terminus of right}, coefficient); the coefficient is None
+    when it is exactly 1."""
+    product = alg.product
+    (start, mid), (mid_end, end) = alg.endpoints[left], alg.endpoints[right]
+    outer = alg.corner_basis(start, end)
+    stencil = []
+    for col, mono0 in enumerate(alg.corner_basis(mid, mid_end)):
+        inner = product(left, mono0)
+        if inner is None:
+            continue
+        value = product(inner[0], right)
+        if value is not None:
+            coeff = inner[1] * value[1]
+            stencil.append((col, outer.index(value[0]), None if coeff == 1 else coeff))
+    return stencil
+
+
 def pullback_matrix(g, alg):
     """Matrix of f |-> f o g for a bimodule map g: P^N -> P^n, columns over
     the basis of Hom(P^n, .), rows over the basis of Hom(P^N, .).
 
     One walk over the terms of g: a term (c, left, tgt, right) of the
     image of gen sends the basis map (tgt, mono0) to c . left . mono0 . right
-    at gen, for each corner monomial mono0 of tgt.
+    at gen.  It writes c times each coefficient of the stencil of
+    (left, right) at its offsets from the corner blocks of tgt and gen; a
+    unit coefficient writes c itself.  Generators with an empty corner
+    have no block and are skipped.
     """
-    product = alg.product
-    columns = {}
-    for col, (gen0, mono0) in enumerate(hom_space_basis(g.target_degree, alg)):
-        columns.setdefault(gen0, []).append((col, mono0))
-    target_index = {item: k for k, item in enumerate(hom_space_basis(g.source_degree, alg))}
-    mat = linalg.Matrix(len(target_index), hom_dimension(g.target_degree, alg))
+    cols = _block_starts(g.target_degree, alg)
+    rows = _block_starts(g.source_degree, alg)
+    mat = linalg.Matrix(hom_dimension(g.source_degree, alg), hom_dimension(g.target_degree, alg))
     for gen, terms in g.assignments.items():
+        row = rows.get(gen)
+        if row is None:
+            continue
         for c, left, tgt, right in terms:
-            for col, mono0 in columns.get(tgt, ()):
-                inner = product(left, mono0)
-                if inner is None:
-                    continue
-                value = product(inner[0], right)
-                if value is not None:
-                    v = c
-                    if inner[1] != 1 or value[1] != 1:
-                        v = v * inner[1] * value[1]
-                    mat.add_to_entry(target_index[(gen, value[0])], col, v)
+            col = cols.get(tgt)
+            if col is None:
+                continue
+            for dc, dr, coeff in _pullback_stencil(left, right, alg):
+                mat.add_to_entry(row + dr, col + dc, c if coeff is None else c * coeff)
     return mat
 
 

@@ -1,11 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
 Every entry is a `fractions.Fraction`; no floating point is used anywhere
-in the package.  `Matrix.matmul` takes its sums in integers over the
-common denominators of its factors and builds a Fraction only for an entry
-it stores.  Matrices reach tens of thousands of rows (the
-bar coboundary at m = 1, n = 7 is 26244 x 8748), and every result is
-canonical:
+in the package, and a float given as an entry raises TypeError (`exact`).
+`Matrix.matmul` takes its sums in integers over the common denominators
+of its factors and builds a Fraction only for an entry it stores.
+Matrices reach tens of thousands of rows (the bar coboundary at m = 1,
+n = 7 is 26244 x 8748), and every result is canonical:
 
 * `rank` and `pivot_columns` come from a row echelon form, found by
   forward elimination that visits each pivot column's rows only.  Its
@@ -24,9 +24,18 @@ makes even rank computations at desk scale unreasonably slow.
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+
+def exact(v):
+    """v as a Fraction; a float or anything else that is not an exact
+    rational raises TypeError instead of being silently made exact."""
+    if not isinstance(v, Rational):
+        raise TypeError(f"{v!r} is not an exact rational")
+    return Fraction(v)
 
 
 def _denominator(m):
@@ -57,7 +66,7 @@ class Matrix:
             for r in range(rows):
                 row = {}
                 for c in range(cols):
-                    v = Fraction(entries[r * cols + c])
+                    v = exact(entries[r * cols + c])
                     if v:
                         row[c] = v
                 self._rows.append(row)
@@ -69,7 +78,7 @@ class Matrix:
         m = cls(rows, cols)
         for r, row in enumerate(rows_of_scalars):
             assert len(row) == cols
-            m._rows[r] = {c: Fraction(v) for c, v in enumerate(row) if v}
+            m._rows[r] = {c: exact(v) for c, v in enumerate(row) if v}
         return m
 
     @classmethod
@@ -79,7 +88,7 @@ class Matrix:
         for c, column in enumerate(columns):
             for r, v in enumerate(column):
                 if v:
-                    m._rows[r][c] = Fraction(v)
+                    m._rows[r][c] = v if type(v) is Fraction else exact(v)
         return m
 
     @classmethod
@@ -94,14 +103,16 @@ class Matrix:
         return cls(rows, cols)
 
     def add_to_entry(self, r, c, v):
-        """Add v to entry (r, c).  A first write stores v itself (converted
-        to a Fraction if it is not one); a sum that reaches zero is removed,
-        so a later write to that entry puts it last in its row."""
+        """Add v to entry (r, c); v goes through `exact` unless it is a
+        Fraction.  A first write stores v itself; a sum that reaches zero is
+        removed, so a later write to that entry puts it last in its row."""
+        if type(v) is not Fraction:
+            v = exact(v)
         row = self._rows[r]
         old = row.get(c)
         if old is None:
             if v:
-                row[c] = v if type(v) is Fraction else Fraction(v)
+                row[c] = v
         else:
             s = old + v
             if s:
@@ -295,8 +306,9 @@ def solve(a, b):
     aug = Matrix(a.rows, a.cols + 1)
     for r, row in enumerate(a._rows):
         new = dict(row)
-        if b[r]:
-            new[a.cols] = Fraction(b[r])
+        v = b[r]
+        if v:
+            new[a.cols] = v if type(v) is Fraction else exact(v)
         aug._rows[r] = new
     pivot_cols, echelon = _rref_rows(aug)
     if a.cols in pivot_cols:

@@ -9,10 +9,11 @@ actually needed.
 A BimoduleMap stores, per source generator, a list of monomial terms
 (c, left, target, right): the rational c times left (x) right in the
 summand of `target`, with left and right basis monomials.  The
-differential, identity maps, composites and the chain-map liftings all
-live in this form.  `underlying_matrix` flattens a map to exact rational
-linear algebra on the 16m(n+1)-dimensional underlying vector spaces, which
-is how kernels, images and exactness are computed.  Every summand is 4 x 4,
+differential, composites and the chain-map liftings all live in this
+form; the generators of each P^n are built and hashed once.
+`underlying_matrix` flattens a map to exact rational linear algebra on the
+16m(n+1)-dimensional underlying vector spaces, which is how kernels,
+images and exactness are computed.  Every summand is 4 x 4,
 so it walks each term over the per-algebra stencil of its (left, right)
 pair: the nonzero products bl . left (x) right . br as offsets into the
 blocks of the source and target generators, with their coefficients.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraElement, e, memoised
+from .algebra import AlgebraElement, memoised
 from .freepaths import q_run
 
 
@@ -41,6 +42,11 @@ class Generator:
     def __post_init__(self):
         if not 0 <= self.r <= self.n:
             raise ValueError(f"r must be in 0..n, got {self.r} at degree {self.n}")
+        # generators key the maps and the Hom bases: hash them once
+        object.__setattr__(self, "_hash", hash((self.n, self.r, self.i)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def offset(self):
@@ -58,21 +64,29 @@ class Generator:
         return f"G({self.n};{self.r},{self.i})"
 
 
+_generators = {}
+
+
 def generators(n, m):
-    """All m(n+1) generators of P^n, i outer, r inner, both ascending.
+    """All m(n+1) generators of P^n, i outer, r inner, both ascending, as
+    a tuple built once per (n, m) and shared by every caller.
 
     This ordering fixes every matrix layout in the package.
     """
-    return [Generator(n, r, i) for i in range(m) for r in range(n + 1)]
+    gens = _generators.get((n, m))
+    if gens is None:
+        gens = _generators[n, m] = tuple(Generator(n, r, i) for i in range(m) for r in range(n + 1))
+    return gens
 
 
 class BimoduleMap:
     """A bimodule map P^{source_degree} -> P^{target_degree} given by its
     values on generators: a list of (c, left, target, right) terms each,
-    with c a Fraction (other rationals are converted) and left, right
-    basis monomials.  Keys and targets must be generators of the declared
-    degrees and each factor must lie in its corner, read from the
-    algebra's endpoint table; anything else raises ValueError."""
+    with c a Fraction (other exact rationals are converted, anything else
+    raises TypeError) and left, right basis monomials.  Keys and targets
+    must be generators of the declared degrees and each factor must lie in
+    its corner, read from the algebra's endpoint table; anything else
+    raises ValueError."""
 
     def __init__(self, alg, source_degree, target_degree, assignments):
         self.alg = alg
@@ -103,7 +117,7 @@ class BimoduleMap:
                         f"e_{mid} . Algebra . e_{end}"
                     )
                 if type(c) is not Fraction:
-                    c = Fraction(c)
+                    c = linalg.exact(c)
                 kept.append((c, left, target, right))
             if kept:
                 self.assignments[gen] = kept
@@ -127,18 +141,6 @@ class BimoduleMap:
             f"BimoduleMap(P^{self.source_degree} -> P^{self.target_degree}, "
             f"{len(self.assignments)} nonzero generators)"
         )
-
-
-def zero_map(alg, source_degree, target_degree):
-    return BimoduleMap(alg, source_degree, target_degree, {})
-
-
-def identity_map(n, alg):
-    m = alg.m
-    assignments = {
-        gen: [(linalg.F1, e(gen.i), gen, e(gen.terminus(m)))] for gen in generators(n, m)
-    }
-    return BimoduleMap(alg, n, n, assignments)
 
 
 @memoised
@@ -266,11 +268,6 @@ def _p_basis(n, alg):
 @memoised
 def _p_basis_index(n, alg):
     return {item: k for k, item in enumerate(_p_basis(n, alg))}
-
-
-def p_dimension(alg, n):
-    """16 m (n+1): each of the m(n+1) summands contributes 4 x 4."""
-    return len(_p_basis(n, alg))
 
 
 def term_coords(terms, n, alg):

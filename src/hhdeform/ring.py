@@ -15,7 +15,6 @@ vector of f.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .algebra import a, abar, memoised, z
@@ -50,11 +49,12 @@ class Cochain:
     @classmethod
     def of(cls, degree, values, alg):
         """The cochain with coefficient values[(gen, mono)] on each Hom-basis
-        map (gen, mono), zero on the others."""
+        map (gen, mono), zero on the others; each value must be an exact
+        rational (TypeError otherwise)."""
         basis = hom_space_basis(degree, alg)
         if not set(values).issubset(basis):
             raise ValueError(f"values off the Hom-basis of degree {degree}")
-        return cls(degree, [Fraction(values.get(item, 0)) for item in basis])
+        return cls(degree, [linalg.exact(values.get(item, 0)) for item in basis])
 
     def is_cocycle(self, alg):
         return not any(coboundary_matrix(self.degree, alg).mul_vector(self.vector))

@@ -21,6 +21,14 @@ def test_zero_parameter_rejected():
         AlgebraSpec(2, (1, 0))
 
 
+def test_inexact_parameters_rejected():
+    for bad in (0.5, 2.0, "2"):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            AlgebraSpec(2, (bad, 1))
+    assert AlgebraSpec(2, (2, F(1, 3))).q == (F(2), F(1, 3))
+    assert all(type(v) is F for v in AlgebraSpec(2, (2, 1)).q)
+
+
 def test_wrong_parameter_count_rejected():
     with pytest.raises(ValueError):
         AlgebraSpec(3, (1, 1))
@@ -110,6 +118,15 @@ def test_corner_bases():
 
     alg1 = algebra(1, (2,))
     assert alg1.corner_basis(0, 0) == [e(0), a(0), abar(0), z(0)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+def test_corner_bases_are_the_monomials_between_their_vertices(m):
+    alg = algebra(m, (2,) + (1,) * (m - 1))
+    for i in range(m):
+        for j in range(m):
+            corner = [mono for mono in alg.basis if (mono.origin(m), mono.terminus(m)) == (i, j)]
+            assert alg.corner_basis(i, j) == sorted(corner, key=lambda mono: mono.sort_key())
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])

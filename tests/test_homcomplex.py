@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhdeform import linalg
 from hhdeform.algebra import AlgebraElement, NonGenericParameters, algebra, e, z
@@ -19,6 +21,7 @@ from hhdeform.homcomplex import (
 )
 from hhdeform.resolution import Generator, compose, differential, generators
 from hhdeform.ring import canonical_generators, lift_cocycle
+from test_resolution import bimodule_maps, small_coeffs
 
 F = Fraction
 
@@ -196,3 +199,68 @@ def test_pullback_is_functorial(m):
         assert composite.rows == hom_dimension(g.source_degree, alg)
         assert composite.cols == hom_dimension(f.target_degree, alg)
     assert pullback_matrix(differential(3, alg), alg) == coboundary_matrix(2, alg)
+
+
+def product_pullback(g, alg):
+    """Reference pullback: the per-term loop over the corner monomials of
+    each target, reading left . mono0 . right from two products of the
+    structure constants and its row from an index of the Hom basis."""
+    product = alg.product
+    columns = {}
+    for col, (gen0, mono0) in enumerate(hom_space_basis(g.target_degree, alg)):
+        columns.setdefault(gen0, []).append((col, mono0))
+    target_index = {item: k for k, item in enumerate(hom_space_basis(g.source_degree, alg))}
+    mat = linalg.Matrix(len(target_index), hom_dimension(g.target_degree, alg))
+    for gen, terms in g.assignments.items():
+        for c, left, tgt, right in terms:
+            for col, mono0 in columns.get(tgt, ()):
+                inner = product(left, mono0)
+                if inner is None:
+                    continue
+                value = product(inner[0], right)
+                if value is not None:
+                    mat.add_to_entry(target_index[(gen, value[0])], col, c * inner[1] * value[1])
+    return mat
+
+
+def assert_matches_product_pullback(g, alg):
+    """pullback_matrix(g) equals the reference, entry order included."""
+    mat = pullback_matrix(g, alg)
+    ref = product_pullback(g, alg)
+    assert mat == ref
+    assert [list(row) for row in mat._rows] == [list(row) for row in ref._rows]
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1, 3), F(1), F(-1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_pullback_matches_the_product_reference(m, zeta):
+    # m = 1, 2 have enlarged corners, m >= 3 has empty ones
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    for n in range(1, 3 * m + 5):
+        assert_matches_product_pullback(differential(n, alg), alg)
+    if alg.generic:
+        xs, u1, u2 = canonical_generators(alg)
+        for cls in xs + [u1, u2]:
+            for lift in lift_cocycle(cls.representative, 2, alg):
+                assert_matches_product_pullback(lift, alg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_pullback_of_random_maps_matches_the_product_reference(data):
+    m = data.draw(st.integers(1, 4))
+    q = data.draw(
+        st.lists(
+            st.fractions(min_value=-9, max_value=9, max_denominator=10**6).filter(bool),
+            min_size=m,
+            max_size=m,
+        )
+    )
+    alg = algebra(m, q)
+    coeffs = st.one_of(
+        small_coeffs,
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12).filter(bool),
+    )
+    source, target = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    assert_matches_product_pullback(data.draw(bimodule_maps(alg, source, target, coeffs)), alg)

@@ -234,6 +234,34 @@ def test_add_to_entry():
     assert_fraction_rows(m._rows)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: Matrix(1, 2, [v, F(1)]),
+        lambda v: Matrix.from_rows([[F(1), v]]),
+        lambda v: Matrix.from_columns(2, [[v, F(1)]]),
+        lambda v: Matrix(1, 1).add_to_entry(0, 0, v),
+        lambda v: Matrix.identity(2).add_to_entry(1, 1, v),
+        lambda v: solve(Matrix.identity(2), [F(1), v]),
+    ],
+    ids=["dense", "from_rows", "from_columns", "add_to_entry", "add_to_entry_sum", "solve"],
+)
+def test_inexact_entries_refused(build):
+    # a float would otherwise be made exact as its binary value
+    for v in (0.1, 3.0, complex(2, 0)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            build(v)
+    build(2)
+    build(F(1, 3))
+
+
+def test_exact_converts_rationals_only():
+    assert linalg.exact(3) == F(3) and type(linalg.exact(3)) is F
+    assert linalg.exact(F(2, 6)) == F(1, 3)
+    with pytest.raises(TypeError):
+        linalg.exact("1/3")
+
+
 def test_matmul_of_rows_that_cancel_stores_nothing():
     a = Matrix.from_rows([[1, -1, 0], [2, 0, 1]])
     b = Matrix.from_rows([[F(1, 2), 3], [F(1, 2), 3], [-1, -6]])

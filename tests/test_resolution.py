@@ -18,13 +18,26 @@ from hhdeform.resolution import (
     compose,
     differential,
     generators,
-    identity_map,
-    p_dimension,
     underlying_matrix,
     verify_exactness,
 )
 
 F = Fraction
+
+
+def zero_map(alg, source_degree, target_degree):
+    return BimoduleMap(alg, source_degree, target_degree, {})
+
+
+def identity_map(n, alg):
+    m = alg.m
+    assignments = {gen: [(F(1), e(gen.i), gen, e(gen.terminus(m)))] for gen in generators(n, m)}
+    return BimoduleMap(alg, n, n, assignments)
+
+
+def p_dimension(alg, n):
+    """16 m (n+1): each of the m(n+1) summands contributes 4 x 4."""
+    return len(_p_basis(n, alg))
 
 
 def test_generator_counts():
@@ -42,6 +55,23 @@ def test_generator_offset_unreduced():
 def test_generator_bad_r():
     with pytest.raises(ValueError):
         Generator(2, 3, 0)
+    with pytest.raises(ValueError):
+        Generator(2, -1, 0)
+
+
+def test_generators_are_built_once():
+    gens = generators(4, 3)
+    assert type(gens) is tuple
+    assert generators(4, 3) is gens
+    # a fresh Generator equals and hashes like the shared one, so lookups
+    # with fresh keys hit (canonical_generators builds its keys afresh)
+    table = {gen: k for k, gen in enumerate(gens)}
+    for k, gen in enumerate(gens):
+        fresh = Generator(gen.n, gen.r, gen.i)
+        assert fresh is not gen
+        assert fresh == gen and hash(fresh) == hash(gen)
+        assert table[fresh] == k
+    assert len(set(gens)) == len(gens)
 
 
 def test_differential_degree_1():
@@ -183,6 +213,16 @@ def test_opposite_terms_leave_no_stored_entry():
     assert compose(identity_map(0, alg), g).assignments == h.assignments
 
 
+def test_inexact_coefficients_refused():
+    alg = algebra(3, (2, 1, 1))
+    gen, target = Generator(1, 0, 0), Generator(0, 0, 0)
+    for c in (0.1, 2.0, complex(1, 0)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            BimoduleMap(alg, 1, 0, {gen: [(c, e(0), target, a(0))]})
+    f = BimoduleMap(alg, 1, 0, {gen: [(True, e(0), target, a(0))]})
+    assert f.terms(gen) == [(F(1), e(0), target, a(0))]
+
+
 def test_zero_coefficient_terms_dropped():
     alg = algebra(3, (2, 1, 1))
     gen, target = Generator(1, 0, 0), Generator(0, 0, 0)
@@ -237,8 +277,6 @@ def test_underlying_dimensions():
 
 
 def test_zero_map_matrix_is_zero():
-    from hhdeform.resolution import zero_map
-
     alg = algebra(2, (3, 1))
     assert underlying_matrix(zero_map(alg, 2, 1)).is_zero()
 

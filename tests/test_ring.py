@@ -71,6 +71,15 @@ def test_non_generic_refused():
         canonical_generators(algebra(2, (1, 1)))
 
 
+def test_cochain_of_refuses_inexact_values(alg3):
+    key = (Generator(0, 0, 0), z(0))
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Cochain.of(0, {key: 0.5}, alg3)
+    vector = Cochain.of(0, {key: 2}, alg3).vector
+    assert vector[hom_space_basis(0, alg3).index(key)] == 2
+    assert all(type(v) is F for v in vector)
+
+
 def test_lift_of_zero_cochain_is_zero(alg3):
     zero = Cochain.of(1, {}, alg3)
     lifts = lift_cocycle(zero, 1, alg3)
