@@ -168,6 +168,7 @@ def fraction_matmul(a, b):
 
 
 wide_rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**12)
+nonzero_wide_rationals = wide_rationals.filter(bool)
 
 
 @st.composite
@@ -186,14 +187,14 @@ def sparse_factors(draw):
     copies = []
     for k in range(1, inner):
         if draw(st.booleans()):
-            j, scale = draw(st.integers(0, k - 1)), draw(st.one_of(nonzero_rationals, wide_rationals))
+            j, scale = draw(st.integers(0, k - 1)), draw(st.one_of(nonzero_rationals, nonzero_wide_rationals))
             b[k] = {c: scale * v for c, v in b[j].items()}
             copies.append((j, k, scale))
     a = sparse(rows, inner)
     for row in a:
         if copies and draw(st.booleans()):
             j, k, scale = draw(st.sampled_from(copies))
-            row[j] = x = draw(st.one_of(nonzero_rationals, wide_rationals))
+            row[j] = x = draw(st.one_of(nonzero_rationals, nonzero_wide_rationals))
             row[k] = -x / scale
     return Matrix(rows, inner, a), Matrix(inner, cols, b)
 
