@@ -85,7 +85,8 @@ def z(i):
 
 
 class AlgebraElement:
-    """A finitely supported rational combination of basis monomials."""
+    """A finitely supported rational combination of basis monomials.
+    Coefficients go through `linalg.exact`, so a float raises TypeError."""
 
     __slots__ = ("coeffs",)
 
@@ -93,14 +94,14 @@ class AlgebraElement:
         self.coeffs = {}
         if coeffs:
             for mono, c in coeffs.items():
-                c = Fraction(c)
+                c = exact(c)
                 if c:
                     self.coeffs[mono] = c
 
     @classmethod
     def of(cls, mono, coeff=1):
         res = cls()
-        coeff = Fraction(coeff)
+        coeff = exact(coeff)
         if coeff:
             res.coeffs[mono] = coeff
         return res
@@ -132,7 +133,7 @@ class AlgebraElement:
         return res
 
     def scale(self, s):
-        s = Fraction(s)
+        s = exact(s)
         res = AlgebraElement()
         if s:
             res.coeffs = {mono: c * s for mono, c in self.coeffs.items()}

@@ -10,7 +10,12 @@ A BimoduleMap stores, per source generator, a list of monomial terms
 (c, left, target, right): the rational c times left (x) right in the
 summand of `target`, with left and right basis monomials.  The
 differential, composites and the chain-map liftings all live in this
-form; the generators of each P^n are built and hashed once.
+form; the generators of each P^n are built and hashed once.  Every term
+is checked (degrees, corners, exact coefficient) before anything reads
+it: a map built from a dict checks all of them when it is made, and the
+differential builds and checks each generator's closed-form image the
+first time it is read, so a consumer that reads only some generators
+(`homcomplex.pullback_matrix`) never builds the rest.
 `underlying_matrix` flattens a map to exact rational linear algebra on the
 16m(n+1)-dimensional underlying vector spaces, which is how kernels,
 images and exactness are computed.  Every summand is 4 x 4,
@@ -79,6 +84,22 @@ def generators(n, m):
     return gens
 
 
+_ends = {}
+
+
+def _generator_ends(n, m):
+    """{generator of P^n: (origin, terminus)}, the corner of each summand,
+    built once per (n, m) and shared like `generators`; equal corners are
+    one tuple."""
+    ends = _ends.get((n, m))
+    if ends is None:
+        corners = [(i, j) for i in range(m) for j in range(m)]
+        ends = _ends[n, m] = {
+            gen: corners[gen.i * m + (gen.i + n - 2 * gen.r) % m] for gen in generators(n, m)
+        }
+    return ends
+
+
 class BimoduleMap:
     """A bimodule map P^{source_degree} -> P^{target_degree} given by its
     values on generators: a list of (c, left, target, right) terms each,
@@ -86,44 +107,90 @@ class BimoduleMap:
     raises TypeError) and left, right basis monomials.  Keys and targets
     must be generators of the declared degrees and each factor must lie in
     its corner, read from the algebra's endpoint table; anything else
-    raises ValueError."""
+    raises ValueError.
+
+    A map built from a dict checks every term here and keeps the dict's
+    order.  The differential is built by `_closed_form` instead: each
+    generator's image is built and given the same check the first time
+    `terms` reads it, and `assignments` reads every generator in
+    `generators` order."""
 
     def __init__(self, alg, source_degree, target_degree, assignments):
         self.alg = alg
         self.source_degree = source_degree
         self.target_degree = target_degree
-        self.assignments = {}
-        m = alg.m
-        ends = alg.endpoints
+        self._source_ends = _generator_ends(source_degree, alg.m)
+        self._target_ends = _generator_ends(target_degree, alg.m)
+        self._build = None
+        self._terms = {}
         for gen, terms in assignments.items():
-            if gen.n != source_degree or not 0 <= gen.i < m:
-                raise ValueError(f"{gen} is not a generator of P^{source_degree} at m = {m}")
-            start, end = gen.i, gen.terminus(m)
-            kept = []
-            for c, left, target, right in terms:
-                if not c:
-                    continue
-                if target.n != target_degree or not 0 <= target.i < m:
-                    raise ValueError(f"{target} is not a generator of P^{target_degree} at m = {m}")
-                mid = (target.i + target.n - 2 * target.r) % m  # target.terminus(m), inlined
-                if ends.get(left) != (start, target.i):
-                    raise ValueError(
-                        f"left factor {left} of {gen}->{target} is not in "
-                        f"e_{start} . Algebra . e_{target.i}"
-                    )
-                if ends.get(right) != (mid, end):
-                    raise ValueError(
-                        f"right factor {right} of {gen}->{target} is not in "
-                        f"e_{mid} . Algebra . e_{end}"
-                    )
-                if type(c) is not Fraction:
-                    c = linalg.exact(c)
-                kept.append((c, left, target, right))
+            kept = self._checked(gen, terms)
             if kept:
-                self.assignments[gen] = kept
+                self._terms[gen] = kept
+
+    @classmethod
+    def _closed_form(cls, alg, source_degree, target_degree, build):
+        """The map whose image of gen is build(gen), checked on first read."""
+        f = cls(alg, source_degree, target_degree, {})
+        f._build = build
+        return f
+
+    def _checked(self, gen, terms=None):
+        """The nonzero terms of the image of gen, once each has passed the
+        degree, corner and exactness checks; with terms None, the image is
+        built by the closed form once gen is known to be a generator."""
+        m = self.alg.m
+        ends = self.alg.endpoints
+        corner = self._source_ends.get(gen)
+        if corner is None:
+            raise ValueError(f"{gen} is not a generator of P^{self.source_degree} at m = {m}")
+        start, end = corner
+        if terms is None:
+            terms = self._build(gen)
+        target_ends = self._target_ends
+        kept = []
+        for term in terms:
+            c, left, target, right = term
+            if not c:
+                continue
+            inner = target_ends.get(target)
+            if inner is None:
+                raise ValueError(f"{target} is not a generator of P^{self.target_degree} at m = {m}")
+            if ends.get(left) != (start, inner[0]):
+                raise ValueError(
+                    f"left factor {left} of {gen}->{target} is not in "
+                    f"e_{start} . Algebra . e_{inner[0]}"
+                )
+            if ends.get(right) != (inner[1], end):
+                raise ValueError(
+                    f"right factor {right} of {gen}->{target} is not in "
+                    f"e_{inner[1]} . Algebra . e_{end}"
+                )
+            if type(c) is not Fraction:
+                term = (linalg.exact(c), left, target, right)
+            kept.append(term)
+        return kept
+
+    @property
+    def assignments(self):
+        """{generator: its nonzero terms}, for the generators whose image
+        is not zero.  The first access reads every image of a closed-form
+        map, which from then on is a map like any other."""
+        if self._build is not None:
+            terms = self.terms
+            self._terms = {
+                gen: got for gen in generators(self.source_degree, self.alg.m) if (got := terms(gen))
+            }
+            self._build = None
+        return self._terms
 
     def terms(self, gen):
-        return self.assignments.get(gen, [])
+        got = self._terms.get(gen)
+        if got is None:
+            if self._build is None:
+                return []
+            got = self._terms[gen] = self._checked(gen)
+        return got
 
     def is_zero(self):
         """Exact zero test, via canonical expansion of every value."""
@@ -144,9 +211,17 @@ class BimoduleMap:
 
 
 @memoised
+def _signed_run(start, count, alg):
+    """(q_run, -q_run) of `count` parameters from q_start on."""
+    q = q_run(alg, start, count)
+    return q, -q
+
+
+@memoised
 def differential(n, alg):
     """The differential P^n -> P^{n-1}, n >= 1, straight from the closed
-    form: two-term images at r = 0 and r = n, four terms otherwise."""
+    form: two-term images at r = 0 and r = n, four terms otherwise.  Each
+    image is built and checked when it is first read."""
     if n < 1:
         raise ValueError("the differential is defined for n >= 1")
     m = alg.m
@@ -157,38 +232,37 @@ def differential(n, alg):
     def to(r, i):
         return targets[i % m * n + r]
 
-    one, minus_one = linalg.F1, -linalg.F1
+    # (1, -1), indexed by whether the sign flips; (-1)^n is units[odd]
+    units = (linalg.F1, -linalg.F1)
+    one = units[0]
     odd = n % 2
-    sign_n = minus_one if odd else one
-    assignments = {}
-    for gen in generators(n, m):
+
+    def image(gen):
         r, i = gen.r, gen.i
         if r == 0:
             #  e_i (x)_0 a_{i+n-1}  +  (-1)^n a_i (x)_0 e_{i+n}
-            terms = [
+            return [
                 (one, E[i], to(0, i), A[(i + n - 1) % m]),
-                (sign_n, A[i], to(0, i + 1), E[(i + n) % m]),
+                (units[odd], A[i], to(0, i + 1), E[(i + n) % m]),
             ]
-        elif r == n:
+        if r == n:
             #  (-1)^n e_i (x)_{n-1} abar_{i-n}  +  abar_{i-1} (x)_{n-1} e_{i-n}
-            terms = [
-                (sign_n, E[i], to(n - 1, i), B[(i - n) % m]),
+            return [
+                (units[odd], E[i], to(n - 1, i), B[(i - n) % m]),
                 (one, B[(i - 1) % m], to(n - 1, i - 1), E[(i - n) % m]),
             ]
-        else:
-            # the signs (-1)^n and (-1)^(n+r), applied by negation
-            flip = (n + r) % 2
-            k = (i + n - 2 * r) % m
-            q_n = q_run(alg, i - r + 1, n - r)
-            q_r = q_run(alg, i - r + 1, r)
-            terms = [
-                (one, E[i], to(r, i), A[(k - 1) % m]),
-                (-q_n if odd else q_n, E[i], to(r - 1, i), B[k]),
-                (-q_r if flip else q_r, A[i], to(r, i + 1), E[k]),
-                (minus_one if flip else one, B[(i - 1) % m], to(r - 1, i - 1), E[k]),
-            ]
-        assignments[gen] = terms
-    return BimoduleMap(alg, n, n - 1, assignments)
+        # the signs (-1)^n and (-1)^(n+r), read from the signed runs
+        flip = (n + r) % 2
+        k = (i + n - 2 * r) % m
+        start = (i - r + 1) % m
+        return [
+            (one, E[i], to(r, i), A[(k - 1) % m]),
+            (_signed_run(start, n - r, alg)[odd], E[i], to(r - 1, i), B[k]),
+            (_signed_run(start, r, alg)[flip], A[i], to(r, i + 1), E[k]),
+            (units[flip], B[(i - 1) % m], to(r - 1, i - 1), E[k]),
+        ]
+
+    return BimoduleMap._closed_form(alg, n, n - 1, image)
 
 
 def compose(f, g):

@@ -165,6 +165,22 @@ def test_of_drops_zero_and_normalises():
     assert AlgebraElement.of(z(1)).coeffs == {z(1): F(1)}
 
 
+def test_inexact_element_coefficients_refused():
+    # a float would be made exact silently: 0.1 is 3602879701896397 / 2^55
+    for c in (0.1, 2.0, complex(1, 0)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            AlgebraElement.of(e(0), c)
+        with pytest.raises(TypeError, match="not an exact rational"):
+            AlgebraElement({e(0): c})
+        with pytest.raises(TypeError, match="not an exact rational"):
+            AlgebraElement.of(a(0)).scale(c)
+    # exact rationals of every type still give Fraction coefficients
+    for c in (2, True, F(2, 4)):
+        elt = AlgebraElement.of(a(0), c).scale(c)
+        assert elt.coeffs == {a(0): F(c) * F(c)}
+        assert type(elt.coeffs[a(0)]) is F
+
+
 def test_build_algebra_from_spec():
     spec = AlgebraSpec(2, (F(1, 2), 4))
     alg = build_algebra(spec)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hhdeform import linalg
 from hhdeform.algebra import AlgebraElement, NonGenericParameters, algebra, e, z
 from hhdeform.homcomplex import (
+    _block_starts,
     coboundary_matrix,
     cohomology_dimension,
     expected_cohomology_dim,
@@ -19,7 +20,7 @@ from hhdeform.homcomplex import (
     kernel_image_dims,
     pullback_matrix,
 )
-from hhdeform.resolution import Generator, compose, differential, generators
+from hhdeform.resolution import BimoduleMap, Generator, compose, differential, generators
 from hhdeform.ring import canonical_generators, lift_cocycle
 from test_resolution import bimodule_maps, small_coeffs
 
@@ -199,6 +200,44 @@ def test_pullback_is_functorial(m):
         assert composite.rows == hom_dimension(g.source_degree, alg)
         assert composite.cols == hom_dimension(f.target_degree, alg)
     assert pullback_matrix(differential(3, alg), alg) == coboundary_matrix(2, alg)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 16])
+def test_coboundary_equals_the_pullback_of_a_dict_built_differential(m):
+    alg = algebra(m, (F(7, 3),) + (F(-5, 2),) * (m - 1))
+    for n in range(2 * m + 6):
+        mat = coboundary_matrix(n, alg)  # reads the closed form lazily
+        d = differential(n + 1, alg)
+        ref = pullback_matrix(BimoduleMap(alg, n + 1, n, d.assignments), alg)
+        assert mat == ref, n
+        assert [list(row.items()) for row in mat._rows] == [list(row.items()) for row in ref._rows]
+
+
+def test_coboundary_checks_the_closed_form_terms_it_reads():
+    # a_0 and a_1 trade places in the basis the closed form reads, so the
+    # image of G(1;0,0), which has a corner block, ends in a_1 instead
+    alg = algebra(16, (2,) + (1,) * 15)
+    basis = list(alg.basis)
+    basis[16], basis[17] = basis[17], basis[16]
+    alg.basis = basis
+    assert _block_starts(1, alg).get(Generator(1, 0, 0)) is not None
+    differential(1, alg)  # nothing is built yet, so nothing is refused yet
+    with pytest.raises(ValueError, match="right factor a1 of G\\(1;0,0\\)"):
+        coboundary_matrix(0, alg)
+
+
+def test_coboundaries_read_only_the_generators_with_a_corner_block():
+    m = 16
+    alg = algebra(m, (F(7, 3),) + (F(-5, 2),) * (m - 1))
+    for n in range(2 * m + 7):
+        coboundary_matrix(n, alg)
+    read = total = 0
+    for n in range(1, 2 * m + 8):
+        d = differential(n, alg)
+        assert list(d._terms) == list(_block_starts(n, alg)), n
+        read += len(d._terms)
+        total += len(generators(n, m))
+    assert (read, total) == (2544, 13104)
 
 
 def product_pullback(g, alg):

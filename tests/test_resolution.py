@@ -243,6 +243,75 @@ def test_minimality_no_unit_terms():
                 assert left_radical or right_radical
 
 
+def eager_differential(n, alg):
+    """Reference closed form: the images of all m(n+1) generators of P^n,
+    built up front in generator order, as {generator: terms}."""
+    m = alg.m
+    E, A, B = alg.basis[:m], alg.basis[m : 2 * m], alg.basis[2 * m : 3 * m]
+    targets = generators(n - 1, m)
+
+    def to(r, i):
+        return targets[i % m * n + r]
+
+    one, minus_one = F(1), F(-1)
+    odd = n % 2
+    sign_n = minus_one if odd else one
+    assignments = {}
+    for gen in generators(n, m):
+        r, i = gen.r, gen.i
+        if r == 0:
+            terms = [
+                (one, E[i], to(0, i), A[(i + n - 1) % m]),
+                (sign_n, A[i], to(0, i + 1), E[(i + n) % m]),
+            ]
+        elif r == n:
+            terms = [
+                (sign_n, E[i], to(n - 1, i), B[(i - n) % m]),
+                (one, B[(i - 1) % m], to(n - 1, i - 1), E[(i - n) % m]),
+            ]
+        else:
+            flip = (n + r) % 2
+            k = (i + n - 2 * r) % m
+            q_n = q_run(alg, i - r + 1, n - r)
+            q_r = q_run(alg, i - r + 1, r)
+            terms = [
+                (one, E[i], to(r, i), A[(k - 1) % m]),
+                (-q_n if odd else q_n, E[i], to(r - 1, i), B[k]),
+                (-q_r if flip else q_r, A[i], to(r, i + 1), E[k]),
+                (minus_one if flip else one, B[(i - 1) % m], to(r - 1, i - 1), E[k]),
+            ]
+        assignments[gen] = terms
+    return assignments
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 16])
+def test_lazy_differential_matches_the_eager_reference(m):
+    # unequal parameters, so every q-run coefficient shows
+    alg = algebra(m, (F(7, 3),) + (F(-5, 2),) * (m - 1))
+    for n in range(1, 2 * m + 7):
+        d = differential(n, alg)
+        gens = generators(n, m)
+        if n % 2:
+            # read some images first, out of order: assignments still
+            # lists every generator in generator order
+            for gen in gens[::-3]:
+                d.terms(gen)
+        ref = BimoduleMap(alg, n, n - 1, eager_differential(n, alg)).assignments
+        assert list(d.assignments.items()) == list(ref.items()), n
+        assert all(d.terms(gen) is d.assignments[gen] for gen in ref)
+        for terms in d.assignments.values():
+            assert all(type(c) is F for c, *_ in terms)
+
+
+def test_lazy_differential_checks_what_it_reads():
+    alg = algebra(3, (2, 1, 1))
+    d = differential(2, alg)
+    with pytest.raises(ValueError, match="not a generator of P\\^2"):
+        d.terms(Generator(3, 0, 0))
+    with pytest.raises(ValueError, match="not a generator of P\\^2"):
+        d.terms(Generator(2, 0, 3))
+
+
 @pytest.mark.parametrize("m", [3, 4])
 def test_differential_matches_g_recursion_coefficients(m):
     # the first two terms of the differential carry the same coefficients
