@@ -12,7 +12,8 @@ the third relation rewrites abar_{i-1} a_{i-1} as q_i z_i.  So the
 product of two basis monomials is one scaled monomial or zero, and
 `Algebra.product` reads it from the structure-constant table as a pair
 (monomial, coefficient) or None; every assembly loop in the package calls
-it once per product of monomials.
+it once per product of monomials.  `AlgebraElement` is left only as the
+return type of `Algebra.multiply` and `monomial_multiply`.
 
 The product of the deformation parameters, zeta, governs everything: the
 finiteness theorems hold exactly when zeta is not a root of unity, which
@@ -261,12 +262,6 @@ class Algebra:
             return AlgebraElement()
         return AlgebraElement.of(*prod)
 
-    def zero(self):
-        return AlgebraElement()
-
-    def unit(self):
-        return AlgebraElement({e(i): Fraction(1) for i in range(self.m)})
-
     def corner_basis(self, i, j):
         """Monomial basis of e_i . Algebra . e_j, for vertices i, j in 0..m-1.
 
@@ -282,10 +277,6 @@ class Algebra:
     def monomials_from(self, v):
         """Basis of e_v . Algebra (monomials with origin v)."""
         return self._from[v]
-
-    def element_coords(self, x):
-        """Coordinates of x over the full 4m basis."""
-        return [x.coefficient(mono) for mono in self.basis]
 
     def __repr__(self):
         return f"Algebra(m={self.m}, q={self.q}, zeta={self.zeta})"

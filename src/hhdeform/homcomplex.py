@@ -75,7 +75,7 @@ def _pullback_stencil(left, right, alg):
     return stencil
 
 
-def pullback_matrix(g, alg):
+def pullback_matrix(g):
     """Matrix of f |-> f o g for a bimodule map g: P^N -> P^n, columns over
     the basis of Hom(P^n, .), rows over the basis of Hom(P^N, .).
 
@@ -86,6 +86,7 @@ def pullback_matrix(g, alg):
     unit coefficient writes c itself.  Only the generators of P^N that
     have a corner block are read: no other image has a row to land in.
     """
+    alg = g.alg
     cols = _block_starts(g.target_degree, alg)
     rows = _block_starts(g.source_degree, alg)
     mat = linalg.Matrix(hom_dimension(g.source_degree, alg), hom_dimension(g.target_degree, alg))
@@ -103,7 +104,7 @@ def pullback_matrix(g, alg):
 def coboundary_matrix(n, alg):
     """The coboundary d^n: Hom(P^n, .) -> Hom(P^{n+1}, .), the pullback
     along the differential d^{n+1}."""
-    return pullback_matrix(differential(n + 1, alg), alg)
+    return pullback_matrix(differential(n + 1, alg))
 
 
 def kernel_image_dims(n, alg):

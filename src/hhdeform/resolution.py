@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraElement, memoised
+from .algebra import memoised
 from .freepaths import q_run
 
 
@@ -272,12 +272,14 @@ def compose(f, g):
     Like terms are collected exactly, as unreduced (numerator, denominator)
     pairs of integers: a term whose sum reaches zero is dropped at once, so
     a later contribution puts it last, and a Fraction is built only for
-    each term that remains."""
+    each term that remains.  Maps over different algebras raise ValueError."""
     if f.source_degree != g.target_degree:
         raise ValueError(
             f"degree mismatch: composing P^{g.source_degree}->P^{g.target_degree} "
             f"with P^{f.source_degree}->P^{f.target_degree}"
         )
+    if f.alg.spec != g.alg.spec:
+        raise ValueError(f"cannot compose maps over different algebras: {f.alg} after {g.alg}")
     product = f.alg.product
     assignments = {}
     for gen, terms in g.assignments.items():
@@ -307,23 +309,6 @@ def compose(f, g):
             (Fraction(n, d), ml, target, mr) for (ml, target, mr), (n, d) in acc.items()
         ]
     return BimoduleMap(f.alg, g.source_degree, f.target_degree, assignments)
-
-
-def augment(f):
-    """Compose the multiplication map P^0 -> Algebra with f: P^n -> P^0;
-    returns {generator: algebra element}."""
-    if f.target_degree != 0:
-        raise ValueError("augmentation applies to maps into P^0")
-    alg = f.alg
-    out = {}
-    for gen, terms in f.assignments.items():
-        acc = alg.zero()
-        for c, left, _target, right in terms:
-            prod = alg.product(left, right)
-            if prod is not None:
-                acc = acc + AlgebraElement.of(prod[0], c * prod[1])
-        out[gen] = acc
-    return out
 
 
 @memoised
@@ -425,8 +410,8 @@ def augmentation_matrix(alg):
 
 
 def check_complex(N, alg, differentials=None):
-    """True iff d^n o d^{n+1} = 0 for 1 <= n < N and the augmentation
-    composed with d^1 vanishes.
+    """True iff d^n o d^{n+1} = 0 for 1 <= n < N and the multiplication
+    map (`augmentation_matrix`) kills the image of every generator of P^1.
 
     Each d^n o d^{n+1} is checked twice, by composing the maps and by
     multiplying their underlying matrices, and the two must agree.  Both
@@ -443,9 +428,10 @@ def check_complex(N, alg, differentials=None):
             diffs[n] = differentials[n]
         else:
             diffs[n] = differential(n, alg)
-    aug = augment(diffs[1])
-    if any(not v.is_zero() for v in aug.values()):
-        return False
+    multiplication = augmentation_matrix(alg)
+    for gen in generators(1, alg.m):
+        if any(multiplication.mul_vector(diffs[1].value_coords(gen))):
+            return False
     for n in range(1, N):
         ok_maps = compose(diffs[n], diffs[n + 1]).is_zero()
         prod = underlying_matrix(diffs[n]).matmul(underlying_matrix(diffs[n + 1]))

@@ -11,7 +11,9 @@ along the added vectors are the class coordinates.
 Every cup product takes one path, in every degree: f . g is the class of
 f o L, where L is the level-(deg f) chain-map lifting of g, found by
 exact linear solves, and f o L is the pullback matrix of L applied to the
-vector of f.
+vector of f.  The unknowns of L^j at a generator are the items of the
+underlying basis of P^j in its corner; at level 0 their columns are those
+of the multiplication map, `resolution.augmentation_matrix`.
 """
 
 from dataclasses import dataclass
@@ -28,6 +30,9 @@ from .homcomplex import (
 from .resolution import (
     BimoduleMap,
     Generator,
+    _generator_ends,
+    _p_basis,
+    augmentation_matrix,
     compose,
     differential,
     generators,
@@ -123,22 +128,6 @@ def canonical_generators(alg):
     return xs, class_of(u1_cochain, alg), class_of(u2_cochain, alg)
 
 
-def _term_basis(alg, src_gen, target_degree):
-    """All (target, left monomial, right monomial) term slots available to a
-    bimodule map at the given source generator."""
-    m = alg.m
-    slots = []
-    for tgt in generators(target_degree, m):
-        lefts = alg.corner_basis(src_gen.i, tgt.i)
-        if not lefts:
-            continue
-        rights = alg.corner_basis(tgt.terminus(m), src_gen.terminus(m))
-        for ml in lefts:
-            for mr in rights:
-                slots.append((tgt, ml, mr))
-    return slots
-
-
 def lift_cocycle(f, k, alg):
     """Chain-map liftings L^0, ..., L^k of a cocycle f of any degree.
 
@@ -148,23 +137,30 @@ def lift_cocycle(f, k, alg):
     independent linear system, solved exactly with free variables zero.
     """
     degree = f.degree
-    product = alg.product
+    product, ends = alg.product, alg.endpoints
     # the value of f at each generator, in coordinates over the algebra basis
     values = {gen: [linalg.F0] * len(alg.basis) for gen in generators(degree, alg.m)}
     for (gen, mono), c in zip(hom_space_basis(degree, alg), f.vector):
         values[gen][alg.basis_index[mono]] = c
+    multiplication = augmentation_matrix(alg).transpose()
     lifts = []
     for j in range(k + 1):
+        # positions in the underlying basis of P^j of each (ml origin, mr terminus)
+        basis = _p_basis(j, alg)
+        at_corner = {}
+        for pos, (_tgt, ml, mr) in enumerate(basis):
+            at_corner.setdefault((ends[ml][0], ends[mr][1]), []).append(pos)
         assignments = {}
         if j >= 1:
             d_j = differential(j, alg)
             carried = compose(lifts[j - 1], differential(degree + j, alg))
-        for gen in generators(degree + j, alg.m):
-            slots = _term_basis(alg, gen, j)
+        for gen, corner in _generator_ends(degree + j, alg.m).items():
+            positions = at_corner.get(corner, [])
+            slots = [basis[pos] for pos in positions]
             if j == 0:
                 # target side: coordinates in the algebra itself
                 rhs = values[gen]
-                cols = [alg.element_coords(alg.monomial_multiply(ml, mr)) for _, ml, mr in slots]
+                cols = [multiplication.row(pos) for pos in positions]
             else:
                 rhs = carried.value_coords(gen)
                 cols = []
@@ -197,7 +193,7 @@ def cup_product(f, g, alg):
 def _cup_along(f, lift, alg):
     """The class of f o lift; when lift is the level-(f.degree) lifting of
     a cocycle g, that is the cup product of f and g."""
-    vector = pullback_matrix(lift, alg).mul_vector(f.representative.vector)
+    vector = pullback_matrix(lift).mul_vector(f.representative.vector)
     return class_of(Cochain(lift.source_degree, vector), alg)
 
 

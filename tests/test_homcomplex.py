@@ -159,7 +159,7 @@ def scan_coboundary(n, alg):
     mat = linalg.Matrix(len(target_index), len(source))
     for col, (gen0, mono0) in enumerate(source):
         for gen in generators(n + 1, alg.m):
-            acc = alg.zero()
+            acc = AlgebraElement()
             for c, left, tgt, right in d.terms(gen):
                 if tgt == gen0:
                     acc = acc + alg.multiply(
@@ -195,11 +195,18 @@ def test_pullback_is_functorial(m):
             if lift.target_degree:
                 pairs.append((differential(lift.target_degree, alg), lift))
     for f, g in pairs:
-        composite = pullback_matrix(compose(f, g), alg)
-        assert composite == pullback_matrix(g, alg).matmul(pullback_matrix(f, alg))
+        composite = pullback_matrix(compose(f, g))
+        assert composite == pullback_matrix(g).matmul(pullback_matrix(f))
         assert composite.rows == hom_dimension(g.source_degree, alg)
         assert composite.cols == hom_dimension(f.target_degree, alg)
-    assert pullback_matrix(differential(3, alg), alg) == coboundary_matrix(2, alg)
+    assert pullback_matrix(differential(3, alg)) == coboundary_matrix(2, alg)
+
+
+def test_pullback_reads_the_algebra_of_its_map():
+    alg_q5, alg_q3 = algebra(2, (5, 1)), algebra(2, (3, 1))
+    mat = pullback_matrix(differential(2, alg_q5))
+    assert mat == coboundary_matrix(1, alg_q5)
+    assert mat != coboundary_matrix(1, alg_q3)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 16])
@@ -208,7 +215,7 @@ def test_coboundary_equals_the_pullback_of_a_dict_built_differential(m):
     for n in range(2 * m + 6):
         mat = coboundary_matrix(n, alg)  # reads the closed form lazily
         d = differential(n + 1, alg)
-        ref = pullback_matrix(BimoduleMap(alg, n + 1, n, d.assignments), alg)
+        ref = pullback_matrix(BimoduleMap(alg, n + 1, n, d.assignments))
         assert mat == ref, n
         assert [list(row.items()) for row in mat._rows] == [list(row.items()) for row in ref._rows]
 
@@ -264,7 +271,7 @@ def product_pullback(g, alg):
 
 def assert_matches_product_pullback(g, alg):
     """pullback_matrix(g) equals the reference, entry order included."""
-    mat = pullback_matrix(g, alg)
+    mat = pullback_matrix(g)
     ref = product_pullback(g, alg)
     assert mat == ref
     assert [list(row) for row in mat._rows] == [list(row) for row in ref._rows]

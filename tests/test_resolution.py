@@ -12,7 +12,6 @@ from hhdeform.resolution import (
     Generator,
     _p_basis,
     _p_basis_index,
-    augment,
     augmentation_matrix,
     check_complex,
     compose,
@@ -33,6 +32,21 @@ def identity_map(n, alg):
     m = alg.m
     assignments = {gen: [(F(1), e(gen.i), gen, e(gen.terminus(m)))] for gen in generators(n, m)}
     return BimoduleMap(alg, n, n, assignments)
+
+
+def augment(f):
+    """The multiplication map P^0 -> Algebra composed with f: P^n -> P^0,
+    as {generator: algebra element}."""
+    alg = f.alg
+    out = {}
+    for gen, terms in f.assignments.items():
+        acc = AlgebraElement()
+        for c, left, _target, right in terms:
+            prod = alg.product(left, right)
+            if prod is not None:
+                acc = acc + AlgebraElement.of(prod[0], c * prod[1])
+        out[gen] = acc
+    return out
 
 
 def p_dimension(alg, n):
@@ -128,6 +142,15 @@ def test_compose_degree_mismatch():
     alg = algebra(2, (3, 1))
     with pytest.raises(ValueError, match="degree mismatch"):
         compose(differential(1, alg), differential(3, alg))
+
+
+def test_compose_refuses_maps_over_different_algebras():
+    f = differential(1, algebra(2, (3, 1)))
+    g = differential(2, algebra(2, (5, 1)))
+    with pytest.raises(ValueError, match="different algebras"):
+        compose(f, g)
+    # equal specs are the same algebra
+    assert compose(f, differential(2, algebra(2, (3, 1)))).is_zero()
 
 
 def test_compose_d1_d2_zero():
@@ -370,6 +393,18 @@ def test_augmentation_composite_vanishes():
     alg = algebra(3, (2, 1, 1))
     for gen, val in augment(differential(1, alg)).items():
         assert val.is_zero()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_augmentation_check_catches_a_broken_d1(m):
+    # with N = 1 there is no d o d to compose: only the augmentation check
+    # runs, on d^1 with only the first term of each image kept
+    alg = algebra(m, (2,) + (1,) * (m - 1))
+    d1 = differential(1, alg)
+    bad = BimoduleMap(alg, 1, 0, {gen: d1.terms(gen)[:1] for gen in generators(1, m)})
+    assert any(not v.is_zero() for v in augment(bad).values())
+    assert check_complex(1, alg)
+    assert not check_complex(1, alg, differentials={1: bad})
 
 
 def test_augmentation_matrix_surjective():

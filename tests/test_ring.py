@@ -4,8 +4,8 @@ import pytest
 
 from hhdeform import linalg, ring
 from hhdeform.algebra import AlgebraElement, NonGenericParameters, a, abar, algebra, e, z
-from hhdeform.resolution import BimoduleMap, Generator, augment, compose, differential, generators
-from hhdeform.homcomplex import coboundary_matrix, hom_space_basis
+from hhdeform.resolution import BimoduleMap, Generator, compose, differential, generators, term_coords
+from hhdeform.homcomplex import coboundary_matrix, hom_space_basis, kernel_basis
 from hhdeform.ring import (
     Cochain,
     _cohomology_space,
@@ -15,6 +15,7 @@ from hhdeform.ring import (
     lift_cocycle,
     ring_report,
 )
+from test_resolution import augment
 
 F = Fraction
 
@@ -102,6 +103,77 @@ def test_lifting_commutation(alg3):
                 assert lhs.value_coords(gen) == rhs.value_coords(gen)
 
 
+def term_basis(alg, src_gen, target_degree):
+    """All (target, left monomial, right monomial) term slots available to a
+    bimodule map at the given source generator."""
+    m = alg.m
+    slots = []
+    for tgt in generators(target_degree, m):
+        lefts = alg.corner_basis(src_gen.i, tgt.i)
+        if not lefts:
+            continue
+        rights = alg.corner_basis(tgt.terminus(m), src_gen.terminus(m))
+        for ml in lefts:
+            for mr in rights:
+                slots.append((tgt, ml, mr))
+    return slots
+
+
+def slot_lifts(f, k, alg):
+    """Reference lifting: the unknowns at each generator listed by
+    `term_basis`, and the level-0 columns multiplied out as algebra
+    elements by `Algebra.monomial_multiply`."""
+    degree = f.degree
+    product = alg.product
+    values = {gen: [F(0)] * len(alg.basis) for gen in generators(degree, alg.m)}
+    for (gen, mono), c in zip(hom_space_basis(degree, alg), f.vector):
+        values[gen][alg.basis_index[mono]] = c
+    lifts = []
+    for j in range(k + 1):
+        assignments = {}
+        if j >= 1:
+            d_j = differential(j, alg)
+            carried = compose(lifts[j - 1], differential(degree + j, alg))
+        for gen in generators(degree + j, alg.m):
+            slots = term_basis(alg, gen, j)
+            if j == 0:
+                rhs = values[gen]
+                cols = []
+                for _, ml, mr in slots:
+                    prod = alg.monomial_multiply(ml, mr)
+                    cols.append([prod.coefficient(mono) for mono in alg.basis])
+            else:
+                rhs = carried.value_coords(gen)
+                cols = []
+                for tgt, ml, mr in slots:
+                    pushed = []
+                    for c, l2, tgt2, r2 in d_j.terms(tgt):
+                        left = product(ml, l2)
+                        right = product(r2, mr)
+                        if left is not None and right is not None:
+                            pushed.append((c * left[1] * right[1], left[0], tgt2, right[0]))
+                    cols.append(term_coords(pushed, j - 1, alg))
+            x = linalg.solve(linalg.Matrix.from_columns(len(rhs), cols), rhs)
+            assignments[gen] = [(coeff, ml, tgt, mr) for (tgt, ml, mr), coeff in zip(slots, x)]
+        lifts.append(BimoduleMap(alg, degree + j, j, assignments))
+    return lifts
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_lift_cocycle_matches_the_slot_reference(m):
+    # liftings need no genericity, so zeta = 1 and -1 are in the grid; up
+    # to six kernel vectors of d^n for n <= 3, each lifted to level 3
+    for q0 in (F(2), F(-5, 2), F(1, 3), F(1), F(-1)):
+        alg = algebra(m, (q0,) + (F(1),) * (m - 1))
+        for n in range(4):
+            for vec in kernel_basis(n, alg)[:6]:
+                f = Cochain(n, vec)
+                got = [list(lift.assignments.items()) for lift in lift_cocycle(f, 3, alg)]
+                ref = [list(lift.assignments.items()) for lift in slot_lifts(f, 3, alg)]
+                assert got == ref, (q0, n)
+                assert all(type(c) is F for level in got for _, terms in level for c, *_ in terms)
+
+
 def explicit_lifts(alg):
     """The explicit lifting pair for u2 given in closed form."""
     m = alg.m
@@ -168,7 +240,7 @@ def test_u1u2_class_matches_explicit_lift(alg3):
     _, lift1 = explicit_lifts(alg3)
     values = {}
     for gen in generators(2, m):
-        acc = alg3.zero()
+        acc = AlgebraElement()
         for c, left, mid, right in lift1.terms(gen):
             acc = acc + alg3.multiply(
                 alg3.multiply(AlgebraElement.of(left, c), value_at(u1.representative, mid, alg3)),
