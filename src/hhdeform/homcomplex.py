@@ -25,18 +25,24 @@ data, never as a computation path.
 
 from . import linalg
 from .algebra import memoised
-from .resolution import differential, generators
+from .resolution import _generator_ends, differential, generators  # noqa: F401 (re-exported)
+
+
+def _require_degree(n):
+    if n < 0:
+        raise ValueError(f"Hom(P^n, Algebra) is defined for n >= 0, got degree {n}")
 
 
 @memoised
 def hom_space_basis(n, alg):
-    """Ordered basis of Hom(P^n, Algebra): (generator, corner monomial)."""
-    m = alg.m
-    basis = []
-    for gen in generators(n, m):
-        for mono in alg.corner_basis(gen.i, gen.terminus(m)):
-            basis.append((gen, mono))
-    return basis
+    """Ordered basis of Hom(P^n, Algebra): (generator, corner monomial),
+    generators in `generators` order, read with their corners from
+    `_generator_ends`."""
+    _require_degree(n)
+    corner = alg.corner_basis
+    return [
+        (gen, mono) for gen, ends in _generator_ends(n, alg.m).items() for mono in corner(*ends)
+    ]
 
 
 def hom_dimension(n, alg):
@@ -107,11 +113,28 @@ def coboundary_matrix(n, alg):
     return pullback_matrix(differential(n + 1, alg))
 
 
+def _coboundary_rank(n, dn, alg):
+    """The rank of dn = coboundary_matrix(n, alg), eliminated once per
+    algebra: the table of ranks by degree sits in alg.cache under this
+    function."""
+    ranks = alg.cache.setdefault(_coboundary_rank, {})
+    rank = ranks.get(n)
+    if rank is None:
+        rank = ranks[n] = linalg.rank(dn)
+    return rank
+
+
 def kernel_image_dims(n, alg):
-    """(dim ker d^n, dim im d^{n-1}) by exact rank computation."""
+    """(dim ker d^n, dim im d^{n-1}) by exact rank computation.
+
+    It reads coboundary_matrix(n) and then, for n >= 1,
+    coboundary_matrix(n - 1), but each coboundary is ranked once per
+    algebra: a table of degrees 0..N makes N + 1 eliminations, not 2N + 1.
+    """
+    _require_degree(n)
     dn = coboundary_matrix(n, alg)
-    ker = dn.cols - linalg.rank(dn)
-    im = linalg.rank(coboundary_matrix(n - 1, alg)) if n >= 1 else 0
+    ker = dn.cols - _coboundary_rank(n, dn, alg)
+    im = _coboundary_rank(n - 1, coboundary_matrix(n - 1, alg), alg) if n >= 1 else 0
     return ker, im
 
 
@@ -124,11 +147,13 @@ def cohomology_dimension(n, alg, allow_non_generic=False):
 
 def kernel_basis(n, alg):
     """Reduced-echelon basis of ker d^n, as vectors over hom_space_basis."""
+    _require_degree(n)
     return linalg.kernel_basis(coboundary_matrix(n, alg))
 
 
 def image_basis(n, alg):
     """Echelon basis of im d^{n-1} inside Hom(P^n, .); empty for n = 0."""
+    _require_degree(n)
     if n == 0:
         return []
     reduced = linalg.rref(coboundary_matrix(n - 1, alg).transpose())

@@ -32,11 +32,11 @@ from .resolution import (
     Generator,
     _generator_ends,
     _p_basis,
+    _p_basis_index,
     augmentation_matrix,
     compose,
     differential,
     generators,
-    term_coords,
 )
 
 
@@ -154,25 +154,34 @@ def lift_cocycle(f, k, alg):
         if j >= 1:
             d_j = differential(j, alg)
             carried = compose(lifts[j - 1], differential(degree + j, alg))
+            index = _p_basis_index(j - 1, alg)
         for gen, corner in _generator_ends(degree + j, alg.m).items():
             positions = at_corner.get(corner, [])
             slots = [basis[pos] for pos in positions]
+            # the columns are written in ascending order, sparse: each row
+            # dict keeps its keys in column order
             if j == 0:
                 # target side: coordinates in the algebra itself
                 rhs = values[gen]
-                cols = [multiplication.row(pos) for pos in positions]
+                mat = linalg.Matrix(len(rhs), len(positions))
+                for col, pos in enumerate(positions):
+                    for row, v in multiplication._rows[pos].items():
+                        mat.add_to_entry(row, col, v)
             else:
                 rhs = carried.value_coords(gen)
-                cols = []
-                for tgt, ml, mr in slots:
-                    pushed = []
+                mat = linalg.Matrix(len(rhs), len(slots))
+                for col, (tgt, ml, mr) in enumerate(slots):
                     for c, l2, tgt2, r2 in d_j.terms(tgt):
                         left = product(ml, l2)
                         right = product(r2, mr)
-                        if left is not None and right is not None:
-                            pushed.append((c * left[1] * right[1], left[0], tgt2, right[0]))
-                    cols.append(term_coords(pushed, j - 1, alg))
-            mat = linalg.Matrix.from_columns(len(rhs), cols)
+                        if left is None or right is None:
+                            continue
+                        # most structure constants are 1: skip those products
+                        if left[1] != 1:
+                            c = c * left[1]
+                        if right[1] != 1:
+                            c = c * right[1]
+                        mat.add_to_entry(index[(tgt2, left[0], right[0])], col, c)
             try:
                 x = linalg.solve(mat, rhs)
             except linalg.InconsistentSystem as exc:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhdeform import linalg
+from hhdeform import cli, homcomplex, linalg
 from hhdeform.algebra import AlgebraElement, NonGenericParameters, algebra, e, z
 from hhdeform.homcomplex import (
     _block_starts,
@@ -16,6 +16,7 @@ from hhdeform.homcomplex import (
     expected_kernel_dim,
     hom_dimension,
     hom_space_basis,
+    image_basis,
     kernel_basis,
     kernel_image_dims,
     pullback_matrix,
@@ -64,6 +65,73 @@ def test_kernel_image_examples():
     assert kernel_image_dims(2, algebra(3, (2, 1, 1))) == (3, 2)
     assert kernel_image_dims(3, algebra(2, (3, 1))) == (6, 6)
     assert kernel_image_dims(0, algebra(4, (2, 1, 1, 1))) == (5, 0)
+
+
+def test_each_coboundary_is_ranked_once(monkeypatch):
+    calls = []
+    rank = linalg.rank
+
+    def counted(mat):
+        calls.append(mat)
+        return rank(mat)
+
+    monkeypatch.setattr(linalg, "rank", counted)
+    alg = algebra(3, (2, 1, 1))
+    N = 12
+    for n in range(N + 1):
+        kernel_image_dims(n, alg)
+    assert len(calls) == N + 1
+    # a second table over the same algebra eliminates nothing
+    for n in range(N + 1):
+        kernel_image_dims(n, alg)
+    assert len(calls) == N + 1
+
+
+def test_coboundary_read_order_is_unchanged(monkeypatch):
+    # the coboundaries are still read twice per degree, d^n then d^{n-1}:
+    # the ranks are memoised below those reads, not instead of them
+    degrees = []
+    read = homcomplex.coboundary_matrix
+
+    def recorded(n, alg):
+        degrees.append(n)
+        return read(n, alg)
+
+    monkeypatch.setattr(homcomplex, "coboundary_matrix", recorded)
+    N = 10
+    cli.degree_rows(algebra(4, (2, 1, 1, 1)), N)
+    # [0, 1, 0, 2, 1, 3, 2, ...]
+    assert degrees == [0] + [d for n in range(1, N + 1) for d in (n, n - 1)]
+
+
+def fresh_kernel_image_dims(n, m, q):
+    """(dim ker d^n, dim im d^{n-1}) ranked on an algebra built for this
+    call alone, so no rank is memoised."""
+    alg = algebra(m, q)
+    dn = coboundary_matrix(n, alg)
+    im = linalg.rank(coboundary_matrix(n - 1, alg)) if n >= 1 else 0
+    return dn.cols - linalg.rank(dn), im
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_memoised_ranks_match_fresh_ranks(m):
+    # the three zeta interleave degree by degree, so a rank table shared
+    # between algebras hands one algebra the ranks of another
+    qs = [(zeta,) + (1,) * (m - 1) for zeta in (F(2), F(1), F(-1))]
+    algs = [algebra(m, q) for q in qs]
+    for n in range(2 * m + 7):
+        for q, alg in zip(qs, algs):
+            ker, im = fresh_kernel_image_dims(n, m, q)
+            assert kernel_image_dims(n, alg) == (ker, im), (n, q)
+            assert cohomology_dimension(n, alg, allow_non_generic=True) == ker - im
+
+
+@pytest.mark.parametrize(
+    "read", [hom_space_basis, hom_dimension, kernel_image_dims, kernel_basis, image_basis]
+)
+def test_negative_degrees_are_refused(read):
+    with pytest.raises(ValueError, match="degree -1"):
+        read(-1, algebra(3, (2, 1, 1)))
 
 
 def test_kernel_basis_structure_degree_0():
