@@ -34,6 +34,8 @@ def _tuples(n, alg):
     """All endpoint-compatible n-tuples of radical monomials."""
     m = alg.m
     rad = _radical_monomials(alg)
+    if n < 0:
+        raise ValueError(f"the bar complex is defined for n >= 0, got degree {n}")
     if n == 0:
         result = [()]
     else:

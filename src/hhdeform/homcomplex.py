@@ -25,7 +25,7 @@ data, never as a computation path.
 
 from . import linalg
 from .algebra import memoised
-from .resolution import _generator_ends, differential, generators  # noqa: F401 (re-exported)
+from .resolution import differential, generators
 
 
 def _require_degree(n):
@@ -36,12 +36,18 @@ def _require_degree(n):
 @memoised
 def hom_space_basis(n, alg):
     """Ordered basis of Hom(P^n, Algebra): (generator, corner monomial),
-    generators in `generators` order, read with their corners from
-    `_generator_ends`."""
+    generators in `generators` order.  By cyclic symmetry the corner
+    e_i . Algebra . e_{i+n-2r} is empty for every vertex i or for none,
+    so only the r whose corner at vertex 0 is not empty are walked."""
     _require_degree(n)
-    corner = alg.corner_basis
+    m, corner = alg.m, alg.corner_basis
+    gens = generators(n, m)
+    rs = [r for r in range(n + 1) if corner(0, (n - 2 * r) % m)]
     return [
-        (gen, mono) for gen, ends in _generator_ends(n, alg.m).items() for mono in corner(*ends)
+        (gens[i * (n + 1) + r], mono)
+        for i in range(m)
+        for r in rs
+        for mono in corner(i, (i + n - 2 * r) % m)
     ]
 
 

@@ -98,10 +98,6 @@ class Matrix:
             m._rows[i][i] = F1
         return m
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols)
-
     def add_to_entry(self, r, c, v):
         """Add v to entry (r, c); v goes through `exact` unless it is a
         Fraction.  A first write stores v itself; a sum that reaches zero is

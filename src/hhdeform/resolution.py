@@ -11,11 +11,11 @@ A BimoduleMap stores, per source generator, a list of monomial terms
 summand of `target`, with left and right basis monomials.  The
 differential, composites and the chain-map liftings all live in this
 form; the generators of each P^n are built and hashed once.  Every term
-is checked (degrees, corners, exact coefficient) before anything reads
-it: a map built from a dict checks all of them when it is made, and the
-differential builds and checks each generator's closed-form image the
-first time it is read, so a consumer that reads only some generators
-(`homcomplex.pullback_matrix`) never builds the rest.
+is checked (degrees, corners from (n, r, i), exact coefficient) before
+anything reads it: a map built from a dict checks all of them when it is
+made, and the differential builds and checks each generator's closed-form
+image the first time it is read, so a consumer that reads only some
+generators (`homcomplex.pullback_matrix`) never builds the rest.
 `underlying_matrix` flattens a map to exact rational linear algebra on the
 16m(n+1)-dimensional underlying vector spaces, which is how kernels,
 images and exactness are computed.  Every summand is 4 x 4,
@@ -58,10 +58,6 @@ class Generator:
         """k = n - 2r, unreduced."""
         return self.n - 2 * self.r
 
-    @property
-    def origin(self):
-        return self.i
-
     def terminus(self, m):
         return (self.i + self.offset) % m
 
@@ -84,20 +80,13 @@ def generators(n, m):
     return gens
 
 
-_ends = {}
-
-
-def _generator_ends(n, m):
-    """{generator of P^n: (origin, terminus)}, the corner of each summand,
-    built once per (n, m) and shared like `generators`; equal corners are
-    one tuple."""
-    ends = _ends.get((n, m))
-    if ends is None:
-        corners = [(i, j) for i in range(m) for j in range(m)]
-        ends = _ends[n, m] = {
-            gen: corners[gen.i * m + (gen.i + n - 2 * gen.r) % m] for gen in generators(n, m)
-        }
-    return ends
+def _corner(gen, n, m):
+    """(origin, terminus) of the summand of gen in P^n, read from (n, r, i);
+    ValueError unless gen is a Generator of degree n with 0 <= i < m."""
+    if not isinstance(gen, Generator) or gen.n != n or not 0 <= gen.i < m:
+        raise ValueError(f"{gen} is not a generator of P^{n} at m = {m}")
+    i = gen.i
+    return i, (i + n - 2 * gen.r) % m
 
 
 class BimoduleMap:
@@ -106,7 +95,8 @@ class BimoduleMap:
     with c a Fraction (other exact rationals are converted, anything else
     raises TypeError) and left, right basis monomials.  Keys and targets
     must be generators of the declared degrees and each factor must lie in
-    its corner, read from the algebra's endpoint table; anything else
+    its corner: a generator's corner is computed from (n, r, i), a
+    monomial's read from the algebra's endpoint table.  Anything else
     raises ValueError.
 
     A map built from a dict checks every term here and keeps the dict's
@@ -119,8 +109,6 @@ class BimoduleMap:
         self.alg = alg
         self.source_degree = source_degree
         self.target_degree = target_degree
-        self._source_ends = _generator_ends(source_degree, alg.m)
-        self._target_ends = _generator_ends(target_degree, alg.m)
         self._build = None
         self._terms = {}
         for gen, terms in assignments.items():
@@ -141,21 +129,15 @@ class BimoduleMap:
         built by the closed form once gen is known to be a generator."""
         m = self.alg.m
         ends = self.alg.endpoints
-        corner = self._source_ends.get(gen)
-        if corner is None:
-            raise ValueError(f"{gen} is not a generator of P^{self.source_degree} at m = {m}")
-        start, end = corner
+        start, end = _corner(gen, self.source_degree, m)
         if terms is None:
             terms = self._build(gen)
-        target_ends = self._target_ends
         kept = []
         for term in terms:
             c, left, target, right = term
             if not c:
                 continue
-            inner = target_ends.get(target)
-            if inner is None:
-                raise ValueError(f"{target} is not a generator of P^{self.target_degree} at m = {m}")
+            inner = _corner(target, self.target_degree, m)
             if ends.get(left) != (start, inner[0]):
                 raise ValueError(
                     f"left factor {left} of {gen}->{target} is not in "
@@ -409,7 +391,7 @@ def augmentation_matrix(alg):
     return mat
 
 
-def check_complex(N, alg, differentials=None):
+def check_complex(N, alg):
     """True iff d^n o d^{n+1} = 0 for 1 <= n < N and the multiplication
     map (`augmentation_matrix`) kills the image of every generator of P^1.
 
@@ -417,17 +399,10 @@ def check_complex(N, alg, differentials=None):
     multiplying their underlying matrices, and the two must agree.  Both
     sum exactly in integers (see `compose` and `linalg.Matrix.matmul`), so
     a product that cancels builds no Fraction.
-    `differentials` may override individual degrees (used for fault
-    injection in the tests).
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    diffs = {}
-    for n in range(1, N + 1):
-        if differentials and n in differentials:
-            diffs[n] = differentials[n]
-        else:
-            diffs[n] = differential(n, alg)
+    diffs = {n: differential(n, alg) for n in range(1, N + 1)}
     multiplication = augmentation_matrix(alg)
     for gen in generators(1, alg.m):
         if any(multiplication.mul_vector(diffs[1].value_coords(gen))):

@@ -30,7 +30,6 @@ from .homcomplex import (
 from .resolution import (
     BimoduleMap,
     Generator,
-    _generator_ends,
     _p_basis,
     _p_basis_index,
     augmentation_matrix,
@@ -155,8 +154,8 @@ def lift_cocycle(f, k, alg):
             d_j = differential(j, alg)
             carried = compose(lifts[j - 1], differential(degree + j, alg))
             index = _p_basis_index(j - 1, alg)
-        for gen, corner in _generator_ends(degree + j, alg.m).items():
-            positions = at_corner.get(corner, [])
+        for gen in generators(degree + j, alg.m):
+            positions = at_corner.get((gen.i, gen.terminus(alg.m)), [])
             slots = [basis[pos] for pos in positions]
             # the columns are written in ascending order, sparse: each row
             # dict keeps its keys in column order

@@ -27,6 +27,13 @@ def test_cochain_dimensions():
     assert bar_cochain_dimension(1, alg1) == 12
 
 
+@pytest.mark.parametrize("read", [bar_cochain_dimension, bar_cohomology_dimension])
+def test_negative_degrees_are_refused(read):
+    # a negative degree used to be read as degree 1 (12 cochains at m = 2)
+    with pytest.raises(ValueError, match="degree -1"):
+        read(-1, algebra(2, (2, 1)))
+
+
 def test_degree_zero_basis_is_diagonal():
     alg = algebra(3, (2, 1, 1))
     basis = bar_basis(0, alg)

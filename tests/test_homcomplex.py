@@ -211,6 +211,20 @@ def test_zeta_only_dependence():
     assert tables[0] == tables[1] == tables[2]
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 16, 32])
+def test_hom_basis_matches_the_walk_over_every_generator(m):
+    # reference: every generator of P^n in `generators` order, each
+    # followed by its corner monomials, empty corners included
+    alg = algebra(m, (2,) + (1,) * (m - 1))
+    for n in range(2 * m + 7):
+        walk = [
+            (gen, mono)
+            for gen in generators(n, m)
+            for mono in alg.corner_basis(gen.i, (gen.i + n - 2 * gen.r) % m)
+        ]
+        assert hom_space_basis(n, alg) == walk, n
+
+
 def test_cochain_value_lands_in_corner():
     alg = algebra(3, (2, 1, 1))
     for gen, mono in hom_space_basis(2, alg):

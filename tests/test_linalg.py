@@ -29,7 +29,7 @@ def test_rank_identity():
 
 
 def test_rank_zero_matrix():
-    assert rank(Matrix.zero(3, 5)) == 0
+    assert rank(Matrix(3, 5)) == 0
 
 
 def test_kernel_of_identity_is_empty():
@@ -37,7 +37,7 @@ def test_kernel_of_identity_is_empty():
 
 
 def test_kernel_of_zero_map():
-    basis = kernel_basis(Matrix.zero(2, 3))
+    basis = kernel_basis(Matrix(2, 3))
     assert basis == [
         [F(1), F(0), F(0)],
         [F(0), F(1), F(0)],
@@ -52,7 +52,7 @@ def test_solve_identity():
 
 def test_solve_inconsistent():
     with pytest.raises(InconsistentSystem):
-        solve(Matrix.zero(2, 2), [F(1), F(0)])
+        solve(Matrix(2, 2), [F(1), F(0)])
 
 
 def test_solve_free_variables_zero():
