@@ -289,9 +289,11 @@ def memoised(fn):
     def cached(*args):
         key = (fn, args[:-1])
         cache = args[-1].cache
-        if key not in cache:
-            cache[key] = fn(*args)
-        return cache[key]
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = fn(*args)
+            return value
 
     cached.__name__ = fn.__name__
     cached.__doc__ = fn.__doc__

@@ -8,10 +8,12 @@ Matrices reach tens of thousands of rows (the bar coboundary at m = 1,
 n = 7 is 26244 x 8748), and every result is canonical:
 
 * `rank` and `pivot_columns` come from a row echelon form, found by
-  forward elimination that visits each pivot column's rows only.  Its
-  pivot columns are those of the reduced form, whatever the pivoting order.
-* `rref` is that echelon form plus one back-substitution pass, and the
-  reduced row echelon form is unique; `kernel_basis` and `solve` read it.
+  forward elimination on integer rows that visits each pivot column's
+  rows only and builds no Fraction.  Its pivot columns are those of the
+  reduced form, whatever the pivoting order.
+* `rref` divides each echelon row by its leading entry, then makes one
+  back-substitution pass in Fractions; the reduced row echelon form is
+  unique, and `kernel_basis` and `solve` read it.
 * `kernel_basis` returns the reduced-echelon basis of the right kernel,
   one vector per free column, ordered by free column ascending.
 * `solve` returns the particular solution with all free variables set to
@@ -23,7 +25,7 @@ makes even rank computations at desk scale unreasonably slow.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 
 F0 = Fraction(0)
@@ -182,15 +184,23 @@ class Matrix:
 
 
 def _echelon(m):
-    """Forward elimination to a row echelon form with leading 1s.
+    """Forward elimination to a row echelon form on integer rows, each
+    nonzero row scaled once over its own least common denominator.
 
     An index maps each column to the set of rows holding it, so each pivot
     touches only those rows; the columns that hold entries are visited in
     ascending order.  The pivot is the sparsest row holding the column,
-    ties going to the lowest row index.  Returns (pivot_cols, pivot_rows):
-    pivot columns ascending, and the dict row whose leading 1 is at each.
+    ties going to the lowest row index.  A holder becomes (p/g) row -
+    (f/g) pivot, g = gcd(p, f), divided by its content when p/g != 1: a
+    multiple of the Fraction row that leading-1 pivots would give, with
+    the same keys in the same order.  Returns (pivot_cols, pivot_rows):
+    pivot columns ascending, and the integer dict row leading at each.
     """
-    rows = {r: dict(row) for r, row in enumerate(m._rows) if row}
+    rows = {}
+    for r, row in enumerate(m._rows):
+        if row:
+            d = lcm(*[v.denominator for v in row.values()])
+            rows[r] = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
     index = {}
     for r, row in rows.items():
         for c in row:
@@ -204,15 +214,17 @@ def _echelon(m):
         best = min(holders, key=lambda r: (len(rows[r]), r))
         holders.remove(best)
         pivot = rows.pop(best)
-        inv = F1 / pivot[col]
-        if inv != F1:
-            pivot = {c: v * inv for c, v in pivot.items()}
+        p = pivot[col]
         others = [(c, v) for c, v in pivot.items() if c != col]
         for c, _ in others:
             index[c].discard(best)
         for r in holders:
             row = rows[r]
             f = row.pop(col)
+            g = gcd(p, f)
+            s, f = p // g, f // g
+            if s != 1:
+                row = rows[r] = {c: s * w for c, w in row.items()}
             for c, v in others:
                 w = row.get(c)
                 if w is None:
@@ -225,19 +237,25 @@ def _echelon(m):
                     else:
                         del row[c]
                         index[c].discard(r)
+            if s != 1:
+                content = gcd(*row.values())
+                if content > 1:
+                    rows[r] = {c: w // content for c, w in row.items()}
         pivot_cols.append(col)
         pivot_rows.append(pivot)
     return pivot_cols, pivot_rows
 
 
 def _rref_rows(m):
-    """Reduced row echelon form: `_echelon`, then one back-substitution
-    pass from the last pivot upward.
+    """Reduced row echelon form: `_echelon`, each integer pivot row divided
+    by its leading entry into Fractions, then one back-substitution pass
+    from the last pivot upward.
 
     Returns (pivot_cols, echelon_rows) where echelon_rows[k] is the dict
     row whose pivot is pivot_cols[k].  Pivot columns are ascending.
     """
     pivot_cols, rows = _echelon(m)
+    rows = [{c: Fraction(v, row[col]) for c, v in row.items()} for col, row in zip(pivot_cols, rows)]
     for k in range(len(rows) - 1, 0, -1):
         col, pivot = pivot_cols[k], rows[k]
         for j in range(k):

@@ -10,6 +10,7 @@ from hhdeform.algebra import (
     algebra,
     build_algebra,
     e,
+    memoised,
     z,
 )
 
@@ -201,3 +202,19 @@ def test_product_is_the_product_rule(m):
             else:
                 assert prod == rule, (x, y)
                 assert type(prod[1]) is F and prod[1]
+
+
+@pytest.mark.parametrize("result", [None, 0, (), "value"])
+def test_memoised_runs_once_per_algebra(result):
+    calls = []
+
+    @memoised
+    def probe(n, alg):
+        calls.append((n, alg))
+        return result
+
+    first, second = algebra(2, (2, 1)), algebra(2, (2, 1))
+    for alg in (first, first, second, first, second):
+        assert probe(3, alg) is result
+    assert probe(4, first) is result
+    assert calls == [(3, first), (3, second), (4, first)]

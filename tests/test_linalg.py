@@ -339,10 +339,13 @@ def assert_matches_scan(m):
     expected_pivots, expected_rows = scan_rref(m)
     pivots, rows = linalg._echelon(m)
     assert pivots == expected_pivots
-    assert_fraction_rows(rows)
+    assert rank(m) == len(expected_pivots)
+    assert pivot_columns(m) == expected_pivots
     for col, row in zip(pivots, rows):
-        assert min(row) == col and row[col] == F1
-    echelon = Matrix(len(rows), m.cols, rows)
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == col
+    normalised = [{c: F(v, row[col]) for c, v in row.items()} for col, row in zip(pivots, rows)]
+    echelon = Matrix(len(rows), m.cols, normalised)
     assert scan_rref(echelon) == (expected_pivots, expected_rows)
     pivots, rows = linalg._rref_rows(m)
     assert (pivots, rows) == (expected_pivots, expected_rows)
@@ -408,3 +411,125 @@ def test_package_matrices_match_the_scan_reference(m, zeta):
         assert_matches_scan(_bar_coboundary(n, alg))
         if n:
             assert_matches_scan(underlying_matrix(differential(n, alg)))
+
+
+def fraction_echelon(m):
+    """Reference forward elimination on Fraction rows with leading 1s:
+    the same index, column order and sparsest-holder pivots as `_echelon`,
+    every update a Fraction multiply-and-subtract."""
+    rows = {r: dict(row) for r, row in enumerate(m._rows) if row}
+    index = {}
+    for r, row in rows.items():
+        for c in row:
+            index.setdefault(c, set()).add(r)
+    pivot_cols = []
+    pivot_rows = []
+    for col in sorted(index):
+        holders = index.pop(col)
+        if not holders:
+            continue
+        best = min(holders, key=lambda r: (len(rows[r]), r))
+        holders.remove(best)
+        pivot = rows.pop(best)
+        inv = F1 / pivot[col]
+        if inv != F1:
+            pivot = {c: v * inv for c, v in pivot.items()}
+        others = [(c, v) for c, v in pivot.items() if c != col]
+        for c, _ in others:
+            index[c].discard(best)
+        for r in holders:
+            row = rows[r]
+            f = row.pop(col)
+            for c, v in others:
+                w = row.get(c)
+                if w is None:
+                    row[c] = -f * v
+                    index[c].add(r)
+                else:
+                    w -= f * v
+                    if w:
+                        row[c] = w
+                    else:
+                        del row[c]
+                        index[c].discard(r)
+        pivot_cols.append(col)
+        pivot_rows.append(pivot)
+    return pivot_cols, pivot_rows
+
+
+def assert_matches_fraction_echelon(m):
+    """Each integer pivot row is a multiple of the Fraction reference row
+    with the same keys in the same order, and `_rref_rows` returns what it
+    returns on the reference rows, key order included."""
+    expected_pivots, expected_rows = fraction_echelon(m)
+    pivots, rows = linalg._echelon(m)
+    assert pivots == expected_pivots
+    for col, row, expected in zip(pivots, rows, expected_rows):
+        assert list(row) == list(expected)
+        assert all(F(v, row[col]) == expected[c] for c, v in row.items())
+    pivots, rows = linalg._rref_rows(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_echelon", fraction_echelon)
+        expected_pivots, expected_rows = linalg._rref_rows(m)
+    assert pivots == expected_pivots
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in expected_rows]
+    assert_fraction_rows(rows)
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1), F(-1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_package_matrices_match_the_fraction_echelon(m, zeta):
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    matrices = [coboundary_matrix(n, alg) for n in range(2 * m + 7)]
+    matrices += [underlying_matrix(differential(n, alg)) for n in range(1, m + 4)]
+    if m <= 2:
+        matrices += [_bar_coboundary(n, alg) for n in range(4)]
+    for a in matrices:
+        assert_matches_fraction_echelon(a)
+        assert_matches_fraction_echelon(a.transpose())
+
+
+wide_entries = st.one_of(
+    st.just(F0), st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**6)
+)
+
+
+@st.composite
+def wide_systems(draw):
+    """A sparse matrix with denominators up to 10**6, some rows scaled
+    copies of others, and a right-hand side from a preimage, sometimes
+    perturbed out of the column space."""
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rows = [{c: v for c in range(n_cols) if (v := draw(wide_entries))} for _ in range(n_rows)]
+    for _ in range(draw(st.integers(0, 3))):
+        scale = draw(nonzero_wide_rationals)
+        rows[draw(st.integers(0, n_rows - 1))] = {
+            c: scale * v for c, v in rows[draw(st.integers(0, n_rows - 1))].items()
+        }
+    m = Matrix(n_rows, n_cols, rows)
+    b = m.mul_vector([draw(wide_entries) for _ in range(n_cols)])
+    if draw(st.booleans()):
+        b[draw(st.integers(0, n_rows - 1))] += draw(wide_entries)
+    return m, b
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_systems())
+def test_wide_denominators_match_the_fraction_echelon(system):
+    m, b = system
+    assert_matches_fraction_echelon(m)
+    assert rank(m) == len(fraction_echelon(m)[0])
+
+    def solution():
+        try:
+            return solve(m, b)
+        except InconsistentSystem:
+            return None
+
+    x = solution()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_echelon", fraction_echelon)
+        assert solution() == x
+    if x is not None:
+        assert m.mul_vector(x) == b
