@@ -14,6 +14,7 @@ theorem comparison failed, 2 invalid configuration.
 """
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -162,10 +163,19 @@ def emit(payload, fmt, output):
         click.echo(text, nl=False)
 
 
+def output_in_a_directory(ctx, param, value):
+    """Refuse an --output in a missing directory; click.Path does not look."""
+    if value and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
+        raise click.BadParameter(f"the directory of {value!r} does not exist")
+    return value
+
+
 def common_options(f):
     f = click.option("--max-degree", type=click.IntRange(min=0), default=None, help="Top degree (default 2m+6).")(f)
     f = click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")(f)
-    f = click.option("--output", type=click.Path(dir_okay=False), default=None)(f)
+    f = click.option(
+        "--output", type=click.Path(dir_okay=False), default=None, callback=output_in_a_directory
+    )(f)
     return f
 
 

@@ -55,23 +55,17 @@ class Matrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows, cols, entries=None):
+        """A zero matrix, or the list `entries` of its `rows` row dicts
+        {column: Fraction}, kept as given; dense rows go to `from_rows`."""
         self.rows = rows
         self.cols = cols
         if entries is None:
-            self._rows = [dict() for _ in range(rows)]
-        elif isinstance(entries, list) and entries and isinstance(entries[0], dict):
-            self._rows = entries
-        else:
-            # dense row-major input
-            assert len(entries) == rows * cols
-            self._rows = []
-            for r in range(rows):
-                row = {}
-                for c in range(cols):
-                    v = exact(entries[r * cols + c])
-                    if v:
-                        row[c] = v
-                self._rows.append(row)
+            entries = [{} for _ in range(rows)]
+        elif not isinstance(entries, list) or len(entries) != rows or (
+            rows and not isinstance(entries[0], dict)
+        ):
+            raise ValueError(f"entries must be a list of {rows} row dicts")
+        self._rows = entries
 
     @classmethod
     def from_rows(cls, rows_of_scalars):
@@ -274,9 +268,7 @@ def _rref_rows(m):
 def rref(m):
     """Reduced row echelon form as a Matrix (zero rows dropped)."""
     pivot_cols, echelon = _rref_rows(m)
-    out = Matrix(len(echelon), m.cols)
-    out._rows = echelon
-    return out
+    return Matrix(len(echelon), m.cols, echelon)
 
 
 def rank(m):

@@ -11,9 +11,8 @@ along the added vectors are the class coordinates.
 Every cup product takes one path, in every degree: f . g is the class of
 f o L, where L is the level-(deg f) chain-map lifting of g, found by
 exact linear solves, and f o L is the pullback matrix of L applied to the
-vector of f.  The unknowns of L^j at a generator are the items of the
-underlying basis of P^j in its corner; at level 0 their columns are those
-of the multiplication map, `resolution.augmentation_matrix`.
+vector of f.  The system of L^j at a generator depends only on j and the
+generator's corner: `_lifting_system` builds it once per algebra.
 """
 
 from dataclasses import dataclass
@@ -127,62 +126,56 @@ def canonical_generators(alg):
     return xs, class_of(u1_cochain, alg), class_of(u2_cochain, alg)
 
 
+@memoised
+def _lifting_system(j, start, end, alg):
+    """(slots, matrix): the level-j lifting system at a generator with
+    corner (start, end).  The slots are the items (target, left, right) of
+    `_p_basis(j)` whose left starts at start and whose right ends at end,
+    in basis order; column k is the image of slot k under the
+    multiplication map (`augmentation_matrix`) at level 0 and under d^j
+    later."""
+    ends = alg.endpoints
+    slots = [s for s in _p_basis(j, alg) if ends[s[1]][0] == start and ends[s[2]][1] == end]
+    if j == 0:
+        aug, index = augmentation_matrix(alg), _p_basis_index(0, alg)
+        positions = [index[s] for s in slots]
+        rows = [{col: row[p] for col, p in enumerate(positions) if p in row} for row in aug._rows]
+        return slots, linalg.Matrix(aug.rows, len(slots), rows)
+    product, d_j = alg.product, differential(j, alg)
+    index = _p_basis_index(j - 1, alg)
+    matrix = linalg.Matrix(len(index), len(slots))
+    for col, (tgt, ml, mr) in enumerate(slots):
+        for c, l2, tgt2, r2 in d_j.terms(tgt):
+            left, right = product(ml, l2), product(r2, mr)
+            if left is not None and right is not None:
+                matrix.add_to_entry(index[(tgt2, left[0], right[0])], col, c * left[1] * right[1])
+    return slots, matrix
+
+
 def lift_cocycle(f, k, alg):
     """Chain-map liftings L^0, ..., L^k of a cocycle f of any degree.
 
     L^j maps P^{a+j} -> P^j where a = f.degree; L^0 satisfies
     (multiplication) o L^0 = f and each later level satisfies
-    d^j o L^j = L^{j-1} o d^{a+j}.  Each source generator gives an
-    independent linear system, solved exactly with free variables zero.
+    d^j o L^j = L^{j-1} o d^{a+j}.  Each generator solves the system of its
+    corner (`_lifting_system`) exactly, with free variables zero.
     """
     degree = f.degree
-    product, ends = alg.product, alg.endpoints
     # the value of f at each generator, in coordinates over the algebra basis
     values = {gen: [linalg.F0] * len(alg.basis) for gen in generators(degree, alg.m)}
     for (gen, mono), c in zip(hom_space_basis(degree, alg), f.vector):
         values[gen][alg.basis_index[mono]] = c
-    multiplication = augmentation_matrix(alg).transpose()
     lifts = []
     for j in range(k + 1):
-        # positions in the underlying basis of P^j of each (ml origin, mr terminus)
-        basis = _p_basis(j, alg)
-        at_corner = {}
-        for pos, (_tgt, ml, mr) in enumerate(basis):
-            at_corner.setdefault((ends[ml][0], ends[mr][1]), []).append(pos)
+        if j == 0:
+            rhs = values.__getitem__
+        else:
+            rhs = compose(lifts[-1], differential(degree + j, alg)).value_coords
         assignments = {}
-        if j >= 1:
-            d_j = differential(j, alg)
-            carried = compose(lifts[j - 1], differential(degree + j, alg))
-            index = _p_basis_index(j - 1, alg)
         for gen in generators(degree + j, alg.m):
-            positions = at_corner.get((gen.i, gen.terminus(alg.m)), [])
-            slots = [basis[pos] for pos in positions]
-            # the columns are written in ascending order, sparse: each row
-            # dict keeps its keys in column order
-            if j == 0:
-                # target side: coordinates in the algebra itself
-                rhs = values[gen]
-                mat = linalg.Matrix(len(rhs), len(positions))
-                for col, pos in enumerate(positions):
-                    for row, v in multiplication._rows[pos].items():
-                        mat.add_to_entry(row, col, v)
-            else:
-                rhs = carried.value_coords(gen)
-                mat = linalg.Matrix(len(rhs), len(slots))
-                for col, (tgt, ml, mr) in enumerate(slots):
-                    for c, l2, tgt2, r2 in d_j.terms(tgt):
-                        left = product(ml, l2)
-                        right = product(r2, mr)
-                        if left is None or right is None:
-                            continue
-                        # most structure constants are 1: skip those products
-                        if left[1] != 1:
-                            c = c * left[1]
-                        if right[1] != 1:
-                            c = c * right[1]
-                        mat.add_to_entry(index[(tgt2, left[0], right[0])], col, c)
+            slots, matrix = _lifting_system(j, gen.i, gen.terminus(alg.m), alg)
             try:
-                x = linalg.solve(mat, rhs)
+                x = linalg.solve(matrix, rhs(gen))
             except linalg.InconsistentSystem as exc:
                 raise LiftingError(
                     f"inconsistent lifting system at level {j}, generator {gen}"
@@ -211,8 +204,11 @@ def ring_report(alg, max_degree=8):
     Checks: degree dimensions (m+1, 2, 1, 0, ...), vanishing of all
     products of the degree-0 radical generators, u1^2 = u2^2 = 0,
     u1 u2 nonzero and spanning degree 2, u1 u2 + u2 u1 = 0, and the
-    annihilation of u1, u2 by every x_i.  Total dimension must be m + 4.
+    annihilation of u1, u2 by every x_i.  Total dimension must be m + 4,
+    which is reached at HH^2, so max_degree below 2 raises ValueError.
     """
+    if max_degree < 2:
+        raise ValueError("max_degree must be at least 2")
     alg.require_generic()
     m = alg.m
     failures = []
@@ -226,8 +222,8 @@ def ring_report(alg, max_degree=8):
 
     dims = {n: cohomology_basis_size(alg, n) for n in range(max_degree + 1)}
     check("dim HH^0 = m+1", dims[0] == m + 1)
-    check("dim HH^1 = 2", dims.get(1, 0) == 2)
-    check("dim HH^2 = 1", dims.get(2, 0) == 1)
+    check("dim HH^1 = 2", dims[1] == 2)
+    check("dim HH^2 = 1", dims[2] == 1)
     for n in range(3, max_degree + 1):
         check(f"dim HH^{n} = 0", dims[n] == 0)
 

@@ -354,9 +354,11 @@ def test_output_directory_rejected_before_any_work(runner, monkeypatch, tmp_path
         "verify": ["verify", "--m", "2", "--q", "2,1"],
         "sweep": ["sweep", "--m-range", "1:2", "--zeta", "2"],
     }[command]
-    result = runner.invoke(cli.main, args + ["--output", str(tmp_path)])
-    assert result.exit_code == 2, result.output
-    assert "--output" in result.output and "directory" in result.output
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "out.json"):
+        result = runner.invoke(cli.main, args + ["--output", str(target)])
+        assert result.exit_code == 2, result.output
+        assert "--output" in result.output and "directory" in result.output
 
 
 def test_verify_max_degree_zero_allowed_for_other_checks(runner):

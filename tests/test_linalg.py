@@ -80,7 +80,7 @@ def matrices(draw):
     entries = draw(
         st.lists(rationals, min_size=rows * cols, max_size=rows * cols)
     )
-    return Matrix(rows, cols, entries)
+    return Matrix.from_rows([entries[r * cols : (r + 1) * cols] for r in range(rows)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -238,14 +238,13 @@ def test_add_to_entry():
 @pytest.mark.parametrize(
     "build",
     [
-        lambda v: Matrix(1, 2, [v, F(1)]),
-        lambda v: Matrix.from_rows([[F(1), v]]),
+        lambda v: Matrix.from_rows([[v, F(1)], [F(1), v]]),
         lambda v: Matrix.from_columns(2, [[v, F(1)]]),
         lambda v: Matrix(1, 1).add_to_entry(0, 0, v),
         lambda v: Matrix.identity(2).add_to_entry(1, 1, v),
         lambda v: solve(Matrix.identity(2), [F(1), v]),
     ],
-    ids=["dense", "from_rows", "from_columns", "add_to_entry", "add_to_entry_sum", "solve"],
+    ids=["from_rows", "from_columns", "add_to_entry", "add_to_entry_sum", "solve"],
 )
 def test_inexact_entries_refused(build):
     # a float would otherwise be made exact as its binary value
@@ -254,6 +253,24 @@ def test_inexact_entries_refused(build):
             build(v)
     build(2)
     build(F(1, 3))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[{0: F(1)}], [], [{}] * 6, [F(1)] * 15, [[F(1)]] * 5, ({},) * 5],
+    ids=["one_row", "empty", "six_rows", "dense", "lists", "tuple"],
+)
+def test_entries_must_be_one_dict_per_row(entries):
+    # `rows` is trusted by transpose, matmul and solve, so it must match
+    with pytest.raises(ValueError, match="list of 5 row dicts"):
+        Matrix(5, 3, entries)
+
+
+def test_entries_are_stored_as_given():
+    rows = [{}, {2: F(1, 3)}]
+    m = Matrix(2, 3, rows)
+    assert m._rows is rows and m.transpose().to_lists() == [[F0, F0], [F0, F0], [F0, F(1, 3)]]
+    assert Matrix(0, 3, []).to_lists() == []
 
 
 def test_exact_converts_rationals_only():

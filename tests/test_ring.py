@@ -327,6 +327,60 @@ def test_ring_report_lifts_u1_and_u2_once_each(monkeypatch):
     assert calls == [(0, 0), (0, 0), (1, 1), (1, 1)]
 
 
+@pytest.mark.parametrize("max_degree", [0, 1])
+def test_ring_report_needs_max_degree_two(max_degree):
+    # below HH^2 the report would count the dimensions it never computed
+    # as failures
+    with pytest.raises(ValueError, match="max_degree must be at least 2"):
+        ring_report(algebra(2, (3, 1)), max_degree=max_degree)
+
+
+@pytest.fixture
+def lifting_systems(monkeypatch):
+    """The matrices that each lift_cocycle call passes to linalg.solve, one
+    list per call; the lists keep every matrix alive, so no id is reused."""
+    calls = []
+    current = None
+    lift, solve = ring.lift_cocycle, linalg.solve
+
+    def recorded_lift(f, k, alg):
+        nonlocal current
+        current = []
+        calls.append(current)
+        try:
+            return lift(f, k, alg)
+        finally:
+            current = None
+
+    def recorded_solve(a, b):
+        if current is not None:
+            current.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(ring, "lift_cocycle", recorded_lift)
+    monkeypatch.setattr(linalg, "solve", recorded_solve)
+    return calls
+
+
+def test_ring_report_builds_each_lifting_system_once(lifting_systems):
+    # x0, x1, x2 to level 0, then u1 and u2 to level 1: 39 solves over the
+    # 18 (level, corner) systems that they meet
+    report = ring_report(algebra(3, (2, 1, 1)))
+    assert report["passed"], report["failures"]
+    solved = [matrix for call in lifting_systems for matrix in call]
+    assert [len(call) for call in lifting_systems] == [3, 3, 3, 15, 15]
+    assert len({id(matrix) for matrix in solved}) == 18
+
+
+def test_liftings_of_different_cocycles_share_the_systems(alg3, lifting_systems):
+    _, u1, u2 = canonical_generators(alg3)
+    ring.lift_cocycle(u1.representative, 1, alg3)
+    ring.lift_cocycle(u2.representative, 1, alg3)
+    first, second = lifting_systems
+    assert len(first) == 15
+    assert all(a is b for a, b in zip(first, second, strict=True))
+
+
 def greedy_complement(alg, n):
     """Extend the echelon image basis by each kernel vector that raises the
     rank, in kernel order."""
