@@ -20,7 +20,8 @@ finiteness theorems hold exactly when zeta is not a root of unity, which
 over the rationals means zeta not in {1, -1}.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import exact
@@ -38,19 +39,13 @@ class NonGenericParameters(Exception):
     root of unity and no explicit override."""
 
 
-@dataclass(frozen=True)
-class BasisMonomial:
-    """One of e_i, a_i, abar_i, z_i.  Vertex indices live in 0..m-1."""
+class BasisMonomial(namedtuple("BasisMonomial", "kind index")):
+    """One of e_i, a_i, abar_i, z_i.  Vertex indices live in 0..m-1.
 
-    kind: str
-    index: int
+    A tuple (kind, index), so it hashes and compares as one; tuple order
+    is not the canonical basis order, so sort monomials by `sort_key`."""
 
-    def __post_init__(self):
-        # every table of the package is keyed by monomials: hash them once
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ()
 
     def origin(self, m):
         if self.kind == BAR:
@@ -158,7 +153,7 @@ class AlgebraSpec:
     """Input data: vertex count m and deformation parameters q."""
 
     m: int
-    q: tuple = field(default=())
+    q: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(exact(v) for v in self.q))

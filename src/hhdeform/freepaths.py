@@ -4,8 +4,9 @@ and left-multiplication recursions agree.
 
 An entry is a plain dict {steps: coefficient}: `steps` is a path read left
 to right from vertex i, the origin given by the entry's key (r, i), and ()
-is e_i.  A step is ("a", j) for the forward arrow j -> j+1 or ("abar", j)
-for the backward arrow j+1 -> j, with j reduced mod m.  Each recursion
+is e_i.  A step is the algebra's arrow monomial: a(j) for the forward
+arrow j -> j+1 or abar(j) for the backward arrow j+1 -> j, with j reduced
+mod m; as a tuple it equals ("a", j) or ("abar", j).  Each recursion
 appends or prepends one arrow, and its two summands end (or start) with
 arrows of different kinds, so they never share a path.  The rewriting map
 down to the quotient is kept in tests/test_freepaths.py as a reference.
@@ -14,7 +15,7 @@ down to the quotient is kept in tests/test_freepaths.py as a reference.
 import logging
 from fractions import Fraction
 
-from .algebra import ARROW, BAR, memoised
+from .algebra import a, abar, memoised
 
 log = logging.getLogger(__name__)
 
@@ -58,10 +59,10 @@ def g_generators(n, alg):
         for r in range(n + 1):
             entry = {}
             if r < n:
-                step = (ARROW, (i + n - 2 * r - 1) % m)
+                step = a((i + n - 2 * r - 1) % m)
                 entry.update({p + (step,): c for p, c in prev[(r, i)].items()})
             if r > 0:
-                step = (BAR, (i + n - 2 * r) % m)
+                step = abar((i + n - 2 * r) % m)
                 coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
                 entry.update({p + (step,): coeff * c for p, c in prev[(r - 1, i)].items()})
             table[(r, i)] = entry
@@ -85,19 +86,17 @@ def g_left_form(n, alg):
             sign = (-1) ** r
             if r < n:
                 coeff = q_run(alg, i - r + 1, r) * sign
-                entry.update(
-                    {((ARROW, i),) + p: coeff * c for p, c in prev[(r, (i + 1) % m)].items()}
-                )
+                entry.update({(a(i),) + p: coeff * c for p, c in prev[(r, (i + 1) % m)].items()})
             if r > 0:
                 j = (i - 1) % m
-                entry.update({((BAR, j),) + p: sign * c for p, c in prev[(r - 1, j)].items()})
+                entry.update({(abar(j),) + p: sign * c for p, c in prev[(r - 1, j)].items()})
             table[(r, i)] = entry
     return table
 
 
 def verify_g_recursions(n, alg):
     """True iff the left-multiplication form reproduces g[n][r,i] for every
-    (r, i), as equal step dictionaries; each (r, i) where the two forms
+    (r, i), as equal entries; each (r, i) where the two forms
     differ is logged once."""
     table = g_generators(n, alg)
     left = g_left_form(n, alg)

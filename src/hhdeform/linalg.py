@@ -73,7 +73,8 @@ class Matrix:
         cols = len(rows_of_scalars[0]) if rows else 0
         m = cls(rows, cols)
         for r, row in enumerate(rows_of_scalars):
-            assert len(row) == cols
+            if len(row) != cols:
+                raise ValueError(f"row {r} has {len(row)} entries, the first has {cols}")
             m._rows[r] = {c: exact(v) for c, v in enumerate(row) if v}
         return m
 
@@ -139,7 +140,8 @@ class Matrix:
         (a_rk da) (b_kc db) over k, divided by da db.  A Fraction is built
         only for an entry that is stored, that is, a nonzero one.
         """
-        assert self.cols == other.rows, "dimension mismatch"
+        if self.cols != other.rows:
+            raise ValueError(f"dimension mismatch: {self.cols} columns times {other.rows} rows")
         da, db = _denominator(self), _denominator(other)
         d = da * db
         out = Matrix(self.rows, other.cols)
@@ -158,7 +160,8 @@ class Matrix:
         return out
 
     def mul_vector(self, vec):
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError(f"vector of length {len(vec)} for {self.cols} columns")
         return [
             sum((v * vec[c] for c, v in row.items()), start=F0)
             for row in self._rows
@@ -308,7 +311,8 @@ def solve(a, b):
 
     Raises InconsistentSystem if b is not in the column space of a.
     """
-    assert len(b) == a.rows, "length of b must equal row count"
+    if len(b) != a.rows:
+        raise ValueError(f"length of b must equal row count: {len(b)} != {a.rows}")
     aug = Matrix(a.rows, a.cols + 1)
     for r, row in enumerate(a._rows):
         new = dict(row)

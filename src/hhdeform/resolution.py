@@ -10,12 +10,13 @@ A BimoduleMap stores, per source generator, a list of monomial terms
 (c, left, target, right): the rational c times left (x) right in the
 summand of `target`, with left and right basis monomials.  The
 differential, composites and the chain-map liftings all live in this
-form; the generators of each P^n are built and hashed once.  Every term
-is checked (degrees, corners from (n, r, i), exact coefficient) before
-anything reads it: a map built from a dict checks all of them when it is
-made, and the differential builds and checks each generator's closed-form
-image the first time it is read, so a consumer that reads only some
-generators (`homcomplex.pullback_matrix`) never builds the rest.
+form; the generators of each P^n are built once, as (n, r, i) tuples.
+Every term is checked (degrees, corners from (n, r, i), exact
+coefficient) before anything reads it: a map built from a dict checks all
+of them when it is made, and the differential builds and checks each
+generator's closed-form image the first time it is read, so a consumer
+that reads only some generators (`homcomplex.pullback_matrix`) never
+builds the rest.
 `underlying_matrix` flattens a map to exact rational linear algebra on the
 16m(n+1)-dimensional underlying vector spaces, which is how kernels,
 images and exactness are computed.  Every summand is 4 x 4,
@@ -28,7 +29,7 @@ denominator pairs.  Neither multiplies by a structure constant of exactly 1
 or adds a first value to zero.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
@@ -36,22 +37,15 @@ from .algebra import memoised
 from .freepaths import q_run
 
 
-@dataclass(frozen=True)
-class Generator:
-    """Index of one projective summand of P^n."""
+class Generator(namedtuple("Generator", "n r i")):
+    """Index of one projective summand of P^n: a tuple (n, r, i)."""
 
-    n: int
-    r: int
-    i: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 <= self.r <= self.n:
-            raise ValueError(f"r must be in 0..n, got {self.r} at degree {self.n}")
-        # generators key the maps and the Hom bases: hash them once
-        object.__setattr__(self, "_hash", hash((self.n, self.r, self.i)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, n, r, i):
+        if not 0 <= r <= n:
+            raise ValueError(f"r must be in 0..n, got {r} at degree {n}")
+        return super().__new__(cls, n, r, i)
 
     @property
     def offset(self):

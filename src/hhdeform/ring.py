@@ -89,7 +89,8 @@ def _cohomology_space(n, alg):
     vectors = image + kernel
     columns = linalg.Matrix.from_columns(len(hom_space_basis(n, alg)), vectors)
     pivots = linalg.pivot_columns(columns)
-    assert pivots[: len(image)] == list(range(len(image)))
+    if pivots[: len(image)] != list(range(len(image))):
+        raise RuntimeError(f"the image basis of degree {n} is not independent")
     positions = pivots[len(image):]
     return columns, positions, [vectors[c] for c in positions]
 

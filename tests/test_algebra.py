@@ -5,6 +5,7 @@ import pytest
 from hhdeform.algebra import (
     AlgebraElement,
     AlgebraSpec,
+    BasisMonomial,
     a,
     abar,
     algebra,
@@ -33,6 +34,21 @@ def test_inexact_parameters_rejected():
 def test_wrong_parameter_count_rejected():
     with pytest.raises(ValueError):
         AlgebraSpec(3, (1, 1))
+
+
+def test_spec_needs_parameters():
+    with pytest.raises(TypeError):
+        AlgebraSpec(2)
+
+
+def test_basis_monomials_are_immutable_and_slot_only():
+    mono = a(1)
+    with pytest.raises(AttributeError):
+        mono.index = 0
+    with pytest.raises(AttributeError):
+        mono.extra = 1
+    assert not hasattr(mono, "__dict__")
+    assert mono == BasisMonomial("a", 1) and repr(mono) == "a1"
 
 
 def test_zeta_and_generic_flag():

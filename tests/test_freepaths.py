@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from hhdeform import freepaths
-from hhdeform.algebra import ARROW, BAR, AlgebraElement, a, abar, algebra, e, z
+from hhdeform.algebra import ARROW, BAR, AlgebraElement, BasisMonomial, a, abar, algebra, e, z
 from hhdeform.freepaths import g_generators, q_run, verify_g_recursions
 
 F = Fraction
@@ -135,6 +135,16 @@ def test_g_degree_0_and_1():
     for i in range(3):
         assert g1[(0, i)] == {((ARROW, i),): 1}
         assert g1[(1, i)] == {((BAR, (i - 1) % 3),): -1}
+
+
+def test_g_steps_are_arrow_monomials():
+    alg = algebra(3, (2, 3, 5))
+    g1 = g_generators(1, alg)
+    assert g1[(0, 0)] == {(("a", 0),): 1}
+    (steps,) = g1[(0, 0)]
+    assert steps == (a(0),) and type(steps[0]) is BasisMonomial
+    (steps,) = g1[(1, 0)]
+    assert steps == (abar(2),) and type(steps[0]) is BasisMonomial
 
 
 def test_g_degree_2_middle():

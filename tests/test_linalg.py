@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -273,6 +275,34 @@ def test_entries_are_stored_as_given():
     m = Matrix(2, 3, rows)
     assert m._rows is rows and m.transpose().to_lists() == [[F0, F0], [F0, F0], [F0, F(1, 3)]]
     assert Matrix(0, 3, []).to_lists() == []
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Matrix.from_rows([[1, 2], [3]]),
+        lambda: solve(Matrix.identity(2), [1, 2, 3]),
+        lambda: Matrix.identity(2).mul_vector([1, 2, 3]),
+        lambda: Matrix.identity(2).matmul(Matrix(3, 2)),
+    ],
+    ids=["from_rows", "solve", "mul_vector", "matmul"],
+)
+def test_mismatched_shapes_refused(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_ragged_rows_refused_under_optimisation():
+    # the shape checks are not asserts, so `python -O` keeps them
+    code = (
+        "from hhdeform.linalg import Matrix\n"
+        "try:\n"
+        "    Matrix.from_rows([[1, 2], [3]])\n"
+        "except ValueError:\n"
+        "    print('refused')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout == "refused\n"
 
 
 def test_exact_converts_rationals_only():

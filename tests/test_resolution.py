@@ -73,6 +73,16 @@ def test_generator_bad_r():
         Generator(2, -1, 0)
 
 
+def test_generators_are_immutable_and_slot_only():
+    g = Generator(2, 1, 0)
+    with pytest.raises(AttributeError):
+        g.r = 0
+    with pytest.raises(AttributeError):
+        g.extra = 1
+    assert not hasattr(g, "__dict__")
+    assert g == Generator(2, 1, 0) and g.r == 1
+
+
 def test_generators_are_built_once():
     gens = generators(4, 3)
     assert type(gens) is tuple
