@@ -23,6 +23,8 @@ log = logging.getLogger(__name__)
 def q_run(alg, start, count):
     """Product q_start q_{start+1} ... of `count` consecutive parameters,
     indices reduced mod m; the empty product is 1."""
+    if count < 0:
+        raise ValueError(f"a q-run has count >= 0, got count {count}")
     m, q = alg.m, alg.q
     start %= m
     run = _q_runs(start, alg)

@@ -151,21 +151,6 @@ def cohomology_dimension(n, alg, allow_non_generic=False):
     return ker - im
 
 
-def kernel_basis(n, alg):
-    """Reduced-echelon basis of ker d^n, as vectors over hom_space_basis."""
-    _require_degree(n)
-    return linalg.kernel_basis(coboundary_matrix(n, alg))
-
-
-def image_basis(n, alg):
-    """Echelon basis of im d^{n-1} inside Hom(P^n, .); empty for n = 0."""
-    _require_degree(n)
-    if n == 0:
-        return []
-    reduced = linalg.rref(coboundary_matrix(n - 1, alg).transpose())
-    return reduced.to_lists()
-
-
 # --- closed-form dimension tables, used as comparison data ------------------
 
 

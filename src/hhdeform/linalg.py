@@ -79,16 +79,6 @@ class Matrix:
         return m
 
     @classmethod
-    def from_columns(cls, rows, columns):
-        """The rows x len(columns) matrix with the given column vectors."""
-        m = cls(rows, len(columns))
-        for c, column in enumerate(columns):
-            for r, v in enumerate(column):
-                if v:
-                    m._rows[r][c] = v if type(v) is Fraction else exact(v)
-        return m
-
-    @classmethod
     def identity(cls, n):
         m = cls(n, n)
         for i in range(n):

@@ -4,9 +4,10 @@ cup products.
 Classes are represented by cochains on the resolution, each a vector over
 the Hom-basis `hom_space_basis(n)`.  Coordinates of a class are taken
 relative to a deterministic complement of im d^{n-1} inside ker d^n: the
-echelon basis of the image is extended greedily by kernel basis vectors,
+image is extended greedily by the reduced-echelon kernel basis vectors,
 in their canonical order, until the kernel is spanned; the coefficients
-along the added vectors are the class coordinates.
+along the added vectors are the class coordinates.  Both are found in
+kernel coordinates, a cocycle's entries at the free columns of d^n.
 
 Every cup product takes one path, in every degree: f . g is the class of
 f o L, where L is the level-(deg f) chain-map lifting of g, found by
@@ -20,10 +21,10 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import a, abar, memoised, z
 from .homcomplex import (
+    _coboundary_rank,
     coboundary_matrix,
+    hom_dimension,
     hom_space_basis,
-    image_basis,
-    kernel_basis,
     pullback_matrix,
 )
 from .resolution import (
@@ -75,24 +76,31 @@ class CohomologyClass:
 
 @memoised
 def _cohomology_space(n, alg):
-    """(columns, complement positions, complement vectors) for degree n.
+    """(free, columns, positions) for degree n, in kernel coordinates.
 
-    The columns are the echelon basis of im d^{n-1} followed by the
-    reduced-echelon basis of ker d^n.  The pivot columns of their RREF
-    are the image columns and the greedy complement: each kernel vector
-    independent of the columns before it.  Solving a cocycle against the
-    columns with free variables zero leaves its class coordinates at the
-    complement positions.
+    The reduced-echelon kernel vector of a free column f of d^n is 1 at f
+    and 0 at the other free columns, so a cocycle's kernel coordinates are
+    its entries at free.  Row k of columns is row free[k] of d^{n-1} (the
+    image columns, width of them), then a 1 at width + k (the kernel
+    basis).  Its pivot columns from width on are the greedy complement,
+    positions; solving kernel coordinates against columns with free
+    variables zero leaves the class coordinates there.
     """
-    image = image_basis(n, alg)
-    kernel = kernel_basis(n, alg)
-    vectors = image + kernel
-    columns = linalg.Matrix.from_columns(len(hom_space_basis(n, alg)), vectors)
+    prev = coboundary_matrix(n - 1, alg) if n else linalg.Matrix(hom_dimension(0, alg), 0)
+    dn = coboundary_matrix(n, alg)
+    bound = set(linalg.pivot_columns(dn))
+    free = [f for f in range(dn.cols) if f not in bound]
+    width = prev.cols
+    rows = [{**prev._rows[f], width + k: linalg.F1} for k, f in enumerate(free)]
+    columns = linalg.Matrix(len(rows), width + len(rows), rows)
     pivots = linalg.pivot_columns(columns)
-    if pivots[: len(image)] != list(range(len(image))):
-        raise RuntimeError(f"the image basis of degree {n} is not independent")
-    positions = pivots[len(image):]
-    return columns, positions, [vectors[c] for c in positions]
+    positions = [c for c in pivots if c >= width]
+    # im d^{n-1} lies in ker d^n, where the free entries are coordinates,
+    # so its rank survives there unless an image vector is not a cocycle
+    rank = _coboundary_rank(n - 1, prev, alg) if n else 0
+    if len(pivots) - len(positions) != rank:
+        raise RuntimeError(f"im d^{n - 1} loses rank on the free columns of d^{n}")
+    return free, columns, positions
 
 
 def class_of(cochain, alg):
@@ -100,13 +108,9 @@ def class_of(cochain, alg):
     alg.require_generic()
     if not cochain.is_cocycle(alg):
         raise ValueError("representative is not a cocycle")
-    columns, positions, _ = _cohomology_space(cochain.degree, alg)
-    x = linalg.solve(columns, cochain.vector)
+    free, columns, positions = _cohomology_space(cochain.degree, alg)
+    x = linalg.solve(columns, [cochain.vector[f] for f in free])
     return CohomologyClass(cochain.degree, cochain, tuple(x[c] for c in positions))
-
-
-def cohomology_basis_size(alg, n):
-    return len(_cohomology_space(n, alg)[2])
 
 
 def canonical_generators(alg):
@@ -161,6 +165,8 @@ def lift_cocycle(f, k, alg):
     d^j o L^j = L^{j-1} o d^{a+j}.  Each generator solves the system of its
     corner (`_lifting_system`) exactly, with free variables zero.
     """
+    if k < 0:
+        raise ValueError(f"liftings start at level 0, got level {k}")
     degree = f.degree
     # the value of f at each generator, in coordinates over the algebra basis
     values = {gen: [linalg.F0] * len(alg.basis) for gen in generators(degree, alg.m)}
@@ -221,7 +227,7 @@ def ring_report(alg, max_degree=8):
         else:
             failures.append(name)
 
-    dims = {n: cohomology_basis_size(alg, n) for n in range(max_degree + 1)}
+    dims = {n: len(_cohomology_space(n, alg)[2]) for n in range(max_degree + 1)}
     check("dim HH^0 = m+1", dims[0] == m + 1)
     check("dim HH^1 = 2", dims[1] == 2)
     check("dim HH^2 = 1", dims[2] == 1)

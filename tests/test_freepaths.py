@@ -269,6 +269,17 @@ def test_q_run_is_the_product_of_consecutive_parameters(m):
             naive *= q[(start + count) % m]
 
 
+def test_q_run_refuses_a_negative_count():
+    # a negative count would read the memoised run from its end, so the
+    # answer would depend on how far earlier calls had extended it
+    alg = algebra(3, (2, 3, 5))
+    assert q_run(alg, 0, 2) == 6
+    for count in (-1, -3):
+        with pytest.raises(ValueError, match=f"count {count}"):
+            q_run(alg, 0, count)
+    assert q_run(alg, 0, 0) == 1
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_memoised_tables_match_a_from_scratch_loop(m):
     alg = algebra(m, tuple(F(k + 2, k + 1) for k in range(m)))

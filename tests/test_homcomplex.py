@@ -16,8 +16,6 @@ from hhdeform.homcomplex import (
     expected_kernel_dim,
     hom_dimension,
     hom_space_basis,
-    image_basis,
-    kernel_basis,
     kernel_image_dims,
     pullback_matrix,
 )
@@ -126,9 +124,7 @@ def test_memoised_ranks_match_fresh_ranks(m):
             assert cohomology_dimension(n, alg, allow_non_generic=True) == ker - im
 
 
-@pytest.mark.parametrize(
-    "read", [hom_space_basis, hom_dimension, kernel_image_dims, kernel_basis, image_basis]
-)
+@pytest.mark.parametrize("read", [hom_space_basis, hom_dimension, kernel_image_dims])
 def test_negative_degrees_are_refused(read):
     with pytest.raises(ValueError, match="degree -1"):
         read(-1, algebra(3, (2, 1, 1)))
@@ -139,7 +135,7 @@ def test_kernel_basis_structure_degree_0():
     m = 3
     alg = algebra(m, (2, 1, 1))
     basis = hom_space_basis(0, alg)
-    vectors = kernel_basis(0, alg)
+    vectors = linalg.kernel_basis(coboundary_matrix(0, alg))
     assert len(vectors) == m + 1
     e_positions = [k for k, (g, mono) in enumerate(basis) if mono.kind == "e"]
     z_positions = [k for k, (g, mono) in enumerate(basis) if mono.kind == "z"]

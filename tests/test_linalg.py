@@ -243,12 +243,11 @@ def test_add_to_entry():
         # dense row-major input: the inexact value first, then last
         lambda v: Matrix.from_rows([[v, F(1)], [F(1), F(1)]]),
         lambda v: Matrix.from_rows([[F(1), F(1)], [F(1), v]]),
-        lambda v: Matrix.from_columns(2, [[v, F(1)]]),
         lambda v: Matrix(1, 1).add_to_entry(0, 0, v),
         lambda v: Matrix.identity(2).add_to_entry(1, 1, v),
         lambda v: solve(Matrix.identity(2), [F(1), v]),
     ],
-    ids=["dense", "from_rows", "from_columns", "add_to_entry", "add_to_entry_sum", "solve"],
+    ids=["dense", "from_rows", "add_to_entry", "add_to_entry_sum", "solve"],
 )
 def test_inexact_entries_refused(build):
     # a float would otherwise be made exact as its binary value

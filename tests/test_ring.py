@@ -5,7 +5,7 @@ import pytest
 from hhdeform import linalg, ring
 from hhdeform.algebra import AlgebraElement, NonGenericParameters, a, abar, algebra, e, z
 from hhdeform.resolution import BimoduleMap, Generator, compose, differential, generators, term_coords
-from hhdeform.homcomplex import coboundary_matrix, hom_space_basis, kernel_basis
+from hhdeform.homcomplex import coboundary_matrix, hom_dimension, hom_space_basis
 from hhdeform.ring import (
     Cochain,
     _cohomology_space,
@@ -81,6 +81,12 @@ def test_cochain_of_refuses_inexact_values(alg3):
     assert all(type(v) is F for v in vector)
 
 
+def test_lift_cocycle_refuses_a_negative_level(alg3):
+    _, u1, _ = canonical_generators(alg3)
+    with pytest.raises(ValueError, match="level -1"):
+        lift_cocycle(u1.representative, -1, alg3)
+
+
 def test_lift_of_zero_cochain_is_zero(alg3):
     zero = Cochain.of(1, {}, alg3)
     lifts = lift_cocycle(zero, 1, alg3)
@@ -153,7 +159,11 @@ def slot_lifts(f, k, alg):
                         if left is not None and right is not None:
                             pushed.append((c * left[1] * right[1], left[0], tgt2, right[0]))
                     cols.append(term_coords(pushed, j - 1, alg))
-            x = linalg.solve(linalg.Matrix.from_columns(len(rhs), cols), rhs)
+            rows = [
+                {c: linalg.exact(col[r]) for c, col in enumerate(cols) if col[r]}
+                for r in range(len(rhs))
+            ]
+            x = linalg.solve(linalg.Matrix(len(rhs), len(cols), rows), rhs)
             assignments[gen] = [(coeff, ml, tgt, mr) for (tgt, ml, mr), coeff in zip(slots, x)]
         lifts.append(BimoduleMap(alg, degree + j, j, assignments))
     return lifts
@@ -166,7 +176,7 @@ def test_lift_cocycle_matches_the_slot_reference(m):
     for q0 in (F(2), F(-5, 2), F(1, 3), F(1), F(-1)):
         alg = algebra(m, (q0,) + (F(1),) * (m - 1))
         for n in range(4):
-            for vec in kernel_basis(n, alg)[:6]:
+            for vec in linalg.kernel_basis(coboundary_matrix(n, alg))[:6]:
                 f = Cochain(n, vec)
                 got = [list(lift.assignments.items()) for lift in lift_cocycle(f, 3, alg)]
                 ref = [list(lift.assignments.items()) for lift in slot_lifts(f, 3, alg)]
@@ -398,4 +408,65 @@ def greedy_complement(alg, n):
 def test_complement_is_the_greedy_choice(m, zeta):
     alg = algebra(m, (zeta,) + (1,) * (m - 1))
     for n in range(7):
-        assert _cohomology_space(n, alg)[2] == greedy_complement(alg, n)
+        free, columns, positions = _cohomology_space(n, alg)
+        kernel = linalg.kernel_basis(coboundary_matrix(n, alg))
+        offset = columns.cols - len(free)
+        assert [kernel[p - offset] for p in positions] == greedy_complement(alg, n)
+
+
+def hom_class_coordinates(vector, n, alg):
+    """Reference class coordinates in Hom coordinates: the echelon basis of
+    im d^{n-1} and the reduced-echelon basis of ker d^n as the columns of
+    one matrix over hom_space_basis(n), the complement at its pivot columns
+    after the image, and one solve with free variables zero."""
+    image = linalg.rref(coboundary_matrix(n - 1, alg).transpose()).to_lists() if n else []
+    vectors = image + linalg.kernel_basis(coboundary_matrix(n, alg))
+    rows = [{c: v[r] for c, v in enumerate(vectors) if v[r]} for r in range(hom_dimension(n, alg))]
+    columns = linalg.Matrix(len(rows), len(vectors), rows)
+    pivots = linalg.pivot_columns(columns)
+    assert pivots[: len(image)] == list(range(len(image)))
+    x = linalg.solve(columns, vector)
+    return tuple(x[c] for c in pivots[len(image):])
+
+
+COPRIME_Q = (F(7, 3), F(-5, 2), F(1, 9), F(3), F(2), F(-1, 7), F(5, 11), F(-13, 4))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8])
+def test_class_coordinates_match_the_hom_coordinate_reference(m):
+    # every kernel basis vector of d^n, n <= 5, as a class
+    for q0 in (F(2), F(-5, 2), F(1, 3), None):
+        q = COPRIME_Q[:m] if q0 is None else (q0,) + (F(1),) * (m - 1)
+        alg = algebra(m, q)
+        for n in range(6):
+            for vec in linalg.kernel_basis(coboundary_matrix(n, alg)):
+                got = class_of(Cochain(n, vec), alg).coordinates
+                assert got == hom_class_coordinates(vec, n, alg), (q, n)
+                assert all(type(c) is F for c in got)
+
+
+def test_ring_report_runs_no_rref_kernel_basis_or_transpose(monkeypatch):
+    def refused(*args):
+        raise AssertionError("ring_report must not eliminate a Hom-space basis")
+
+    monkeypatch.setattr(linalg, "rref", refused)
+    monkeypatch.setattr(linalg, "kernel_basis", refused)
+    monkeypatch.setattr(linalg.Matrix, "transpose", refused)
+    report = ring_report(algebra(3, (2, 1, 1)))
+    assert report["passed"], report["failures"]
+
+
+def test_image_that_loses_rank_on_the_free_columns_is_refused(monkeypatch):
+    # a column of d^0 moved onto a pivot column of d^1 is not a cocycle: it
+    # is zero at the free columns of d^1, so the image loses rank there
+    alg = algebra(3, (2, 1, 1))
+    d0 = coboundary_matrix(0, alg)
+    moved = min(c for row in d0._rows for c in row)
+    rows = [{c: v for c, v in row.items() if c != moved} for row in d0._rows]
+    rows[linalg.pivot_columns(coboundary_matrix(1, alg))[0]][moved] = F(1)
+    broken = linalg.Matrix(d0.rows, d0.cols, rows)
+    monkeypatch.setattr(
+        ring, "coboundary_matrix", lambda n, alg: broken if n == 0 else coboundary_matrix(n, alg)
+    )
+    with pytest.raises(RuntimeError, match="loses rank on the free columns of d\\^1"):
+        _cohomology_space(1, alg)
