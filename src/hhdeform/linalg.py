@@ -2,8 +2,8 @@
 
 Every entry is a `fractions.Fraction`; no floating point is used anywhere
 in the package, and a float given as an entry raises TypeError (`exact`).
-`Matrix.matmul` takes its sums in integers over the common denominators
-of its factors and builds a Fraction only for an entry it stores.
+`Matrix.matmul` sums each entry as an unreduced integer (numerator,
+denominator) pair and builds a Fraction only for an entry it stores.
 Matrices reach tens of thousands of rows (the bar coboundary at m = 1,
 n = 7 is 26244 x 8748), and every result is canonical:
 
@@ -40,11 +40,6 @@ def exact(v):
     return Fraction(v)
 
 
-def _denominator(m):
-    """The least common denominator of the entries of m; 1 when it has none."""
-    return lcm(*{v.denominator for row in m._rows for v in row.values()})
-
-
 class InconsistentSystem(Exception):
     """Raised by `solve` when b is not in the column space of a."""
 
@@ -52,7 +47,7 @@ class InconsistentSystem(Exception):
 class Matrix:
     """A rows x cols matrix of Fractions."""
 
-    __slots__ = ("rows", "cols", "_rows")
+    __slots__ = ("rows", "cols", "_rows", "__weakref__")
 
     def __init__(self, rows, cols, entries=None):
         """A zero matrix, or the list `entries` of its `rows` row dicts
@@ -123,30 +118,39 @@ class Matrix:
         return t
 
     def matmul(self, other):
-        """self @ other, exploiting sparsity.
+        """self @ other, exploiting sparsity; empty rows of self are skipped.
 
-        The sums are taken in integers: with da and db the least common
-        denominators of the two factors, entry (r, c) is the integer sum of
-        (a_rk da) (b_kc db) over k, divided by da db.  A Fraction is built
-        only for an entry that is stored, that is, a nonzero one.
+        Each entry is summed in integers, as an unreduced (numerator,
+        denominator) pair: two terms over different denominators are put
+        over their lcm, so no denominator grows past the product of the
+        factors' common denominators.  A sum that reaches zero keeps its
+        place until the row is done, so the stored entries of a row are in
+        first-touch order, and a Fraction is built only for a nonzero one.
         """
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} columns times {other.rows} rows")
-        da, db = _denominator(self), _denominator(other)
-        d = da * db
         out = Matrix(self.rows, other.cols)
         brows = other._rows
         for r, row in enumerate(self._rows):
+            if not row:
+                continue
             acc = {}
             for k, a in row.items():
-                n, ad = a.as_integer_ratio()
-                a_scaled = n * (da // ad) * db
+                an, ad = a.as_integer_ratio()
                 for c, b in brows[k].items():
                     bn, bd = b.as_integer_ratio()
-                    v = a_scaled * bn // bd
+                    n, d = an * bn, ad * bd
                     old = acc.get(c)
-                    acc[c] = v if old is None else old + v
-            out._rows[r] = {c: Fraction(v, d) for c, v in acc.items() if v}
+                    if old is not None:
+                        on, od = old
+                        if od == d:
+                            n += on
+                        else:
+                            g = gcd(od, d)
+                            n = on * (d // g) + n * (od // g)
+                            d = od // g * d
+                    acc[c] = (n, d)
+            out._rows[r] = {c: Fraction(n, d) for c, (n, d) in acc.items() if n}
         return out
 
     def mul_vector(self, vec):

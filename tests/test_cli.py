@@ -173,6 +173,26 @@ def test_verify_oracle_non_generic(runner):
     assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("q", ["-1,1,1", "1,1,1"])
+def test_verify_closed_form_checks_at_a_root_of_unity(runner, q):
+    # --allow-non-generic lets the run proceed; the closed forms and the
+    # ring presentation then fail with that reason, not a request for the flag
+    result = runner.invoke(
+        cli.main,
+        ["verify", "--m", "3", "--q", q, "--checks", "ring,cohomology",
+         "--allow-non-generic", "--format", "json"],
+    )
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.output)
+    assert payload["ring"] is None
+    assert [chk["name"] for chk in payload["checks"]] == ["ring", "cohomology"]
+    for chk in payload["checks"]:
+        assert chk["pass"] is False
+        assert "root of unity" in chk["detail"]
+        assert "do not apply" in chk["detail"]
+        assert "allow_non_generic" not in chk["detail"]
+
+
 def test_verify_unknown_check(runner):
     result = runner.invoke(
         cli.main, ["verify", "--m", "2", "--q", "3,1", "--checks", "nonsense"]

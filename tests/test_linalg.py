@@ -220,6 +220,55 @@ def test_matmul_of_empty_factors(shape):
     assert product._rows == [{} for _ in range(rows)]
 
 
+def first_primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_long_sums_over_coprime_denominators_match_the_fraction_reference():
+    # inner dimension 40, most entries over their own primes, so most
+    # pairs of terms in a sum have different denominators; the last three
+    # columns of b and one row of a keep one denominator each, so some sums
+    # run over equal ones.  Rows 20..39 of b are rescaled copies of rows
+    # 0..19, and some rows of a weight each such pair to cancel, in full or
+    # in part; one row of a is empty.
+    inner, cols = 40, 9
+    p = first_primes(inner + cols + 8)
+    b = [
+        {c: F(2 * c - 9, p[k] * p[inner + c]) if c < 6 else F(2 * k - 39, p[inner + c])
+         for c in range(cols) if (c + k) % 3}
+        for k in range(20)
+    ]
+    scales = [F(p[k + 20], p[k]) for k in range(20)]
+    b += [{c: s * v for c, v in row.items()} for s, row in zip(scales, b)]
+    a = []
+    for r in range(8):
+        row = {k: F((-1) ** k * (r + k + 1), p[(k + r) % inner]) for k in range(inner) if (k + r) % 4}
+        if r % 2:
+            # cancel the pairs (k, k + 20) for the first 5 + 3r values of k
+            for k in range(min(20, 5 + 3 * r)):
+                x = F(r + 1, p[inner + cols + r % 8])
+                row[k], row[k + 20] = x, -x / scales[k]
+        a.append(row)
+    a.append({k: F(k + 1, p[-1]) for k in range(inner)})
+    a.append({})
+    full = {k: F(1, p[k]) for k in range(20)}
+    full.update({k + 20: -F(1, p[k]) / scales[k] for k in range(20)})
+    a.append(full)
+    am, bm = Matrix(len(a), inner, a), Matrix(inner, cols, b)
+    product = am.matmul(bm)
+    expected = fraction_matmul(am, bm)
+    assert [list(row.items()) for row in product._rows] == [list(row.items()) for row in expected]
+    assert_fraction_rows(product._rows)
+    assert product._rows[-2] == {} and product._rows[-1] == {}
+    assert any(len(row) == cols for row in product._rows)
+
+
 def test_add_to_entry():
     m = Matrix(1, 3)
     m.add_to_entry(0, 1, 2)

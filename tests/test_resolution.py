@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -402,6 +404,59 @@ def test_map_and_matrix_complex_checks_agree():
     d2 = differential(2, alg)
     assert compose(d1, d2).is_zero()
     assert underlying_matrix(d1).matmul(underlying_matrix(d2)).is_zero()
+
+
+def traced_underlying(monkeypatch):
+    """Wrap `resolution.underlying_matrix`.  Per call, record a weak
+    reference to its result and whether that is the very object the call
+    before returned; the wrapper holds no matrix, so it keeps none alive."""
+    real = resolution.underlying_matrix
+    calls = []
+
+    def wrapper(f):
+        mat = real(f)
+        calls.append((weakref.ref(mat), bool(calls) and calls[-1][0]() is mat))
+        return mat
+
+    monkeypatch.setattr(resolution, "underlying_matrix", wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("m,N", [(1, 5), (3, 8)])
+def test_check_complex_flattens_each_differential_once(m, N, monkeypatch):
+    alg = algebra(m, (2,) + (1,) * (m - 1))
+    calls = traced_underlying(monkeypatch)
+    assert check_complex(N, alg)
+    # d^n o d^{n+1} for 1 <= n < N: two calls each, and the left factor
+    # d^n is the object the call before returned as the right factor
+    repeats = [again for _, again in calls]
+    assert len(calls) == 2 * (N - 1)
+    assert repeats == [False, False] + [True, False] * (N - 2)
+    assert repeats.count(False) == N
+
+
+def test_check_complex_leaves_no_flattened_matrix_alive(monkeypatch):
+    alg = algebra(3, (2, 1, 1))
+    calls = traced_underlying(monkeypatch)
+    assert check_complex(8, alg)
+    gc.collect()
+    assert calls and all(ref() is None for ref, _ in calls)
+
+
+def test_a_rebuilt_flattening_equals_the_first():
+    alg = algebra(3, (F(7, 3), F(-5, 2), F(1, 9)))
+    d = differential(4, alg)
+    first = underlying_matrix(d)
+    assert underlying_matrix(d) is first
+    snapshot = (first.rows, first.cols, [list(row.items()) for row in first._rows])
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is None
+    again = underlying_matrix(d)
+    assert again == multiply_underlying(d)
+    assert (again.rows, again.cols, [list(row.items()) for row in again._rows]) == snapshot
+    assert_fraction_entries(again)
 
 
 def test_augmentation_composite_vanishes():
