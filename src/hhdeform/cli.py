@@ -9,8 +9,8 @@ JSON with the fixed schema
      ring: {...} | null,
      checks: [{name, pass, detail}]}
 
-and CSV with one row per degree.  Exit codes: 0 all good, 1 a check or
-theorem comparison failed, 2 invalid configuration.
+and CSV with one row per degree, for `compute` only.  Exit codes: 0 all
+good, 1 a check or theorem comparison failed, 2 invalid configuration.
 """
 
 import json
@@ -170,13 +170,14 @@ def output_in_a_directory(ctx, param, value):
     return value
 
 
-def common_options(f):
-    f = click.option("--max-degree", type=click.IntRange(min=0), default=None, help="Top degree (default 2m+6).")(f)
-    f = click.option("--format", "fmt", type=click.Choice(["table", "json", "csv"]), default="table")(f)
-    f = click.option(
-        "--output", type=click.Path(dir_okay=False), default=None, callback=output_in_a_directory
-    )(f)
-    return f
+def common_options(*formats):
+    def decorate(f):
+        f = click.option("--max-degree", type=click.IntRange(min=0), default=None, help="Top degree (default 2m+6).")(f)
+        f = click.option("--format", "fmt", type=click.Choice(formats), default="table")(f)
+        return click.option(
+            "--output", type=click.Path(dir_okay=False), default=None, callback=output_in_a_directory
+        )(f)
+    return decorate
 
 
 allow_non_generic_option = click.option("--allow-non-generic", is_flag=True, default=False)
@@ -190,7 +191,7 @@ def main():
 @main.command()
 @click.option("--m", "m", type=click.IntRange(min=1), required=True)
 @click.option("--q", "q_text", type=str, required=True, help="Comma list of m rationals.")
-@common_options
+@common_options("table", "json", "csv")
 @allow_non_generic_option
 def compute(m, q_text, max_degree, fmt, allow_non_generic, output):
     """Per-degree dimension table, compared against the closed forms."""
@@ -284,11 +285,13 @@ def run_check(name, alg, max_degree):
 @click.option("--m", "m", type=click.IntRange(min=1), required=True)
 @click.option("--q", "q_text", type=str, required=True)
 @click.option("--checks", "checks_text", type=str, default=",".join(ALL_CHECKS))
-@common_options
+@common_options("table", "json")
 @allow_non_generic_option
 def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
     """Run the selected verification suites."""
     names = parse_list(checks_text, "--checks")
+    if len(set(names)) < len(names):
+        raise click.UsageError(f"--checks repeats an entry: {checks_text}")
     unknown = [c for c in names if c not in ALL_CHECKS]
     if unknown:
         raise click.UsageError(f"unknown checks: {', '.join(unknown)}")
@@ -325,7 +328,7 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
 @main.command()
 @click.option("--m-range", "m_range", type=str, required=True, help="Inclusive range, e.g. 1:5.")
 @click.option("--zeta", "zeta_text", type=str, required=True, help="Comma list of zeta values.")
-@common_options
+@common_options("table", "json")
 def sweep(m_range, zeta_text, max_degree, fmt, output):
     """Total cohomology dimension for q = (zeta, 1, ..., 1) over a range of m."""
     if max_degree is not None and max_degree < 2:
@@ -337,6 +340,8 @@ def sweep(m_range, zeta_text, max_degree, fmt, output):
     if not 1 <= lo <= hi:
         raise click.UsageError(f"--m-range {m_range} needs 1 <= LO <= HI")
     zetas = [parse_rational(p) for p in parse_list(zeta_text, "--zeta")]
+    if len(set(zetas)) < len(zetas):
+        raise click.UsageError(f"--zeta repeats a value: {zeta_text}")
     if 0 in zetas:
         raise click.UsageError("--zeta values must be nonzero")
     results = []

@@ -22,15 +22,15 @@ builds the rest.
 images and exactness are computed.  Every summand is 4 x 4,
 so it walks each term over the per-algebra stencil of its (left, right)
 pair: the nonzero products bl . left (x) right . br as offsets into the
-blocks of the source and target generators, with their coefficients.
+blocks of the source and target generators, grouped by coefficient.
 A map holds only a weak reference to its flattened matrix: a repeated
 call returns the same object while a caller still holds it, and nothing
 keeps it alive after that, so `check_complex` builds each d^n once
 without keeping all of them in memory.
-`compose` reads each product of two monomials from the structure constants
-(`Algebra.product`) and collects like terms as integer numerator and
-denominator pairs.  Neither multiplies by a structure constant of exactly 1
-or adds a first value to zero.
+`compose` reads each product of two monomials as (monomial, numerator,
+denominator) from a per-algebra table and sums like terms as integer
+pairs.  Neither multiplies a Fraction by a structure constant of exactly
+1 or adds a first value to zero.
 """
 
 import weakref
@@ -247,10 +247,17 @@ def differential(n, alg):
     return BimoduleMap._closed_form(alg, n, n - 1, image)
 
 
+@memoised
+def _ratio_products(alg):
+    """x . y as (monomial, numerator, denominator), per nonzero product."""
+    pairs = ((x, y) for x in alg.basis for y in alg.monomials_from(x.terminus(alg.m)))
+    return {(x, y): (p[0], *p[1].as_integer_ratio()) for x, y in pairs if (p := alg.product(x, y))}
+
+
 def compose(f, g):
     """f after g: if g maps P^c -> P^a and f maps P^a -> P^b, the result
     maps P^c -> P^b.  The products l1 . l2 and r2 . r1 of each term of g
-    and each term of f at its target are read from the structure constants.
+    and each term of f at its target are read from `_ratio_products`.
     Like terms are collected exactly, as unreduced (numerator, denominator)
     pairs of integers: a term whose sum reaches zero is dropped at once, so
     a later contribution puts it last, and a Fraction is built only for
@@ -262,23 +269,22 @@ def compose(f, g):
         )
     if f.alg.spec != g.alg.spec:
         raise ValueError(f"cannot compose maps over different algebras: {f.alg} after {g.alg}")
-    product = f.alg.product
+    product = _ratio_products(f.alg).get
     assignments = {}
     for gen, terms in g.assignments.items():
         acc = {}
         for c1, l1, mid, r1 in terms:
             n1, d1 = c1.as_integer_ratio()
             for c2, l2, target, r2 in f.terms(mid):
-                left = product(l1, l2)
-                right = product(r2, r1)
+                left = product((l1, l2))
+                right = product((r2, r1))
                 if left is None or right is None:
                     continue
+                ml, ln, ld = left
+                mr, rn, rd = right
                 n2, d2 = c2.as_integer_ratio()
-                n, d = n1 * n2, d1 * d2
-                if left[1] != 1 or right[1] != 1:
-                    nl, dl = (left[1] * right[1]).as_integer_ratio()
-                    n, d = n * nl, d * dl
-                key = (left[0], target, right[0])
+                n, d = n1 * n2 * ln * rn, d1 * d2 * ld * rd
+                key = (ml, target, mr)
                 old = acc.get(key)
                 if old is not None:
                     on, od = old
@@ -325,21 +331,22 @@ def term_coords(terms, n, alg):
 def _stencil(left, right, alg):
     """The nonzero products bl . left (x) right . br, for bl into the origin
     of left and br out of the terminus of right, as (column offset, row
-    offset, coefficient) within the 4 x 4 blocks of the source and target
-    summands; the coefficient is None when it is exactly 1."""
+    offset) pairs within the 4 x 4 blocks of the source and target
+    summands, in a list of (coefficient, pairs) groups; the coefficient 1
+    is None.  No two products share a row offset."""
     m = alg.m
     lefts = alg.monomials_into(left.terminus(m))
     rights = alg.monomials_from(right.origin(m))
     out_of = alg.monomials_from(right.terminus(m))
-    stencil = []
+    groups = {}
     for k, bl in enumerate(alg.monomials_into(left.origin(m))):
         for j, br in enumerate(out_of):
             new_left, new_right = alg.product(bl, left), alg.product(right, br)
             if new_left is not None and new_right is not None:
                 coeff = new_left[1] * new_right[1]
                 row = 4 * lefts.index(new_left[0]) + rights.index(new_right[0])
-                stencil.append((4 * k + j, row, None if coeff == 1 else coeff))
-    return stencil
+                groups.setdefault(None if coeff == 1 else coeff, []).append((4 * k + j, row))
+    return list(groups.items())
 
 
 def _collect(acc, key, s):
@@ -356,9 +363,10 @@ def underlying_matrix(f):
 
     The summand of Generator(n, r, i) holds the 16 rows or columns from
     16 (i (n+1) + r).  The term (c, left, target, right) of gen writes c
-    times each coefficient of the stencil of (left, right) at its offsets
-    from the blocks of target and gen; a unit coefficient writes c itself,
-    and the first write to an entry stores its value.
+    times each coefficient group of the stencil of (left, right) at the
+    group's offsets from the blocks of target and gen, one product per
+    group (the unit group writes c itself); the first write to an entry
+    stores its value, and each row's keys come in per-entry order.
 
     The map keeps a weak reference to the result: while a caller holds
     it, a call on the same map returns that very object, and nothing else
@@ -373,15 +381,16 @@ def underlying_matrix(f):
     for gen in generators(f.source_degree, m):
         for c, left, target, right in f.terms(gen):
             base = 16 * (target.i * (n + 1) + target.r)
-            for dc, dr, coeff in _stencil(left, right, alg):
+            for coeff, offsets in _stencil(left, right, alg):
                 v = c if coeff is None else c * coeff
-                row = rows[base + dr]
-                cc = col + dc
-                old = row.get(cc)
-                if old is None:
-                    row[cc] = v
-                else:
-                    _collect(row, cc, old + v)
+                for dc, dr in offsets:
+                    row = rows[base + dr]
+                    cc = col + dc
+                    old = row.get(cc)
+                    if old is None:
+                        row[cc] = v
+                    else:
+                        _collect(row, cc, old + v)
         col += 16
     mat = linalg.Matrix(len(rows), col, rows)
     f._flat = weakref.ref(mat)

@@ -11,6 +11,17 @@ def runner():
     return CliRunner()
 
 
+def refuse_work(monkeypatch):
+    """Make any work past argument checking raise."""
+
+    def refuse(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "make_algebra", refuse)
+    monkeypatch.setattr(cli, "build_algebra", refuse)
+    monkeypatch.setattr(cli, "run_check", refuse)
+
+
 def test_compute_generic_table(runner):
     result = runner.invoke(
         cli.main, ["compute", "--m", "3", "--q", "2,1,1", "--max-degree", "6"]
@@ -315,11 +326,7 @@ def test_verify_rejects_max_degree_zero_for_the_resolution_checks(runner, check)
 def test_max_degree_below_what_the_work_needs_is_rejected_before_any_work(
     runner, monkeypatch, args, needed
 ):
-    def refuse(*args):
-        raise AssertionError("work started")
-
-    monkeypatch.setattr(cli, "make_algebra", refuse)
-    monkeypatch.setattr(cli, "build_algebra", refuse)
+    refuse_work(monkeypatch)
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 2, result.output
     assert f"--max-degree >= {needed}" in result.output
@@ -364,11 +371,7 @@ def test_m_below_one_rejected(runner, command):
 
 @pytest.mark.parametrize("command", ["compute", "verify", "sweep"])
 def test_output_directory_rejected_before_any_work(runner, monkeypatch, tmp_path, command):
-    def refuse(*args):
-        raise AssertionError("work started")
-
-    monkeypatch.setattr(cli, "make_algebra", refuse)
-    monkeypatch.setattr(cli, "build_algebra", refuse)
+    refuse_work(monkeypatch)
     args = {
         "compute": ["compute", "--m", "2", "--q", "2,1"],
         "verify": ["verify", "--m", "2", "--q", "2,1"],
@@ -411,3 +414,37 @@ def test_output_file(runner, tmp_path):
     assert result.output == ""
     payload = json.loads(target.read_text())
     assert payload["spec"]["m"] == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--m", "2", "--q", "2,1", "--checks", "ring"],
+        ["sweep", "--m-range", "1:2", "--zeta", "2"],
+    ],
+    ids=["verify", "sweep"],
+)
+def test_csv_refused_where_there_are_no_degree_rows(runner, monkeypatch, args):
+    # CSV is compute's per-degree table; verify and sweep report checks only
+    refuse_work(monkeypatch)
+    result = runner.invoke(cli.main, args + ["--format", "csv"])
+    assert result.exit_code == 2, result.output
+    assert "--format" in result.output and "csv" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--m", "2", "--q", "2,1", "--checks", "ring,ring"],
+        ["verify", "--m", "2", "--q", "2,1", "--checks", "complex, oracle,complex"],
+        ["sweep", "--m-range", "1:2", "--zeta", "2,2"],
+        ["sweep", "--m-range", "1:2", "--zeta", "1/2,2,2/1"],
+        ["sweep", "--m-range", "1:2", "--zeta", "-3/6,-1/2"],
+    ],
+    ids=["checks", "checks-spaced", "zeta", "zeta-unreduced", "zeta-negative"],
+)
+def test_repeated_list_entries_rejected_before_any_work(runner, monkeypatch, args):
+    refuse_work(monkeypatch)
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2, result.output
+    assert args[-2] + " repeats" in result.output

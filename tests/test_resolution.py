@@ -628,6 +628,54 @@ def assert_fraction_entries(mat):
             assert type(v) is F and v
 
 
+def entry_stencil(left, right, alg):
+    """The stencil of (left, right) one product at a time, from the product
+    rule rather than the structure-constant table: (column offset, row
+    offset, coefficient) triples in (bl, br) order."""
+    m = alg.m
+    lefts = alg.monomials_into(left.terminus(m))
+    rights = alg.monomials_from(right.origin(m))
+    triples = []
+    for k, bl in enumerate(alg.monomials_into(left.origin(m))):
+        for j, br in enumerate(alg.monomials_from(right.terminus(m))):
+            new_left, new_right = alg._monomial_product(bl, left), alg._monomial_product(right, br)
+            if new_left is not None and new_right is not None:
+                row = 4 * lefts.index(new_left[0]) + rights.index(new_right[0])
+                triples.append((4 * k + j, row, new_left[1] * new_right[1]))
+    return triples
+
+
+def flat_underlying(f):
+    """Reference flattening, as the row dicts of `underlying_matrix`: each
+    term walks its per-entry stencil and adds c times each coefficient, a
+    key is stored on first touch and deleted when its sum reaches zero."""
+    alg = f.alg
+    m, n = alg.m, f.target_degree
+    rows = [{} for _ in range(16 * m * (n + 1))]
+    for gen in generators(f.source_degree, m):
+        col = 16 * (gen.i * (f.source_degree + 1) + gen.r)
+        for c, left, target, right in f.terms(gen):
+            base = 16 * (target.i * (n + 1) + target.r)
+            for dc, dr, coeff in entry_stencil(left, right, alg):
+                row = rows[base + dr]
+                s = row.get(col + dc, F(0)) + c * coeff
+                if s:
+                    row[col + dc] = s
+                else:
+                    del row[col + dc]
+    return rows
+
+
+def assert_flattened_in_entry_order(f):
+    """underlying_matrix(f) has the reference's rows, with their keys in
+    the same order, and every entry a Fraction."""
+    mat = underlying_matrix(f)
+    assert [list(row.items()) for row in mat._rows] == [
+        list(row.items()) for row in flat_underlying(f)
+    ]
+    assert_fraction_entries(mat)
+
+
 @pytest.mark.parametrize("zeta", [F(2), F(1, 3), F(1), F(-1)])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_assembly_matches_the_multiply_reference(m, zeta):
@@ -638,7 +686,7 @@ def test_assembly_matches_the_multiply_reference(m, zeta):
         d = differential(n, alg)
         mat = underlying_matrix(d)
         assert mat == multiply_underlying(d), n
-        assert_fraction_entries(mat)
+        assert_flattened_in_entry_order(d)
         assert not any(0 in row.values() for row in mat._rows), n
         if n > 1:
             prev = differential(n - 1, alg)
@@ -647,6 +695,43 @@ def test_assembly_matches_the_multiply_reference(m, zeta):
             assert_matches_fraction_compose(d, identity_map(n, alg))
             # d o d = 0: every product cancels and none is stored
             assert all(row == {} for row in underlying_matrix(prev).matmul(mat)._rows), n
+
+
+@pytest.mark.parametrize(
+    "q",
+    [(F(2),), (F(-1),), (F(2), F(1, 3)), (F(-1), F(1, 3), F(-5, 2))],
+    ids=lambda q: ",".join(map(str, q)),
+)
+def test_stencils_group_products_by_coefficient(q):
+    alg = algebra(len(q), q)
+    scaled = 0
+    for left in alg.basis:
+        for right in alg.basis:
+            groups = resolution._stencil(left, right, alg)
+            keys = [coeff for coeff, _ in groups]
+            assert len(set(keys)) == len(keys) and 1 not in keys
+            flat = [
+                (dc, dr, F(1) if coeff is None else coeff)
+                for coeff, offsets in groups
+                for dc, dr in offsets
+            ]
+            reference = entry_stencil(left, right, alg)
+            assert len(flat) == len(reference)
+            assert set(flat) == set(reference)
+            # one product per row offset, so grouping keeps each row's key order
+            assert len({dr for _, dr, _ in flat}) == len(flat)
+            scaled += any(coeff is not None for coeff in keys)
+    assert scaled
+
+
+def echoed(f):
+    """f with each generator's first term appended negated, then once more:
+    the keys that only this term reaches cancel and are touched again."""
+    assignments = {
+        gen: terms + [(-terms[0][0], *terms[0][1:]), terms[0]]
+        for gen, terms in f.assignments.items()
+    }
+    return BimoduleMap(f.alg, f.source_degree, f.target_degree, assignments)
 
 
 small_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
@@ -690,9 +775,9 @@ def test_assembly_of_random_maps_matches_the_multiply_reference(data):
     g = data.draw(bimodule_maps(alg, c_deg, a_deg))
     f = data.draw(bimodule_maps(alg, a_deg, b_deg))
     for h in (f, g):
-        mat = underlying_matrix(h)
-        assert mat == multiply_underlying(h)
-        assert_fraction_entries(mat)
+        assert underlying_matrix(h) == multiply_underlying(h)
+        assert_flattened_in_entry_order(h)
+        assert_flattened_in_entry_order(echoed(h))
     fg = compose(f, g)
     assert collected(fg) == multiply_compose(f, g)
     assert underlying_matrix(fg) == multiply_underlying(f).matmul(multiply_underlying(g))
@@ -718,10 +803,4 @@ def test_compose_matches_the_fraction_reference(data):
     f = data.draw(bimodule_maps(alg, a_deg, b_deg, coeffs))
     g = data.draw(bimodule_maps(alg, c_deg, a_deg, coeffs))
     assert_matches_fraction_compose(f, g)
-    # append each generator's first term negated, then once more: the keys
-    # that only this term reaches cancel and are touched again
-    echoed = {
-        gen: terms + [(-terms[0][0], *terms[0][1:]), terms[0]]
-        for gen, terms in g.assignments.items()
-    }
-    assert_matches_fraction_compose(f, BimoduleMap(alg, c_deg, a_deg, echoed))
+    assert_matches_fraction_compose(f, echoed(g))
