@@ -40,6 +40,19 @@ def _q_runs(start, alg):
     return [Fraction(1)]
 
 
+def split_coefficient(alg, p, s, t, i):
+    """c(p; s, t; i), the coefficient of g[p][s,i] . g[q][t,i+p-2s] in the
+    split of g[p+q][s+t,i] (the Koszul diagonal K_{p+q} in K_p (x) K_q):
+
+        prod_{u=1..t} (-1)^p (q_{i-s-u+1} ... q_{i-u+p-2s})
+
+    a product of t runs of p - s parameters each."""
+    c = Fraction((-1) ** (p * t))
+    for u in range(1, t + 1):
+        c *= q_run(alg, i - s - u + 1, p - s)
+    return c
+
+
 @memoised
 def g_generators(n, alg):
     """The full table {(r, i): g[n][r,i]} built from the degree n - 1 table

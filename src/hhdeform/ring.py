@@ -10,16 +10,17 @@ along the added vectors are the class coordinates.  Both are found in
 kernel coordinates, a cocycle's entries at the free columns of d^n.
 
 Every cup product takes one path, in every degree: f . g is the class of
-f o L, where L is the level-(deg f) chain-map lifting of g, found by
-exact linear solves, and f o L is the pullback matrix of L applied to the
-vector of f.  The system of L^j at a generator depends only on j and the
-generator's corner: `_lifting_system` builds it once per algebra.
+f o L, where L is the level-(deg f) chain-map lifting of g, and f o L is
+the pullback matrix of L applied to the vector of f.  The lifting is read
+off the Koszul diagonal in closed form (`lift_cocycle`): no linear system
+is solved, and every right factor is a vertex.
 """
 
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import a, abar, memoised, z
+from .algebra import a, abar, e, memoised, z
+from .freepaths import split_coefficient
 from .homcomplex import (
     _coboundary_rank,
     coboundary_matrix,
@@ -27,20 +28,9 @@ from .homcomplex import (
     hom_space_basis,
     pullback_matrix,
 )
-from .resolution import (
-    BimoduleMap,
-    Generator,
-    _p_basis,
-    _p_basis_index,
-    augmentation_matrix,
-    compose,
-    differential,
-    generators,
-)
-
-
-class LiftingError(Exception):
-    """An inconsistent lifting system; must not happen for actual cocycles."""
+# differential is not called here; bench/tests/test_bench.py checks that
+# the tracer rebinds the by-name import ring.differential
+from .resolution import BimoduleMap, Generator, differential, generators  # noqa: F401
 
 
 @dataclass
@@ -131,63 +121,40 @@ def canonical_generators(alg):
     return xs, class_of(u1_cochain, alg), class_of(u2_cochain, alg)
 
 
-@memoised
-def _lifting_system(j, start, end, alg):
-    """(slots, matrix): the level-j lifting system at a generator with
-    corner (start, end).  The slots are the items (target, left, right) of
-    `_p_basis(j)` whose left starts at start and whose right ends at end,
-    in basis order; column k is the image of slot k under the
-    multiplication map (`augmentation_matrix`) at level 0 and under d^j
-    later."""
-    ends = alg.endpoints
-    slots = [s for s in _p_basis(j, alg) if ends[s[1]][0] == start and ends[s[2]][1] == end]
-    if j == 0:
-        aug, index = augmentation_matrix(alg), _p_basis_index(0, alg)
-        positions = [index[s] for s in slots]
-        rows = [{col: row[p] for col, p in enumerate(positions) if p in row} for row in aug._rows]
-        return slots, linalg.Matrix(aug.rows, len(slots), rows)
-    product, d_j = alg.product, differential(j, alg)
-    index = _p_basis_index(j - 1, alg)
-    matrix = linalg.Matrix(len(index), len(slots))
-    for col, (tgt, ml, mr) in enumerate(slots):
-        for c, l2, tgt2, r2 in d_j.terms(tgt):
-            left, right = product(ml, l2), product(r2, mr)
-            if left is not None and right is not None:
-                matrix.add_to_entry(index[(tgt2, left[0], right[0])], col, c * left[1] * right[1])
-    return slots, matrix
-
-
 def lift_cocycle(f, k, alg):
     """Chain-map liftings L^0, ..., L^k of a cocycle f of any degree.
 
     L^j maps P^{a+j} -> P^j where a = f.degree; L^0 satisfies
     (multiplication) o L^0 = f and each later level satisfies
-    d^j o L^j = L^{j-1} o d^{a+j}.  Each generator solves the system of its
-    corner (`_lifting_system`) exactly, with free variables zero.
+    d^j o L^j = L^{j-1} o d^{a+j}.  Each level is read off the Koszul
+    diagonal, with no solve: g[a+j][r,i] splits as the sum over s of
+    c(a; s, r-s; i) g[a][s,i] . g[j][r-s,i+a-2s] (`split_coefficient`),
+    so L^j sends Generator(a+j, r, i) to the sum over s of
+    c(a; s, r-s; i) f(Generator(a, s, i)) (x) e_end in the summand of
+    Generator(j, r-s, i+a-2s), where end is the terminus of the source.
     """
     if k < 0:
         raise ValueError(f"liftings start at level 0, got level {k}")
-    degree = f.degree
-    # the value of f at each generator, in coordinates over the algebra basis
-    values = {gen: [linalg.F0] * len(alg.basis) for gen in generators(degree, alg.m)}
+    degree, m = f.degree, alg.m
+    # the nonzero (coefficient, monomial) pairs of f at each (s, i)
+    values = {}
     for (gen, mono), c in zip(hom_space_basis(degree, alg), f.vector):
-        values[gen][alg.basis_index[mono]] = c
+        if c:
+            values.setdefault((gen.r, gen.i), []).append((c, mono))
     lifts = []
     for j in range(k + 1):
-        if j == 0:
-            rhs = values.__getitem__
-        else:
-            rhs = compose(lifts[-1], differential(degree + j, alg)).value_coords
         assignments = {}
-        for gen in generators(degree + j, alg.m):
-            slots, matrix = _lifting_system(j, gen.i, gen.terminus(alg.m), alg)
-            try:
-                x = linalg.solve(matrix, rhs(gen))
-            except linalg.InconsistentSystem as exc:
-                raise LiftingError(
-                    f"inconsistent lifting system at level {j}, generator {gen}"
-                ) from exc
-            assignments[gen] = [(coeff, ml, tgt, mr) for (tgt, ml, mr), coeff in zip(slots, x)]
+        for gen in generators(degree + j, m):
+            r, i = gen.r, gen.i
+            end = e(gen.terminus(m))
+            terms = []
+            for s in range(max(0, r - j), min(degree, r) + 1):
+                if (s, i) in values:
+                    c = split_coefficient(alg, degree, s, r - s, i)
+                    target = Generator(j, r - s, (i + degree - 2 * s) % m)
+                    terms.extend((c * v, mono, target, end) for v, mono in values[s, i])
+            if terms:
+                assignments[gen] = terms
         lifts.append(BimoduleMap(alg, degree + j, j, assignments))
     return lifts
 

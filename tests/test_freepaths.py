@@ -6,7 +6,7 @@ import pytest
 
 from hhdeform import freepaths
 from hhdeform.algebra import ARROW, BAR, AlgebraElement, BasisMonomial, a, abar, algebra, e, z
-from hhdeform.freepaths import g_generators, q_run, verify_g_recursions
+from hhdeform.freepaths import g_generators, q_run, split_coefficient, verify_g_recursions
 
 F = Fraction
 
@@ -302,3 +302,39 @@ def test_memoised_tables_match_a_from_scratch_loop(m):
         got = {key: {(key[1], steps): c for steps, c in g.items()}
                for key, g in g_generators(n, alg).items()}
         assert got == table, n
+
+
+def split(alg, p, q, r, i):
+    """The sum over s of c(p; s, r-s; i) g[p][s,i] . g[q][r-s,i+p-2s], as
+    concatenated steps."""
+    m = alg.m
+    left, right = g_generators(p, alg), g_generators(q, alg)
+    out = {}
+    for s in range(max(0, r - q), min(p, r) + 1):
+        c = split_coefficient(alg, p, s, r - s, i)
+        for steps, c1 in left[(s, i)].items():
+            for more, c2 in right[(r - s, (i + p - 2 * s) % m)].items():
+                out[steps + more] = out.get(steps + more, 0) + c * c1 * c2
+    return {steps: c for steps, c in out.items() if c}
+
+
+@pytest.mark.parametrize(
+    "m,q",
+    [
+        (1, (F(-5, 2),)),
+        (1, (F(-1),)),
+        (2, (F(3), F(1, 3))),
+        (2, (F(7, 3), F(-5, 2))),
+        (3, (F(-1), F(1), F(1))),
+        (3, (F(7, 3), F(-5, 2), F(1, 9))),
+        (4, (F(2), F(3), F(-1, 7), F(5, 11))),
+    ],
+)
+def test_split_coefficients_rebuild_every_table(m, q):
+    # the Koszul diagonal: g[p+q] lies in g[p] (x) g[q], term by term
+    alg = algebra(m, q)
+    for n in range(10):
+        table = g_generators(n, alg)
+        for p in range(n + 1):
+            for (r, i), entry in table.items():
+                assert split(alg, p, n - p, r, i) == entry, (n, p, r, i)

@@ -20,8 +20,9 @@ from hhdeform.homcomplex import (
     pullback_matrix,
 )
 from hhdeform.resolution import BimoduleMap, Generator, compose, differential, generators
-from hhdeform.ring import canonical_generators, lift_cocycle
+from hhdeform.ring import canonical_generators
 from test_resolution import bimodule_maps, small_coeffs
+from test_ring import slot_lifts
 
 F = Fraction
 
@@ -268,7 +269,7 @@ def test_pullback_is_functorial(m):
     pairs = [(differential(n, alg), differential(n + 1, alg)) for n in range(1, 6)]
     xs, u1, u2 = canonical_generators(alg)
     for cls in (xs[0], u1, u2):
-        for lift in lift_cocycle(cls.representative, 2, alg):
+        for lift in slot_lifts(cls.representative, 2, alg):
             pairs.append((lift, differential(lift.source_degree + 1, alg)))
             if lift.target_degree:
                 pairs.append((differential(lift.target_degree, alg), lift))
@@ -366,7 +367,7 @@ def test_pullback_matches_the_product_reference(m, zeta):
     if alg.generic:
         xs, u1, u2 = canonical_generators(alg)
         for cls in xs + [u1, u2]:
-            for lift in lift_cocycle(cls.representative, 2, alg):
+            for lift in slot_lifts(cls.representative, 2, alg):
                 assert_matches_product_pullback(lift, alg)
 
 
