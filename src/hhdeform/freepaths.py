@@ -2,14 +2,15 @@
 the free path algebra of the cycle quiver, and the check that their right-
 and left-multiplication recursions agree.
 
-An entry is a plain dict {steps: coefficient}: `steps` is a path read left
-to right from vertex i, the origin given by the entry's key (r, i), and ()
-is e_i.  A step is the algebra's arrow monomial: a(j) for the forward
-arrow j -> j+1 or abar(j) for the backward arrow j+1 -> j, with j reduced
-mod m; as a tuple it equals ("a", j) or ("abar", j).  Each recursion
-appends or prepends one arrow, and its two summands end (or start) with
-arrows of different kinds, so they never share a path.  The rewriting map
-down to the quotient is kept in tests/test_freepaths.py as a reference.
+`_g_codes` builds the tables once, integer-coded: a path of length n from
+vertex i is an n-bit int read from the top bit, 1 for a backward step, so
+its arrows follow from i (a step from v is a(v) or abar(v-1)), and a
+coefficient is an unnormalised integer pair (num, den).  Each recursion
+appends or prepends one step, and its two summands end (or start) with
+steps of different kinds, so they never share a path.  `g_generators` is
+the decoded view {steps: Fraction}, `steps` a tuple of the algebra's arrow
+monomials and () for e_i.  The rewriting map down to the quotient is kept
+in tests/test_freepaths.py as a reference.
 """
 
 import logging
@@ -54,70 +55,69 @@ def split_coefficient(alg, p, s, t, i):
 
 
 @memoised
-def g_generators(n, alg):
-    """The full table {(r, i): g[n][r,i]} built from the degree n - 1 table
+def _g_codes(n, alg):
+    """The coded table {(r, i): {code: (num, den)}} built from degree n - 1
     by the right-multiplication recursion
 
         g[n][r,i] = g[n-1][r,i] . a_{i+n-2r-1}
                     + (-1)^n (q_{i-r+1} ... q_{i+n-2r}) g[n-1][r-1,i] . abar_{i+n-2r}
 
-    with missing summands treated as zero and the empty q-product as 1.
-    """
+    with missing summands treated as zero and the empty q-product as 1."""
     m = alg.m
     if n < 0:
         raise ValueError("the generator tables start at degree 0")
     if n == 0:
-        return {(0, i): {(): Fraction(1)} for i in range(m)}
-    prev = g_generators(n - 1, alg)
-    table = {}
+        return {(0, i): {0: (1, 1)} for i in range(m)}
+    prev, table = _g_codes(n - 1, alg), {}
     for i in range(m):
         for r in range(n + 1):
-            entry = {}
-            if r < n:
-                step = a((i + n - 2 * r - 1) % m)
-                entry.update({p + (step,): c for p, c in prev[(r, i)].items()})
+            entry = {2 * c: v for c, v in prev[(r, i)].items()} if r < n else {}
             if r > 0:
-                step = abar((i + n - 2 * r) % m)
-                coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
-                entry.update({p + (step,): coeff * c for p, c in prev[(r - 1, i)].items()})
+                qn, qd = q_run(alg, i - r + 1, n - r).as_integer_ratio()
+                qn = -qn if n % 2 else qn
+                entry.update({2 * c + 1: (qn * x, qd * y) for c, (x, y) in prev[(r - 1, i)].items()})
             table[(r, i)] = entry
     return table
 
 
-def g_left_form(n, alg):
-    """The left-multiplication form of the same table,
-
-        (-1)^r (q_{i-r+1} ... q_i) a_i . g[n-1][r,i+1]
-        + (-1)^r abar_{i-1} . g[n-1][r-1,i-1]
-
-    used to cross-check the defining recursion.
-    """
-    m = alg.m
-    prev = g_generators(n - 1, alg)
-    table = {}
-    for i in range(m):
-        for r in range(n + 1):
-            entry = {}
-            sign = (-1) ** r
-            if r < n:
-                coeff = q_run(alg, i - r + 1, r) * sign
-                entry.update({(a(i),) + p: coeff * c for p, c in prev[(r, (i + 1) % m)].items()})
-            if r > 0:
-                j = (i - 1) % m
-                entry.update({(abar(j),) + p: sign * c for p, c in prev[(r - 1, j)].items()})
-            table[(r, i)] = entry
+@memoised
+def g_generators(n, alg):
+    """The table {(r, i): {steps: coefficient}} of `_g_codes`, decoded."""
+    m, table = alg.m, {}
+    step = ([a(j) for j in range(m)], [abar((j - 1) % m) for j in range(m)])
+    for (r, i), entry in _g_codes(n, alg).items():
+        decoded = table[(r, i)] = {}
+        for code, (x, y) in entry.items():
+            steps, v = [], i
+            for bit in (code >> k & 1 for k in range(n - 1, -1, -1)):
+                steps.append(step[bit][v])
+                v = (v + 1 - 2 * bit) % m
+            decoded[tuple(steps)] = Fraction(x, y)
     return table
 
 
 def verify_g_recursions(n, alg):
-    """True iff the left-multiplication form reproduces g[n][r,i] for every
-    (r, i), as equal entries; each (r, i) where the two forms
-    differ is logged once."""
-    table = g_generators(n, alg)
-    left = g_left_form(n, alg)
-    ok = True
-    for key in table:
-        if table[key] != left[key]:
+    """True iff the left-multiplication form
+
+        (-1)^r (q_{i-r+1} ... q_i) a_i . g[n-1][r,i+1] + (-1)^r abar_{i-1} . g[n-1][r-1,i-1]
+
+    reproduces g[n][r,i] for every (r, i), read in place on the coded tables
+    (a_i keeps a code, abar_{i-1} sets its top bit; pairs are compared by
+    cross-multiplication); each (r, i) where the two forms differ is logged once."""
+    if n < 1:
+        raise ValueError(f"the recursions start at degree 1, got degree {n}")
+    m, top, prev, ok = alg.m, 1 << (n - 1), _g_codes(n - 1, alg), True
+    for (r, i), entry in _g_codes(n, alg).items():
+        sign, parts = (-1) ** r, []
+        if r < n:
+            qn, qd = q_run(alg, i - r + 1, r).as_integer_ratio()
+            parts.append((prev[(r, (i + 1) % m)], 0, sign * qn, qd))
+        if r > 0:
+            parts.append((prev[(r - 1, (i - 1) % m)], top, sign, 1))
+        if len(entry) != sum(len(part) for part, *_ in parts) or not all(
+            (got := entry.get(c | bit)) and got[0] * d * y == f * x * got[1]
+            for part, bit, f, d in parts for c, (x, y) in part.items()
+        ):
             ok = False
-            log.warning("g recursion at n=%d, (r,i)=%s: the two forms differ", n, key)
+            log.warning("g recursion at n=%d, (r,i)=%s: the two forms differ", n, (r, i))
     return ok

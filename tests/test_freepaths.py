@@ -183,23 +183,192 @@ def test_recursion_identity_small_degrees(m, q):
         assert verify_g_recursions(n, alg)
 
 
-def test_recursion_check_reports_a_perturbed_entry(monkeypatch, caplog):
-    alg = algebra(3, (2, 3, 5))
-    n, key = 4, (2, 1)
-    real = freepaths.g_generators
+# The tuple/Fraction forms of both recursions: the reference that the coded
+# tables and the in-place check of `freepaths` are compared against.
+
+
+def reference_tables(n, alg):
+    """g[n] by the right-multiplication recursion, on step tuples with
+    Fraction coefficients."""
+    m = alg.m
+    if n == 0:
+        return {(0, i): {(): F(1)} for i in range(m)}
+    prev = reference_tables(n - 1, alg)
+    table = {}
+    for i in range(m):
+        for r in range(n + 1):
+            entry = {}
+            if r < n:
+                step = a((i + n - 2 * r - 1) % m)
+                entry.update({p + (step,): c for p, c in prev[(r, i)].items()})
+            if r > 0:
+                step = abar((i + n - 2 * r) % m)
+                coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
+                entry.update({p + (step,): coeff * c for p, c in prev[(r - 1, i)].items()})
+            table[(r, i)] = entry
+    return table
+
+
+def g_left_form(n, alg):
+    """The left-multiplication form of g[n], built from the decoded table
+    g[n-1]:
+
+        (-1)^r (q_{i-r+1} ... q_i) a_i . g[n-1][r,i+1]
+        + (-1)^r abar_{i-1} . g[n-1][r-1,i-1]
+    """
+    m = alg.m
+    prev = g_generators(n - 1, alg)
+    table = {}
+    for i in range(m):
+        for r in range(n + 1):
+            entry = {}
+            sign = (-1) ** r
+            if r < n:
+                coeff = q_run(alg, i - r + 1, r) * sign
+                entry.update({(a(i),) + p: coeff * c for p, c in prev[(r, (i + 1) % m)].items()})
+            if r > 0:
+                j = (i - 1) % m
+                entry.update({(abar(j),) + p: sign * c for p, c in prev[(r - 1, j)].items()})
+            table[(r, i)] = entry
+    return table
+
+
+def reference_mismatches(n, alg):
+    """The keys (r, i) where the decoded g[n] and its left form differ."""
+    table, left = g_generators(n, alg), g_left_form(n, alg)
+    return [key for key in table if table[key] != left[key]]
+
+
+RECURSION_SPECS = [
+    (1, (F(2),)),
+    (1, (F(-1),)),
+    (1, (F(1),)),
+    (2, (F(7, 3), F(-5, 2))),
+    (3, (F(-1), F(1), F(1))),
+    (3, (F(7, 3), F(-5, 2), F(1, 9))),
+    (4, (F(7, 3), F(-5, 2), F(1, 9), F(3))),
+    (4, (F(1), F(1), F(1), F(1))),
+]
+
+
+def perturb(monkeypatch, n, key, change):
+    """Make `freepaths._g_codes(n)` return a copy whose entry `key` is
+    change(copy of the entry); other degrees are left as built."""
+    real = freepaths._g_codes
 
     def perturbed(degree, alg):
         table = real(degree, alg)
         if degree != n:
             return table
         table = dict(table)
-        entry = dict(table[key])
-        steps = next(iter(entry))
-        entry[steps] *= 2
-        table[key] = entry
+        table[key] = change(dict(table[key]))
         return table
 
-    monkeypatch.setattr(freepaths, "g_generators", perturbed)
+    monkeypatch.setattr(freepaths, "_g_codes", perturbed)
+
+
+def scale_a_branch(entry):
+    code = next(c for c in entry if not c & 1 << (N_MUTANT - 1))
+    x, y = entry[code]
+    entry[code] = (2 * x, y)
+    return entry
+
+
+def negate_abar_branch(entry):
+    code = next(c for c in entry if c & 1 << (N_MUTANT - 1))
+    x, y = entry[code]
+    entry[code] = (-x, y)
+    return entry
+
+
+def drop_a_path(entry):
+    del entry[next(reversed(entry))]
+    return entry
+
+
+def add_a_path(entry):
+    # a code with one backward step too many lies in no entry of the key
+    entry[(1 << N_MUTANT) - 1] = (1, 1)
+    return entry
+
+
+N_MUTANT = 4
+MUTANTS = [scale_a_branch, negate_abar_branch, drop_a_path, add_a_path]
+
+
+@pytest.mark.parametrize("m,q", RECURSION_SPECS)
+def test_coded_tables_decode_to_the_reference(m, q):
+    alg = algebra(m, q)
+    for n in range(11):
+        got, want = g_generators(n, alg), reference_tables(n, alg)
+        assert list(got) == list(want), n
+        for key, entry in want.items():
+            assert list(got[key].items()) == list(entry.items()), (n, key)
+            assert all(type(c) is Fraction for c in got[key].values())
+
+
+@pytest.mark.parametrize("m,q", RECURSION_SPECS)
+def test_coded_check_agrees_with_the_reference(m, q, caplog):
+    alg = algebra(m, q)
+    with caplog.at_level(logging.WARNING, logger="hhdeform.freepaths"):
+        for n in range(1, 10):
+            assert verify_g_recursions(n, alg)
+            assert g_left_form(n, alg) == reference_tables(n, alg), n
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+@pytest.mark.parametrize("m,q", RECURSION_SPECS)
+def test_each_branch_mutant_fails_once_as_in_the_reference(m, q, mutant, monkeypatch, caplog):
+    alg = algebra(m, q)
+    key = (2, 1 % m)
+    entry = freepaths._g_codes(N_MUTANT, alg)[key]
+    perturb(monkeypatch, N_MUTANT, key, mutant)
+    assert freepaths._g_codes(N_MUTANT, alg)[key] != entry
+    with caplog.at_level(logging.WARNING, logger="hhdeform.freepaths"):
+        assert not verify_g_recursions(N_MUTANT, alg)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"g recursion at n={N_MUTANT}, (r,i)={key}: the two forms differ"
+    ]
+    assert reference_mismatches(N_MUTANT, alg) == [key]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="hhdeform.freepaths"):
+        assert verify_g_recursions(N_MUTANT - 1, alg)
+    assert not caplog.records
+
+
+def test_recursion_check_compares_pairs_by_value(monkeypatch, caplog):
+    # the coded coefficients are unnormalised: (2x, 2y) is the same number
+    alg = algebra(3, (F(7, 3), F(-5, 2), F(1, 9)))
+
+    def double_both(entry):
+        return {c: (2 * x, 2 * y) for c, (x, y) in entry.items()}
+
+    perturb(monkeypatch, N_MUTANT, (2, 1), double_both)
+    with caplog.at_level(logging.WARNING, logger="hhdeform.freepaths"):
+        assert verify_g_recursions(N_MUTANT, alg)
+    assert not caplog.records
+
+
+def test_recursions_start_at_degree_1():
+    alg = algebra(3, (2, 3, 5))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="the recursions start at degree 1"):
+            verify_g_recursions(n, alg)
+    assert verify_g_recursions(1, alg)
+
+
+def test_recursion_check_reports_a_perturbed_entry(monkeypatch, caplog):
+    alg = algebra(3, (2, 3, 5))
+    n, key = 4, (2, 1)
+
+    def double_first(entry):
+        code = next(iter(entry))
+        x, y = entry[code]
+        entry[code] = (2 * x, y)
+        return entry
+
+    perturb(monkeypatch, n, key, double_first)
     with caplog.at_level(logging.WARNING, logger="hhdeform.freepaths"):
         assert not verify_g_recursions(n, alg)
     assert [r.getMessage() for r in caplog.records] == [

@@ -263,34 +263,27 @@ def explicit_lifts(alg):
     g10m1 = Generator(1, 0, (m - 1) % m)
     g110 = Generator(1, 1, 0)
     g11m1 = Generator(1, 1, (m - 1) % m)
-    lift1 = BimoduleMap(
-        alg,
-        2,
-        1,
-        {
-            Generator(2, 0, (m - 1) % m): [
-                (
-                    F(1),
-                    a((m - 1) % m),
-                    Generator(1, 0, 0),
-                    e(Generator(1, 0, 0).terminus(m)),
-                )
-            ],
-            Generator(2, 1, 0): [
-                (F(1), abar((m - 1) % m), g10m1, e(g10m1.terminus(m)))
-            ],
-            Generator(2, 1, (m - 1) % m): [
-                (-alg.q[(m - 1) % m], a((m - 1) % m), g110, e(g110.terminus(m)))
-            ],
-            Generator(2, 2, 0): [
-                (F(-1), abar((m - 1) % m), g11m1, e(g11m1.terminus(m)))
-            ],
-        },
-    )
+    # at m = 1, G(2;1,m-1) and G(2;1,0) are one generator: its terms add up,
+    # in the order the diagonal lifting gives them
+    level1 = {}
+    for gen, terms in [
+        (
+            Generator(2, 0, (m - 1) % m),
+            [(F(1), a((m - 1) % m), Generator(1, 0, 0), e(Generator(1, 0, 0).terminus(m)))],
+        ),
+        (
+            Generator(2, 1, (m - 1) % m),
+            [(-alg.q[(m - 1) % m], a((m - 1) % m), g110, e(g110.terminus(m)))],
+        ),
+        (Generator(2, 1, 0), [(F(1), abar((m - 1) % m), g10m1, e(g10m1.terminus(m)))]),
+        (Generator(2, 2, 0), [(F(-1), abar((m - 1) % m), g11m1, e(g11m1.terminus(m)))]),
+    ]:
+        level1.setdefault(gen, []).extend(terms)
+    lift1 = BimoduleMap(alg, 2, 1, level1)
     return lift0, lift1
 
 
-@pytest.mark.parametrize("m,q", [(3, (2, 1, 1)), (2, (3, 1)), (4, (2, 1, 1, 1))])
+@pytest.mark.parametrize("m,q", [(3, (2, 1, 1)), (2, (3, 1)), (4, (2, 1, 1, 1)), (1, (2,))])
 def test_explicit_lifting_satisfies_commutation(m, q):
     alg = algebra(m, q)
     _, _, u2 = canonical_generators(alg)
@@ -302,7 +295,7 @@ def test_explicit_lifting_satisfies_commutation(m, q):
         assert lhs.value_coords(gen) == rhs.value_coords(gen)
 
 
-@pytest.mark.parametrize("m,q", [(3, (2, 1, 1)), (2, (3, 1)), (4, (2, 1, 1, 1))])
+@pytest.mark.parametrize("m,q", [(3, (2, 1, 1)), (2, (3, 1)), (4, (2, 1, 1, 1)), (1, (2,))])
 def test_lift_cocycle_of_u2_is_the_explicit_lifting(m, q):
     alg = algebra(m, q)
     _, _, u2 = canonical_generators(alg)
