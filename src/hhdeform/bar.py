@@ -31,22 +31,20 @@ def _radical_monomials(alg):
 
 @memoised
 def _tuples(n, alg):
-    """All endpoint-compatible n-tuples of radical monomials."""
-    m = alg.m
+    """All endpoint-compatible n-tuples of radical monomials, each extended
+    by the radical monomials starting where its last factor ends."""
     rad = _radical_monomials(alg)
     if n < 0:
         raise ValueError(f"the bar complex is defined for n >= 0, got degree {n}")
     if n == 0:
-        result = [()]
-    else:
-        result = [(mono,) for mono in rad]
-        for _ in range(n - 1):
-            result = [
-                tup + (mono,)
-                for tup in result
-                for mono in rad
-                if mono.origin(m) == tup[-1].terminus(m)
-            ]
+        return [()]
+    ends = alg.endpoints
+    starting = {v: [] for v in range(alg.m)}
+    for mono in rad:
+        starting[ends[mono][0]].append(mono)
+    result = [(mono,) for mono in rad]
+    for _ in range(n - 1):
+        result = [tup + (mono,) for tup in result for mono in starting[ends[tup[-1]][1]]]
     return result
 
 
@@ -84,7 +82,9 @@ def _bar_coboundary(n, alg):
                              + (-1)^{n+1} f(... r_n) r_{n+1}
 
     At n = 0 a cochain is a value at each vertex, and the two outer faces
-    of (r_1,) are the vertices r_1 ends and starts at.
+    of (r_1,) are the vertices r_1 ends and starts at.  Every entry is a
+    structure constant, negated on the odd inner faces and, for even n, on
+    the last face, so the walk multiplies no Fractions.
     """
     m = alg.m
     product = alg.product
@@ -93,7 +93,7 @@ def _bar_coboundary(n, alg):
         columns.setdefault(tup0, []).append((col, mono0))
     target_index = {item: k for k, item in enumerate(bar_basis(n + 1, alg))}
     mat = linalg.Matrix(len(target_index), bar_cochain_dimension(n, alg))
-    last_sign = linalg.F1 if n % 2 else -linalg.F1
+    odd = n % 2
     for big in _tuples(n + 1, alg):
         if n == 0:
             first, last = (big[0].terminus(m),), (big[0].origin(m),)
@@ -114,13 +114,20 @@ def _bar_coboundary(n, alg):
         for col, mono0 in columns.get(last, ()):
             value = product(mono0, big[-1])
             if value is not None:
-                mat.add_to_entry(target_index[(big, value[0])], col, last_sign * value[1])
+                coeff = value[1] if odd else -value[1]
+                mat.add_to_entry(target_index[(big, value[0])], col, coeff)
     return mat
 
 
 @memoised
 def _bar_rank(n, alg):
-    return linalg.rank(_bar_coboundary(n, alg))
+    """Rank of the degree-n coboundary, eliminated on its short side: a
+    tall matrix (more rows than columns) through its transpose, which
+    replaces it so that the two are not held at once."""
+    mat = _bar_coboundary(n, alg)
+    if mat.rows > mat.cols:
+        mat = mat.transpose()
+    return linalg.rank(mat)
 
 
 def bar_cohomology_dimension(n, alg, degree_cap=3, m_cap=3):

@@ -154,10 +154,13 @@ class Matrix:
         return out
 
     def mul_vector(self, vec):
+        """self @ vec as a list; only the nonzero entries of vec are
+        multiplied, and every sum starts at Fraction 0."""
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} for {self.cols} columns")
+        nonzero = {c: x for c, x in enumerate(vec) if x}
         return [
-            sum((v * vec[c] for c, v in row.items()), start=F0)
+            sum((v * nonzero[c] for c, v in row.items() if c in nonzero), start=F0)
             for row in self._rows
         ]
 
@@ -238,14 +241,19 @@ def _echelon(m):
 
 
 def _rref_rows(m):
-    """Reduced row echelon form: `_echelon`, each integer pivot row divided
-    by its leading entry into Fractions, then one back-substitution pass
-    from the last pivot upward.
+    """Reduced row echelon form: `_reduce` of `_echelon`.
 
     Returns (pivot_cols, echelon_rows) where echelon_rows[k] is the dict
     row whose pivot is pivot_cols[k].  Pivot columns are ascending.
     """
-    pivot_cols, rows = _echelon(m)
+    return _reduce(*_echelon(m))
+
+
+def _reduce(pivot_cols, rows):
+    """Echelon integer rows, leading at the ascending pivot_cols, reduced:
+    each divided by its leading entry into Fractions, then one
+    back-substitution pass from the last pivot upward.  Returns
+    (pivot_cols, reduced_rows)."""
     rows = [{c: Fraction(v, row[col]) for c, v in row.items()} for col, row in zip(pivot_cols, rows)]
     for k in range(len(rows) - 1, 0, -1):
         col, pivot = pivot_cols[k], rows[k]

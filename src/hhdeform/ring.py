@@ -7,7 +7,10 @@ relative to a deterministic complement of im d^{n-1} inside ker d^n: the
 image is extended greedily by the reduced-echelon kernel basis vectors,
 in their canonical order, until the kernel is spanned; the coefficients
 along the added vectors are the class coordinates.  Both are found in
-kernel coordinates, a cocycle's entries at the free columns of d^n.
+kernel coordinates, a cocycle's entries at the free columns of d^n, by
+one elimination per degree: it picks the complement, and its rows there
+give each coordinate as a fixed linear form in those entries, so a class
+is read with no solve.
 
 Every cup product takes one path, in every degree: f . g is the class of
 f o L, where L is the level-(deg f) chain-map lifting of g, and f o L is
@@ -66,15 +69,21 @@ class CohomologyClass:
 
 @memoised
 def _cohomology_space(n, alg):
-    """(free, columns, positions) for degree n, in kernel coordinates.
+    """(free, columns, positions, readers) for degree n, in kernel
+    coordinates.
 
     The reduced-echelon kernel vector of a free column f of d^n is 1 at f
     and 0 at the other free columns, so a cocycle's kernel coordinates are
     its entries at free.  Row k of columns is row free[k] of d^{n-1} (the
     image columns, width of them), then a 1 at width + k (the kernel
     basis).  Its pivot columns from width on are the greedy complement,
-    positions; solving kernel coordinates against columns with free
-    variables zero leaves the class coordinates there.
+    positions.  The echelon rows leading there lie in the identity block;
+    reduced among themselves they are the reduced form's rows there, whose
+    identity block is the inverse of the row operations, so the solution
+    of columns against kernel coordinates with free variables zero (the
+    class coordinates) is their dot products with those coordinates.
+    readers[k] holds the row at positions[k] as (free[j], entry at
+    width + j) pairs.
     """
     prev = coboundary_matrix(n - 1, alg) if n else linalg.Matrix(hom_dimension(0, alg), 0)
     dn = coboundary_matrix(n, alg)
@@ -83,24 +92,33 @@ def _cohomology_space(n, alg):
     width = prev.cols
     rows = [{**prev._rows[f], width + k: linalg.F1} for k, f in enumerate(free)]
     columns = linalg.Matrix(len(rows), width + len(rows), rows)
-    pivots = linalg.pivot_columns(columns)
-    positions = [c for c in pivots if c >= width]
+    pivots, echelon = linalg._echelon(columns)
+    image = sum(c < width for c in pivots)
     # im d^{n-1} lies in ker d^n, where the free entries are coordinates,
     # so its rank survives there unless an image vector is not a cocycle
     rank = _coboundary_rank(n - 1, prev, alg) if n else 0
-    if len(pivots) - len(positions) != rank:
+    if image != rank:
         raise RuntimeError(f"im d^{n - 1} loses rank on the free columns of d^{n}")
-    return free, columns, positions
+    positions, reduced = linalg._reduce(pivots[image:], echelon[image:])
+    readers = [[(free[c - width], v) for c, v in row.items()] for row in reduced]
+    return free, columns, positions, readers
 
 
 def class_of(cochain, alg):
-    """The cohomology class of a cocycle, with complement coordinates."""
+    """The cohomology class of a cocycle, with complement coordinates,
+    each read as a dot product of the cocycle's entries at the free columns
+    of its degree; a nonzero entry there that is not an exact rational
+    raises TypeError."""
     alg.require_generic()
     if not cochain.is_cocycle(alg):
         raise ValueError("representative is not a cocycle")
-    free, columns, positions = _cohomology_space(cochain.degree, alg)
-    x = linalg.solve(columns, [cochain.vector[f] for f in free])
-    return CohomologyClass(cochain.degree, cochain, tuple(x[c] for c in positions))
+    free, _columns, _positions, readers = _cohomology_space(cochain.degree, alg)
+    values = {f: linalg.exact(v) for f in free if (v := cochain.vector[f])}
+    coordinates = tuple(
+        sum((c * values[f] for f, c in reader if f in values), start=linalg.F0)
+        for reader in readers
+    )
+    return CohomologyClass(cochain.degree, cochain, coordinates)
 
 
 def canonical_generators(alg):

@@ -7,6 +7,7 @@ from hhdeform.algebra import AlgebraElement, algebra
 from hhdeform.bar import (
     DegreeCapExceeded,
     _bar_coboundary,
+    _bar_rank,
     _tuples,
     bar_basis,
     bar_cochain_dimension,
@@ -95,6 +96,18 @@ def test_oracle_agrees_off_generic_regime():
     bar_dims = [bar_cohomology_dimension(n, alg) for n in range(4)]
     assert resolution_dims == bar_dims
     assert resolution_dims[3] > 0  # generic value would be 0
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1), F(-1)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_bar_rank_is_the_rank_of_the_untransposed_coboundary(m, zeta):
+    # every coboundary here is tall, so each goes through its transpose
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    for n in range(4):
+        mat = _bar_coboundary(n, alg)
+        assert mat.rows > mat.cols
+        assert _bar_rank(n, alg) == linalg.rank(mat), n
 
 
 def test_degree_cap_enforced():

@@ -98,6 +98,22 @@ def test_kernel_vectors_are_annihilated(m):
         assert all(v == 0 for v in m.mul_vector(vec))
 
 
+def dense_product(m, vec):
+    return [sum((a * b for a, b in zip(row, vec)), start=F(0)) for row in m.to_lists()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(), st.data())
+def test_mul_vector_is_the_dense_fraction_sum(m, data):
+    # zeros are skipped, so draw many of them, and int entries beside Fractions
+    entries = st.one_of(st.just(0), st.integers(-3, 3), rationals)
+    vec = data.draw(st.lists(entries, min_size=m.cols, max_size=m.cols))
+    for v in (vec, [0] * m.cols, [F(0)] * m.cols):
+        got = m.mul_vector(v)
+        assert got == dense_product(m, v)
+        assert all(type(x) is F for x in got)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices(), st.data())
 def test_solve_solves(m, data):

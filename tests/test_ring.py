@@ -407,35 +407,30 @@ def test_ring_report_needs_max_degree_two(max_degree):
 
 
 @pytest.fixture
-def lifting_solves(monkeypatch):
-    """One flag per linalg.solve call: whether it ran inside lift_cocycle."""
-    inside = []
-    depth = 0
-    lift, solve = ring.lift_cocycle, linalg.solve
-
-    def recorded_lift(f, k, alg):
-        nonlocal depth
-        depth += 1
-        try:
-            return lift(f, k, alg)
-        finally:
-            depth -= 1
+def solves(monkeypatch):
+    """The matrix of each linalg.solve call, in call order."""
+    calls = []
+    solve = linalg.solve
 
     def recorded_solve(a, b):
-        inside.append(depth > 0)
+        calls.append(a)
         return solve(a, b)
 
-    monkeypatch.setattr(ring, "lift_cocycle", recorded_lift)
     monkeypatch.setattr(linalg, "solve", recorded_solve)
-    return inside
+    return calls
 
 
-def test_ring_report_lifts_without_a_solve(lifting_solves):
-    # the liftings of x0, x1, x2, u1 and u2 solve nothing (a solver-based
-    # lifting made 39 solves here); class_of's solves are still seen
+def test_ring_report_lifts_without_a_solve(solves):
+    # neither the liftings of x0, x1, x2, u1 and u2 (a solver-based lifting
+    # made 39 solves here) nor the class coordinates (one solve per class
+    # before they were read off the reduced rows) solve anything
     report = ring_report(algebra(3, (2, 1, 1)))
     assert report["passed"], report["failures"]
-    assert lifting_solves and not any(lifting_solves)
+    assert solves == []
+    # the patch is live: a direct call is seen
+    one = linalg.Matrix.identity(1)
+    assert linalg.solve(one, [F(3)]) == [F(3)]
+    assert solves == [one]
 
 
 def greedy_complement(alg, n):
@@ -455,7 +450,7 @@ def greedy_complement(alg, n):
 def test_complement_is_the_greedy_choice(m, zeta):
     alg = algebra(m, (zeta,) + (1,) * (m - 1))
     for n in range(7):
-        free, columns, positions = _cohomology_space(n, alg)
+        free, columns, positions, _readers = _cohomology_space(n, alg)
         kernel = linalg.kernel_basis(coboundary_matrix(n, alg))
         offset = columns.cols - len(free)
         assert [kernel[p - offset] for p in positions] == greedy_complement(alg, n)
@@ -487,6 +482,34 @@ def test_class_coordinates_match_the_hom_coordinate_reference(m):
                 got = class_of(Cochain(n, vec), alg).coordinates
                 assert got == hom_class_coordinates(vec, n, alg), (q, n)
                 assert all(type(c) is F for c in got)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_class_coordinates_are_the_solve_of_the_complement_system(m):
+    # the reduced rows at positions give what one solve per class gave:
+    # columns against the free entries, with free variables zero
+    for q0 in (F(2), F(-5, 2), F(1, 3), None):
+        q = COPRIME_Q[:m] if q0 is None else (q0,) + (F(1),) * (m - 1)
+        alg = algebra(m, q)
+        for n in range(6):
+            free, columns, positions, _readers = _cohomology_space(n, alg)
+            for vec in linalg.kernel_basis(coboundary_matrix(n, alg)):
+                x = linalg.solve(columns, [vec[f] for f in free])
+                expected = tuple(x[c] for c in positions)
+                # int entries where the vector is integral read the same
+                ints = [int(v) if v.denominator == 1 else v for v in vec]
+                for entries in (vec, ints):
+                    got = class_of(Cochain(n, entries), alg).coordinates
+                    assert got == expected, (q, n)
+                    assert all(type(c) is F for c in got)
+
+
+def test_class_of_refuses_inexact_entries(alg3):
+    _xs, u1, _u2 = canonical_generators(alg3)
+    inexact = Cochain(1, [float(c) for c in u1.representative.vector])
+    assert inexact.is_cocycle(alg3)
+    with pytest.raises(TypeError, match="1.0 is not an exact rational"):
+        class_of(inexact, alg3)
 
 
 def test_ring_report_runs_no_rref_kernel_basis_or_transpose(monkeypatch):
