@@ -193,16 +193,19 @@ class Algebra:
             + [z(i) for i in range(self.m)]
         )
         self.basis_index = {mono: k for k, mono in enumerate(self.basis)}
-        self._table = {}
-        for x in self.basis:
-            for y in self.basis:
-                p = self._monomial_product(x, y)
-                if p is not None:
-                    self._table[(x, y)] = p
         # (origin, terminus) of each basis monomial
         self.endpoints = {mono: (mono.origin(self.m), mono.terminus(self.m)) for mono in self.basis}
         self._into = {v: [mono for mono in self.basis if mono.terminus(self.m) == v] for v in range(self.m)}
         self._from = {v: [mono for mono in self.basis if mono.origin(self.m) == v] for v in range(self.m)}
+        # the nonzero products, over composable pairs only: y runs over the
+        # monomials out of the terminus of x in basis order, so the entries
+        # come in the order of a walk over all pairs
+        self._table = {}
+        for x in self.basis:
+            for y in self._from[self.endpoints[x][1]]:
+                p = self._monomial_product(x, y)
+                if p is not None:
+                    self._table[(x, y)] = p
         # the basis is in canonical order, so each corner list is too
         self._corners = {(i, j): [] for i in range(self.m) for j in range(self.m)}
         for mono in self.basis:

@@ -9,8 +9,8 @@ with the resolution, which is the whole point.
 
 The coboundary is assembled in one walk over the (n+1)-tuples: each of a
 tuple's n+2 faces (the outer factor split off at either end, or two
-neighbours contracted to their product, read from the structure constants
-by `Algebra.product`) feeds only the columns of the cochains on that
+neighbours contracted to their product, read from the structure-constant
+table `Algebra._table`) feeds only the columns of the cochains on that
 face's n-tuple.
 
 Sizes explode with the degree, so a hard cap is enforced rather than any
@@ -84,38 +84,37 @@ def _bar_coboundary(n, alg):
     At n = 0 a cochain is a value at each vertex, and the two outer faces
     of (r_1,) are the vertices r_1 ends and starts at.  Every entry is a
     structure constant, negated on the odd inner faces and, for even n, on
-    the last face, so the walk multiplies no Fractions.
+    the last face, so the walk multiplies no Fractions: signed[1] is the
+    product table with each constant negated once per call.
     """
     m = alg.m
-    product = alg.product
+    signed = (alg._table, {pair: (mono, -c) for pair, (mono, c) in alg._table.items()})
     columns = {}
     for col, (tup0, mono0) in enumerate(bar_basis(n, alg)):
         columns.setdefault(tup0, []).append((col, mono0))
     target_index = {item: k for k, item in enumerate(bar_basis(n + 1, alg))}
     mat = linalg.Matrix(len(target_index), bar_cochain_dimension(n, alg))
-    odd = n % 2
+    last_face = signed[1 - n % 2].get
     for big in _tuples(n + 1, alg):
         if n == 0:
             first, last = (big[0].terminus(m),), (big[0].origin(m),)
         else:
             first, last = big[1:], big[:-1]
         for col, mono0 in columns.get(first, ()):
-            value = product(big[0], mono0)
+            value = signed[0].get((big[0], mono0))
             if value is not None:
                 mat.add_to_entry(target_index[(big, value[0])], col, value[1])
         for j in range(1, n + 1):
-            prod = product(big[j - 1], big[j])
+            prod = signed[j % 2].get((big[j - 1], big[j]))
             if prod is None:
                 continue
             face = big[: j - 1] + (prod[0],) + big[j + 1 :]
-            coeff = prod[1] if j % 2 == 0 else -prod[1]
             for col, mono0 in columns.get(face, ()):
-                mat.add_to_entry(target_index[(big, mono0)], col, coeff)
+                mat.add_to_entry(target_index[(big, mono0)], col, prod[1])
         for col, mono0 in columns.get(last, ()):
-            value = product(mono0, big[-1])
+            value = last_face((mono0, big[-1]))
             if value is not None:
-                coeff = value[1] if odd else -value[1]
-                mat.add_to_entry(target_index[(big, value[0])], col, coeff)
+                mat.add_to_entry(target_index[(big, value[0])], col, value[1])
     return mat
 
 

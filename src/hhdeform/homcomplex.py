@@ -25,7 +25,7 @@ data, never as a computation path.
 
 from . import linalg
 from .algebra import memoised
-from .resolution import differential, generators
+from .resolution import _collect, differential, generators
 
 
 def _require_degree(n):
@@ -66,6 +66,11 @@ def _block_starts(n, alg):
 
 
 @memoised
+def _pullback_stencils(alg):
+    """{(left, right): its `_pullback_stencil`}, added as pairs are met."""
+    return {}
+
+
 def _pullback_stencil(left, right, alg):
     """The nonzero products left . mono0 . right, for mono0 in the corner
     e_{terminus of left} . Algebra . e_{origin of right}, as (column offset
@@ -95,20 +100,33 @@ def pullback_matrix(g):
     image of gen sends the basis map (tgt, mono0) to c . left . mono0 . right
     at gen.  It writes c times each coefficient of the stencil of
     (left, right) at its offsets from the corner blocks of tgt and gen; a
-    unit coefficient writes c itself.  Only the generators of P^N that
-    have a corner block are read: no other image has a row to land in.
+    unit coefficient writes c itself, into the row dicts as `add_to_entry`
+    would, each stencil built once per algebra.  Only the generators of
+    P^N that have a corner block are read: no other image has a row to
+    land in.
     """
     alg = g.alg
     cols = _block_starts(g.target_degree, alg)
-    rows = _block_starts(g.source_degree, alg)
     mat = linalg.Matrix(hom_dimension(g.source_degree, alg), hom_dimension(g.target_degree, alg))
-    for gen, row in rows.items():
+    rows = mat._rows
+    stencils = _pullback_stencils(alg)
+    for gen, start in _block_starts(g.source_degree, alg).items():
         for c, left, tgt, right in g.terms(gen):
             col = cols.get(tgt)
             if col is None:
                 continue
-            for dc, dr, coeff in _pullback_stencil(left, right, alg):
-                mat.add_to_entry(row + dr, col + dc, c if coeff is None else c * coeff)
+            stencil = stencils.get((left, right))
+            if stencil is None:
+                stencil = stencils[left, right] = _pullback_stencil(left, right, alg)
+            for dc, dr, coeff in stencil:
+                row = rows[start + dr]
+                cc = col + dc
+                v = c if coeff is None else c * coeff
+                old = row.get(cc)
+                if old is None:
+                    row[cc] = v
+                else:
+                    _collect(row, cc, old + v)
     return mat
 
 
@@ -119,28 +137,17 @@ def coboundary_matrix(n, alg):
     return pullback_matrix(differential(n + 1, alg))
 
 
-def _coboundary_rank(n, dn, alg):
-    """The rank of dn = coboundary_matrix(n, alg), eliminated once per
-    algebra: the table of ranks by degree sits in alg.cache under this
-    function."""
-    ranks = alg.cache.setdefault(_coboundary_rank, {})
-    rank = ranks.get(n)
-    if rank is None:
-        rank = ranks[n] = linalg.rank(dn)
-    return rank
-
-
 def kernel_image_dims(n, alg):
     """(dim ker d^n, dim im d^{n-1}) by exact rank computation.
 
     It reads coboundary_matrix(n) and then, for n >= 1,
-    coboundary_matrix(n - 1), but each coboundary is ranked once per
-    algebra: a table of degrees 0..N makes N + 1 eliminations, not 2N + 1.
+    coboundary_matrix(n - 1), memoised and keeping their pivots: a table
+    of degrees 0..N makes N + 1 eliminations, not 2N + 1.
     """
     _require_degree(n)
     dn = coboundary_matrix(n, alg)
-    ker = dn.cols - _coboundary_rank(n, dn, alg)
-    im = _coboundary_rank(n - 1, coboundary_matrix(n - 1, alg), alg) if n >= 1 else 0
+    ker = dn.cols - linalg.rank(dn)
+    im = linalg.rank(coboundary_matrix(n - 1, alg)) if n >= 1 else 0
     return ker, im
 
 

@@ -9,8 +9,9 @@ n = 7 is 26244 x 8748), and every result is canonical:
 
 * `rank` and `pivot_columns` come from a row echelon form, found by
   forward elimination on integer rows that visits each pivot column's
-  rows only and builds no Fraction.  Its pivot columns are those of the
-  reduced form, whatever the pivoting order.
+  rows only and builds no Fraction.  Its pivot columns, those of the
+  reduced form whatever the pivoting order, are found once per matrix and
+  kept on it: a `Matrix` is not written after it is first eliminated.
 * `rref` divides each echelon row by its leading entry, then makes one
   back-substitution pass in Fractions; the reduced row echelon form is
   unique, and `kernel_basis` and `solve` read it.
@@ -47,7 +48,7 @@ class InconsistentSystem(Exception):
 class Matrix:
     """A rows x cols matrix of Fractions."""
 
-    __slots__ = ("rows", "cols", "_rows", "__weakref__")
+    __slots__ = ("rows", "cols", "_rows", "_pivots", "__weakref__")
 
     def __init__(self, rows, cols, entries=None):
         """A zero matrix, or the list `entries` of its `rows` row dicts
@@ -61,6 +62,7 @@ class Matrix:
         ):
             raise ValueError(f"entries must be a list of {rows} row dicts")
         self._rows = entries
+        self._pivots = None  # pivot_columns, once found
 
     @classmethod
     def from_rows(cls, rows_of_scalars):
@@ -86,6 +88,7 @@ class Matrix:
         removed, so a later write to that entry puts it last in its row."""
         if type(v) is not Fraction:
             v = exact(v)
+        self._pivots = None
         row = self._rows[r]
         old = row.get(c)
         if old is None:
@@ -277,13 +280,16 @@ def rref(m):
 
 
 def rank(m):
-    return len(_echelon(m)[0])
+    return len(pivot_columns(m))
 
 
 def pivot_columns(m):
     """Pivot columns of the reduced row echelon form, ascending: each
-    column of m that is independent of the columns before it."""
-    return _echelon(m)[0]
+    column of m that is independent of the columns before it, as a new
+    list; the first call eliminates m and keeps them on it."""
+    if m._pivots is None:
+        m._pivots = _echelon(m)[0]
+    return list(m._pivots)
 
 
 def kernel_basis(m):

@@ -193,10 +193,9 @@ class BimoduleMap:
 
 
 @memoised
-def _signed_run(start, count, alg):
-    """(q_run, -q_run) of `count` parameters from q_start on."""
-    q = q_run(alg, start, count)
-    return q, -q
+def _signed_runs(alg):
+    """{(start, count): (q_run, -q_run)}, added as the differentials need them."""
+    return {}
 
 
 @memoised
@@ -210,38 +209,42 @@ def differential(n, alg):
     # e_i, a_i and abar_i, in the order of alg.basis
     E, A, B = alg.basis[:m], alg.basis[m : 2 * m], alg.basis[2 * m : 3 * m]
     targets = generators(n - 1, m)  # Generator(n - 1, r, i) sits at i * n + r
-
-    def to(r, i):
-        return targets[i % m * n + r]
-
     # (1, -1), indexed by whether the sign flips; (-1)^n is units[odd]
     units = (linalg.F1, -linalg.F1)
     one = units[0]
     odd = n % 2
+    runs = _signed_runs(alg)
+
+    def signed_run(start, count):
+        got = runs.get((start, count))
+        if got is None:
+            q = q_run(alg, start, count)
+            got = runs[start, count] = (q, -q)
+        return got
 
     def image(gen):
         r, i = gen.r, gen.i
         if r == 0:
             #  e_i (x)_0 a_{i+n-1}  +  (-1)^n a_i (x)_0 e_{i+n}
             return [
-                (one, E[i], to(0, i), A[(i + n - 1) % m]),
-                (units[odd], A[i], to(0, i + 1), E[(i + n) % m]),
+                (one, E[i], targets[i * n], A[(i + n - 1) % m]),
+                (units[odd], A[i], targets[(i + 1) % m * n], E[(i + n) % m]),
             ]
         if r == n:
             #  (-1)^n e_i (x)_{n-1} abar_{i-n}  +  abar_{i-1} (x)_{n-1} e_{i-n}
             return [
-                (units[odd], E[i], to(n - 1, i), B[(i - n) % m]),
-                (one, B[(i - 1) % m], to(n - 1, i - 1), E[(i - n) % m]),
+                (units[odd], E[i], targets[i * n + n - 1], B[(i - n) % m]),
+                (one, B[(i - 1) % m], targets[(i - 1) % m * n + n - 1], E[(i - n) % m]),
             ]
         # the signs (-1)^n and (-1)^(n+r), read from the signed runs
         flip = (n + r) % 2
         k = (i + n - 2 * r) % m
         start = (i - r + 1) % m
         return [
-            (one, E[i], to(r, i), A[(k - 1) % m]),
-            (_signed_run(start, n - r, alg)[odd], E[i], to(r - 1, i), B[k]),
-            (_signed_run(start, r, alg)[flip], A[i], to(r, i + 1), E[k]),
-            (units[flip], B[(i - 1) % m], to(r - 1, i - 1), E[k]),
+            (one, E[i], targets[i * n + r], A[(k - 1) % m]),
+            (signed_run(start, n - r)[odd], E[i], targets[i * n + r - 1], B[k]),
+            (signed_run(start, r)[flip], A[i], targets[(i + 1) % m * n + r], E[k]),
+            (units[flip], B[(i - 1) % m], targets[(i - 1) % m * n + r - 1], E[k]),
         ]
 
     return BimoduleMap._closed_form(alg, n, n - 1, image)

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 from . import linalg
 from .algebra import a, abar, e, memoised, z
 from .freepaths import split_coefficient
-from .homcomplex import (
-    _coboundary_rank,
-    coboundary_matrix,
-    hom_dimension,
-    hom_space_basis,
-    pullback_matrix,
-)
+from .homcomplex import coboundary_matrix, hom_dimension, hom_space_basis, pullback_matrix
 # differential is not called here; bench/tests/test_bench.py checks that
 # the tracer rebinds the by-name import ring.differential
 from .resolution import BimoduleMap, Generator, differential, generators  # noqa: F401
@@ -83,7 +77,9 @@ def _cohomology_space(n, alg):
     of columns against kernel coordinates with free variables zero (the
     class coordinates) is their dot products with those coordinates.
     readers[k] holds the row at positions[k] as (free[j], entry at
-    width + j) pairs.
+    width + j) pairs.  The pivots of d^n and the rank of d^{n-1} are those
+    kept on the memoised coboundaries, so only columns is eliminated here
+    once the cohomology table has read them.
     """
     prev = coboundary_matrix(n - 1, alg) if n else linalg.Matrix(hom_dimension(0, alg), 0)
     dn = coboundary_matrix(n, alg)
@@ -96,7 +92,7 @@ def _cohomology_space(n, alg):
     image = sum(c < width for c in pivots)
     # im d^{n-1} lies in ker d^n, where the free entries are coordinates,
     # so its rank survives there unless an image vector is not a cocycle
-    rank = _coboundary_rank(n - 1, prev, alg) if n else 0
+    rank = linalg.rank(prev) if n else 0
     if image != rank:
         raise RuntimeError(f"im d^{n - 1} loses rank on the free columns of d^{n}")
     positions, reduced = linalg._reduce(pivots[image:], echelon[image:])

@@ -234,3 +234,14 @@ def test_memoised_runs_once_per_algebra(result):
         assert probe(3, alg) is result
     assert probe(4, first) is result
     assert calls == [(3, first), (3, second), (4, first)]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_product_table_is_the_all_pairs_table(m):
+    alg = algebra(m, [F(k + 2, k + 1) for k in range(m)])
+    table = {}
+    for x in alg.basis:
+        for y in alg.basis:
+            if (p := alg._monomial_product(x, y)) is not None:
+                table[x, y] = p
+    assert list(alg._table.items()) == list(table.items())

@@ -20,7 +20,8 @@ from hhdeform.homcomplex import (
     pullback_matrix,
 )
 from hhdeform.resolution import BimoduleMap, Generator, compose, differential, generators
-from hhdeform.ring import canonical_generators
+from hhdeform.ring import canonical_generators, ring_report
+from test_linalg import assert_same_rows, counted_eliminations
 from test_resolution import bimodule_maps, small_coeffs
 from test_ring import slot_lifts
 
@@ -66,24 +67,32 @@ def test_kernel_image_examples():
     assert kernel_image_dims(0, algebra(4, (2, 1, 1, 1))) == (5, 0)
 
 
+def cohomology_table(alg, N):
+    for n in range(N + 1):
+        kernel_image_dims(n, alg)
+
+
 def test_each_coboundary_is_ranked_once(monkeypatch):
-    calls = []
-    rank = linalg.rank
-
-    def counted(mat):
-        calls.append(mat)
-        return rank(mat)
-
-    monkeypatch.setattr(linalg, "rank", counted)
+    calls = counted_eliminations(monkeypatch)
     alg = algebra(3, (2, 1, 1))
     N = 12
-    for n in range(N + 1):
-        kernel_image_dims(n, alg)
+    cohomology_table(alg, N)
     assert len(calls) == N + 1
     # a second table over the same algebra eliminates nothing
-    for n in range(N + 1):
-        kernel_image_dims(n, alg)
+    cohomology_table(alg, N)
     assert len(calls) == N + 1
+    # the ring reads the pivots and ranks kept on d^0..d^8: it eliminates
+    # only its 9 complement matrices and the independence check of u1, u2
+    ring_report(alg, 8)
+    assert len(calls) == N + 1 + 10
+    # whichever comes first eliminates each coboundary: ring then table
+    # is 9 coboundaries, 9 complements and one check, then d^9..d^12
+    calls.clear()
+    alg = algebra(3, (2, 1, 1))
+    ring_report(alg, 8)
+    assert len(calls) == 19
+    cohomology_table(alg, N)
+    assert len(calls) == 19 + 4
 
 
 def test_coboundary_read_order_is_unchanged(monkeypatch):
@@ -349,11 +358,8 @@ def product_pullback(g, alg):
 
 
 def assert_matches_product_pullback(g, alg):
-    """pullback_matrix(g) equals the reference, entry order included."""
-    mat = pullback_matrix(g)
-    ref = product_pullback(g, alg)
-    assert mat == ref
-    assert [list(row) for row in mat._rows] == [list(row) for row in ref._rows]
+    """pullback_matrix(g) equals the reference, entry order and types included."""
+    assert_same_rows(pullback_matrix(g), product_pullback(g, alg))
 
 
 @pytest.mark.parametrize("zeta", [F(2), F(1, 3), F(1), F(-1)])
@@ -362,7 +368,8 @@ def test_pullback_matches_the_product_reference(m, zeta):
     # m = 1, 2 have enlarged corners, m >= 3 has empty ones
     q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
     alg = algebra(m, q)
-    for n in range(1, 3 * m + 5):
+    # the coboundaries d^0..d^{2m+6} at least
+    for n in range(1, 3 * m + 7):
         assert_matches_product_pullback(differential(n, alg), alg)
     if alg.generic:
         xs, u1, u2 = canonical_generators(alg)

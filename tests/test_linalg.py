@@ -447,6 +447,14 @@ def assert_fraction_rows(rows):
             assert type(v) is F and v
 
 
+def assert_same_rows(mat, ref):
+    """mat and ref hold the same nonzero Fraction entries in the same key
+    order, row by row; dict equality alone ignores the order."""
+    assert (mat.rows, mat.cols) == (ref.rows, ref.cols)
+    assert [list(row.items()) for row in mat._rows] == [list(row.items()) for row in ref._rows]
+    assert_fraction_rows(mat._rows)
+
+
 def assert_matches_scan(m):
     """The echelon form, the RREF and its pivots agree with `scan_rref`."""
     expected_pivots, expected_rows = scan_rref(m)
@@ -512,6 +520,56 @@ def test_elimination_matches_the_scan_reference(m, data):
         patch.setattr(linalg, "_echelon", scan_rref)
         expected = results()
     assert results() == expected
+
+
+def counted_eliminations(patch):
+    """The list of matrices `linalg._echelon` is called on from now on."""
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(m):
+        calls.append(m)
+        return echelon(m)
+
+    patch.setattr(linalg, "_echelon", counted)
+    return calls
+
+
+def test_pivots_are_found_once_and_dropped_by_a_write(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    m = Matrix(2, 2)
+    m.add_to_entry(0, 0, 3)
+    assert rank(m) == 1 and pivot_columns(m) == [0] and rank(m) == 1
+    assert len(calls) == 1
+    # a write after the elimination drops the kept pivots
+    m.add_to_entry(1, 1, F(1, 2))
+    assert rank(m) == 2 and pivot_columns(m) == [0, 1]
+    assert len(calls) == 2
+
+
+def test_pivot_list_is_the_callers_own():
+    m = Matrix.from_rows([[1, 2, 0], [2, 4, 1]])
+    pivots = pivot_columns(m)
+    pivots.append(7)
+    pivots[0] = 5
+    assert pivot_columns(m) == [0, 2]
+    assert rank(m) == 2
+
+
+def test_kept_pivots_do_not_change_equality():
+    ranked = Matrix.from_rows([[1, 2, 0], [0, 0, F(1, 3)]])
+    assert rank(ranked) == 2
+    unranked = Matrix(2, 3, [dict(row) for row in ranked._rows])
+    assert ranked == unranked and unranked == ranked
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices())
+def test_kept_pivots_are_the_echelon_pivots(m):
+    expected = linalg._echelon(m)[0]
+    for _ in range(2):
+        assert rank(m) == len(expected)
+        assert pivot_columns(m) == expected
 
 
 @pytest.mark.parametrize("zeta", [F(2), F(1), F(-1)])
