@@ -1,9 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
 Every entry is a `fractions.Fraction`; no floating point is used anywhere
-in the package, and a float given as an entry raises TypeError (`exact`).
+in the package, and a float entry, even 0.0, raises TypeError (`exact`).
 `Matrix.matmul` sums each entry as an unreduced integer (numerator,
-denominator) pair and builds a Fraction only for an entry it stores.
+denominator) pair and builds a Fraction only for an entry it stores.  It
+and `_echelon` read the `_numerator` and `_denominator` slots, since the
+public accessors are Python-level calls on 3.10 to 3.13.
 Matrices reach tens of thousands of rows (the bar coboundary at m = 1,
 n = 7 is 26244 x 8748), and every result is canonical:
 
@@ -72,7 +74,7 @@ class Matrix:
         for r, row in enumerate(rows_of_scalars):
             if len(row) != cols:
                 raise ValueError(f"row {r} has {len(row)} entries, the first has {cols}")
-            m._rows[r] = {c: exact(v) for c, v in enumerate(row) if v}
+            m._rows[r] = {c: x for c, v in enumerate(row) if (x := exact(v))}
         return m
 
     @classmethod
@@ -123,12 +125,12 @@ class Matrix:
     def matmul(self, other):
         """self @ other, exploiting sparsity; empty rows of self are skipped.
 
-        Each entry is summed in integers, as an unreduced (numerator,
-        denominator) pair: two terms over different denominators are put
-        over their lcm, so no denominator grows past the product of the
-        factors' common denominators.  A sum that reaches zero keeps its
-        place until the row is done, so the stored entries of a row are in
-        first-touch order, and a Fraction is built only for a nonzero one.
+        Each entry is summed as an unreduced integer (numerator, denominator)
+        pair read from the Fraction slots, two terms over the lcm of their
+        denominators, so none grows past the product of the factors' common
+        denominators.  A sum that reaches zero keeps its place until the row
+        is done: a row's entries are in first-touch order, a Fraction is built
+        only for a nonzero one, and an all-cancelled row stays untouched.
         """
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} columns times {other.rows} rows")
@@ -138,12 +140,12 @@ class Matrix:
             if not row:
                 continue
             acc = {}
+            get = acc.get
             for k, a in row.items():
-                an, ad = a.as_integer_ratio()
+                an, ad = a._numerator, a._denominator
                 for c, b in brows[k].items():
-                    bn, bd = b.as_integer_ratio()
-                    n, d = an * bn, ad * bd
-                    old = acc.get(c)
+                    n, d = an * b._numerator, ad * b._denominator
+                    old = get(c)
                     if old is not None:
                         on, od = old
                         if od == d:
@@ -153,15 +155,18 @@ class Matrix:
                             n = on * (d // g) + n * (od // g)
                             d = od // g * d
                     acc[c] = (n, d)
-            out._rows[r] = {c: Fraction(n, d) for c, (n, d) in acc.items() if n}
+            kept = out._rows[r]
+            for c, (n, d) in acc.items():
+                if n:
+                    kept[c] = Fraction(n, d)
         return out
 
     def mul_vector(self, vec):
-        """self @ vec as a list; only the nonzero entries of vec are
-        multiplied, and every sum starts at Fraction 0."""
+        """self @ vec as a list; the entries of vec go through `exact`, only
+        the nonzero ones are multiplied, and every sum starts at Fraction 0."""
         if len(vec) != self.cols:
             raise ValueError(f"vector of length {len(vec)} for {self.cols} columns")
-        nonzero = {c: x for c, x in enumerate(vec) if x}
+        nonzero = {c: x for c, v in enumerate(vec) if (x := v if type(v) is Fraction else exact(v))}
         return [
             sum((v * nonzero[c] for c, v in row.items() if c in nonzero), start=F0)
             for row in self._rows
@@ -196,8 +201,8 @@ def _echelon(m):
     rows = {}
     for r, row in enumerate(m._rows):
         if row:
-            d = lcm(*[v.denominator for v in row.values()])
-            rows[r] = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+            d = lcm(*[v._denominator for v in row.values()])
+            rows[r] = {c: v._numerator * (d // v._denominator) for c, v in row.items()}
     index = {}
     for r, row in rows.items():
         for c in row:
@@ -324,9 +329,9 @@ def solve(a, b):
     aug = Matrix(a.rows, a.cols + 1)
     for r, row in enumerate(a._rows):
         new = dict(row)
-        v = b[r]
+        v = exact(b[r])
         if v:
-            new[a.cols] = v if type(v) is Fraction else exact(v)
+            new[a.cols] = v
         aug._rows[r] = new
     pivot_cols, echelon = _rref_rows(aug)
     if a.cols in pivot_cols:

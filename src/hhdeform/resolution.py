@@ -20,15 +20,17 @@ builds the rest.
 `underlying_matrix` flattens a map to exact rational linear algebra on the
 16m(n+1)-dimensional underlying vector spaces, which is how kernels,
 images and exactness are computed.  Every summand is 4 x 4,
-so it walks each term over the per-algebra stencil of its (left, right)
-pair: the nonzero products bl . left (x) right . br as offsets into the
-blocks of the source and target generators, grouped by coefficient.
+so it walks each term over the stencil of its (left, right) pair, read
+from one per-algebra table fetched once per call: the nonzero products
+bl . left (x) right . br as offsets into the blocks of the source and
+target generators, grouped by coefficient.
 A map holds only a weak reference to its flattened matrix: a repeated
 call returns the same object while a caller still holds it, and nothing
 keeps it alive after that, so `check_complex` builds each d^n once
 without keeping all of them in memory.
 `compose` reads each product of two monomials as (monomial, numerator,
-denominator) from a per-algebra table and sums like terms as integer
+denominator) from per-algebra tables, and each coefficient's integers
+from its Fraction slots (see `linalg`), and sums like terms as integer
 pairs.  Neither multiplies a Fraction by a structure constant of exactly
 1 or adds a first value to zero.
 """
@@ -125,31 +127,35 @@ class BimoduleMap:
 
     def _checked(self, gen, terms=None):
         """The nonzero terms of the image of gen, once each has passed the
-        degree, corner and exactness checks; with terms None, the image is
+        degree, corner (`_corner`'s, inlined for targets) and exactness
+        checks, the last before the zero test; with terms None, the image is
         built by the closed form once gen is known to be a generator."""
         m = self.alg.m
         ends = self.alg.endpoints
         start, end = _corner(gen, self.source_degree, m)
+        n = self.target_degree
         if terms is None:
             terms = self._build(gen)
         kept = []
         for term in terms:
             c, left, target, right = term
-            if not c:
+            if type(c) is not Fraction:
+                term = (c := linalg.exact(c), left, target, right)
+            if not c._numerator:
                 continue
-            inner = _corner(target, self.target_degree, m)
-            if ends.get(left) != (start, inner[0]):
+            if not isinstance(target, Generator) or target.n != n or not 0 <= target.i < m:
+                raise ValueError(f"{target} is not a generator of P^{n} at m = {m}")
+            origin, terminus = target.i, (target.i + n - 2 * target.r) % m
+            if ends.get(left) != (start, origin):
                 raise ValueError(
                     f"left factor {left} of {gen}->{target} is not in "
-                    f"e_{start} . Algebra . e_{inner[0]}"
+                    f"e_{start} . Algebra . e_{origin}"
                 )
-            if ends.get(right) != (inner[1], end):
+            if ends.get(right) != (terminus, end):
                 raise ValueError(
                     f"right factor {right} of {gen}->{target} is not in "
-                    f"e_{inner[1]} . Algebra . e_{end}"
+                    f"e_{terminus} . Algebra . e_{end}"
                 )
-            if type(c) is not Fraction:
-                term = (linalg.exact(c), left, target, right)
             kept.append(term)
         return kept
 
@@ -252,9 +258,14 @@ def differential(n, alg):
 
 @memoised
 def _ratio_products(alg):
-    """x . y as (monomial, numerator, denominator), per nonzero product."""
-    pairs = ((x, y) for x in alg.basis for y in alg.monomials_from(x.terminus(alg.m)))
-    return {(x, y): (p[0], *p[1].as_integer_ratio()) for x, y in pairs if (p := alg.product(x, y))}
+    """x . y as (monomial, numerator, denominator), per nonzero product, as
+    by_left[x][y] and by_right[y][x]; every basis monomial has both rows."""
+    by_left, by_right = {x: {} for x in alg.basis}, {y: {} for y in alg.basis}
+    for x, row in by_left.items():
+        for y in alg.monomials_from(x.terminus(alg.m)):
+            if p := alg.product(x, y):
+                row[y] = by_right[y][x] = (p[0], *p[1].as_integer_ratio())
+    return by_left, by_right
 
 
 def compose(f, g):
@@ -272,23 +283,24 @@ def compose(f, g):
         )
     if f.alg.spec != g.alg.spec:
         raise ValueError(f"cannot compose maps over different algebras: {f.alg} after {g.alg}")
-    product = _ratio_products(f.alg).get
+    by_left, by_right = _ratio_products(f.alg)
+    f_terms = f.terms
     assignments = {}
     for gen, terms in g.assignments.items():
         acc = {}
+        get = acc.get
         for c1, l1, mid, r1 in terms:
-            n1, d1 = c1.as_integer_ratio()
-            for c2, l2, target, r2 in f.terms(mid):
-                left = product((l1, l2))
-                right = product((r2, r1))
+            n1, d1 = c1._numerator, c1._denominator
+            left_of, right_of = by_left[l1].get, by_right[r1].get
+            for c2, l2, target, r2 in f_terms(mid):
+                left, right = left_of(l2), right_of(r2)
                 if left is None or right is None:
                     continue
                 ml, ln, ld = left
                 mr, rn, rd = right
-                n2, d2 = c2.as_integer_ratio()
-                n, d = n1 * n2 * ln * rn, d1 * d2 * ld * rd
+                n, d = n1 * c2._numerator * ln * rn, d1 * c2._denominator * ld * rd
                 key = (ml, target, mr)
-                old = acc.get(key)
+                old = get(key)
                 if old is not None:
                     on, od = old
                     n, d = (on + n, d) if od == d else (on * d + n * od, od * d)
@@ -331,6 +343,11 @@ def term_coords(terms, n, alg):
 
 
 @memoised
+def _stencils(alg):
+    """{(left, right): its `_stencil`}, added to by `underlying_matrix`."""
+    return {}
+
+
 def _stencil(left, right, alg):
     """The nonzero products bl . left (x) right . br, for bl into the origin
     of left and br out of the terminus of right, as (column offset, row
@@ -380,11 +397,14 @@ def underlying_matrix(f):
     alg = f.alg
     m, n = alg.m, f.target_degree
     rows = [{} for _ in range(16 * m * (n + 1))]
+    stencils = _stencils(alg)
     col = 0
     for gen in generators(f.source_degree, m):
         for c, left, target, right in f.terms(gen):
             base = 16 * (target.i * (n + 1) + target.r)
-            for coeff, offsets in _stencil(left, right, alg):
+            if (groups := stencils.get((left, right))) is None:
+                groups = stencils[left, right] = _stencil(left, right, alg)
+            for coeff, offsets in groups:
                 v = c if coeff is None else c * coeff
                 for dc, dr in offsets:
                     row = rows[base + dr]

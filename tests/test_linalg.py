@@ -311,16 +311,25 @@ def test_add_to_entry():
         lambda v: Matrix(1, 1).add_to_entry(0, 0, v),
         lambda v: Matrix.identity(2).add_to_entry(1, 1, v),
         lambda v: solve(Matrix.identity(2), [F(1), v]),
+        lambda v: Matrix.identity(2).mul_vector([F(1), v]),
     ],
-    ids=["dense", "from_rows", "add_to_entry", "add_to_entry_sum", "solve"],
+    ids=["dense", "from_rows", "add_to_entry", "add_to_entry_sum", "solve", "mul_vector"],
 )
 def test_inexact_entries_refused(build):
-    # a float would otherwise be made exact as its binary value
-    for v in (0.1, 3.0, complex(2, 0)):
+    # a float would otherwise be made exact as its binary value, and a zero
+    # one dropped before it is ever looked at
+    for v in (0.1, 3.0, complex(2, 0), 0.0, complex(0, 0)):
         with pytest.raises(TypeError, match="not an exact rational"):
             build(v)
     build(2)
     build(F(1, 3))
+
+
+def test_fraction_slots_read_by_the_kernels():
+    # matmul, _echelon and resolution.compose read these two slots directly
+    assert {"_numerator", "_denominator"} <= set(Fraction.__slots__)
+    f = F(6, -4)
+    assert (f._numerator, f._denominator) == (-3, 2)
 
 
 @pytest.mark.parametrize(

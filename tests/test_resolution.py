@@ -256,7 +256,7 @@ def test_opposite_terms_leave_no_stored_entry():
 def test_inexact_coefficients_refused():
     alg = algebra(3, (2, 1, 1))
     gen, target = Generator(1, 0, 0), Generator(0, 0, 0)
-    for c in (0.1, 2.0, complex(1, 0)):
+    for c in (0.1, 2.0, complex(1, 0), 0.0, complex(0, 0)):
         with pytest.raises(TypeError, match="not an exact rational"):
             BimoduleMap(alg, 1, 0, {gen: [(c, e(0), target, a(0))]})
     f = BimoduleMap(alg, 1, 0, {gen: [(True, e(0), target, a(0))]})
@@ -722,6 +722,28 @@ def test_stencils_group_products_by_coefficient(q):
             assert len({dr for _, dr, _ in flat}) == len(flat)
             scaled += any(coeff is not None for coeff in keys)
     assert scaled
+
+
+def test_stencil_table_holds_the_pairs_of_the_differentials():
+    N = 7
+    alg = algebra(3, (F(2), F(-1, 3), F(5)))
+    assert check_complex(N, alg)
+    table = resolution._stencils(alg)
+    pairs = {
+        (left, right)
+        for n in range(1, N + 1)
+        for gen in generators(n, alg.m)
+        for _c, left, _target, right in differential(n, alg).terms(gen)
+    }
+    assert set(table) == pairs
+    for (left, right), groups in table.items():
+        assert groups == resolution._stencil(left, right, alg)
+    # another q gets its own table, first empty
+    other = algebra(3, (F(3), F(-1, 3), F(5)))
+    assert resolution._stencils(other) is not table
+    assert resolution._stencils(other) == {}
+    underlying_matrix(differential(2, other))
+    assert set(resolution._stencils(other)) < pairs
 
 
 def echoed(f):

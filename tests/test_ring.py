@@ -504,10 +504,16 @@ def test_class_coordinates_are_the_solve_of_the_complement_system(m):
                     assert all(type(c) is F for c in got)
 
 
-def test_class_of_refuses_inexact_entries(alg3):
+def test_class_of_refuses_inexact_entries(alg3, monkeypatch):
     _xs, u1, _u2 = canonical_generators(alg3)
     inexact = Cochain(1, [float(c) for c in u1.representative.vector])
-    assert inexact.is_cocycle(alg3)
+    # the cocycle test multiplies through `exact`, so it refuses the floats
+    with pytest.raises(TypeError, match="is not an exact rational"):
+        inexact.is_cocycle(alg3)
+    with pytest.raises(TypeError, match="is not an exact rational"):
+        class_of(inexact, alg3)
+    # and class_of reads the free entries through `exact` on its own
+    monkeypatch.setattr(Cochain, "is_cocycle", lambda self, alg: True)
     with pytest.raises(TypeError, match="1.0 is not an exact rational"):
         class_of(inexact, alg3)
 
