@@ -4,7 +4,10 @@ A bimodule map P^n -> Algebra is determined by its value on each
 generator, and the value at Generator(n, r, i) must lie in the corner
 subspace e_i . Algebra . e_{(i+n-2r) mod m}.  That gives the canonical
 basis used everywhere here: generators in their fixed order, corner
-monomials in theirs.
+monomials in theirs.  It is kept per degree as a table of (generator,
+corner) blocks, built from the generator rows at the r whose corner is
+not empty; the basis, the block starts and the dimension are read from
+it, and the coboundaries never expand the basis itself.
 
 Precomposition with a bimodule map g: P^N -> P^n is one matrix,
 `pullback_matrix(g)`, built in one walk over the terms of g: the monomial
@@ -16,7 +19,8 @@ into the two blocks, with their coefficients.  The walk reads g, through
 `g.terms`, only at the generators of P^N whose corner block is not empty.
 For the differential that read is where each closed-form image is built
 and checked, so from m = 4 on most images are never built (at m = 16,
-degrees 1..39, 2,544 of 13,104).  The coboundary d^n is the pullback
+degrees 1..39, 2,544 of 13,104), and most generators neither (4,192 of
+13,120 with degree 0).  The coboundary d^n is the pullback
 along the differential d^{n+1}; cup products are pullbacks along
 chain-map liftings.  The closed-form dimension tables from the kernel/image
 analysis live in the expected_* functions and are used as comparison
@@ -25,7 +29,9 @@ data, never as a computation path.
 
 from . import linalg
 from .algebra import memoised
-from .resolution import _collect, differential, generators
+# generators is not called here; bench/tests/test_bench.py reads the
+# by-name import homcomplex.generators
+from .resolution import _collect, differential, generator_rows, generators  # noqa: F401
 
 
 def _require_degree(n):
@@ -34,35 +40,36 @@ def _require_degree(n):
 
 
 @memoised
-def hom_space_basis(n, alg):
-    """Ordered basis of Hom(P^n, Algebra): (generator, corner monomial),
-    generators in `generators` order.  By cyclic symmetry the corner
-    e_i . Algebra . e_{i+n-2r} is empty for every vertex i or for none,
-    so only the r whose corner at vertex 0 is not empty are walked."""
+def _blocks(n, alg):
+    """(blocks, starts, dimension) for Hom(P^n, Algebra).  blocks holds the
+    corner blocks as (generator, corner monomials) pairs, generators in
+    `generators` order; starts maps each block's generator to the index
+    of its first map in hom_space_basis(n) (a generator with an empty
+    corner has none); dimension is the total.  By cyclic symmetry the
+    corner e_i . Algebra . e_{i+n-2r} is empty for every vertex i or for
+    none, so only the rows (`generator_rows`) at the r whose corner at
+    vertex 0 is not empty are built."""
     _require_degree(n)
     m, corner = alg.m, alg.corner_basis
-    gens = generators(n, m)
-    rs = [r for r in range(n + 1) if corner(0, (n - 2 * r) % m)]
-    return [
-        (gens[i * (n + 1) + r], mono)
-        for i in range(m)
-        for r in rs
-        for mono in corner(i, (i + n - 2 * r) % m)
-    ]
-
-
-def hom_dimension(n, alg):
-    return len(hom_space_basis(n, alg))
+    table = generator_rows(n, m)
+    rows = [(table[r], k) for r in range(n + 1) if corner(0, (k := n - 2 * r) % m)]
+    blocks = [(row[i], corner(i, (i + k) % m)) for i in range(m) for row, k in rows]
+    starts, dimension = {}, 0
+    for gen, monos in blocks:
+        starts[gen] = dimension
+        dimension += len(monos)
+    return blocks, starts, dimension
 
 
 @memoised
-def _block_starts(n, alg):
-    """The first index of each generator's corner block in
-    hom_space_basis(n); a generator with an empty corner has none."""
-    starts = {}
-    for k, (gen, _mono) in enumerate(hom_space_basis(n, alg)):
-        starts.setdefault(gen, k)
-    return starts
+def hom_space_basis(n, alg):
+    """Ordered basis of Hom(P^n, Algebra): (generator, corner monomial),
+    the blocks of `_blocks` expanded in order."""
+    return [(gen, mono) for gen, corner in _blocks(n, alg)[0] for mono in corner]
+
+
+def hom_dimension(n, alg):
+    return _blocks(n, alg)[2]
 
 
 @memoised
@@ -106,11 +113,12 @@ def pullback_matrix(g):
     land in.
     """
     alg = g.alg
-    cols = _block_starts(g.target_degree, alg)
-    mat = linalg.Matrix(hom_dimension(g.source_degree, alg), hom_dimension(g.target_degree, alg))
+    _, cols, width = _blocks(g.target_degree, alg)
+    _, starts, height = _blocks(g.source_degree, alg)
+    mat = linalg.Matrix(height, width)
     rows = mat._rows
     stencils = _pullback_stencils(alg)
-    for gen, start in _block_starts(g.source_degree, alg).items():
+    for gen, start in starts.items():
         for c, left, tgt, right in g.terms(gen):
             col = cols.get(tgt)
             if col is None:

@@ -193,10 +193,11 @@ def _echelon(m):
     touches only those rows; the columns that hold entries are visited in
     ascending order.  The pivot is the sparsest row holding the column,
     ties going to the lowest row index.  A holder becomes (p/g) row -
-    (f/g) pivot, g = gcd(p, f), divided by its content when p/g != 1: a
-    multiple of the Fraction row that leading-1 pivots would give, with
-    the same keys in the same order.  Returns (pivot_cols, pivot_rows):
-    pivot columns ascending, and the integer dict row leading at each.
+    (f/g) pivot, g = gcd(p, f), divided by its content when p/g != 1,
+    both scalings in place: a multiple of the Fraction row that leading-1
+    pivots would give, with the same keys in the same order.  Returns
+    (pivot_cols, pivot_rows): pivot columns ascending, and the integer
+    dict row leading at each.
     """
     rows = {}
     for r, row in enumerate(m._rows):
@@ -213,8 +214,11 @@ def _echelon(m):
         holders = index.pop(col)
         if not holders:
             continue
-        best = min(holders, key=lambda r: (len(rows[r]), r))
-        holders.remove(best)
+        if len(holders) == 1:
+            best = holders.pop()
+        else:
+            best = min(holders, key=lambda r: (len(rows[r]), r))
+            holders.remove(best)
         pivot = rows.pop(best)
         p = pivot[col]
         others = [(c, v) for c, v in pivot.items() if c != col]
@@ -226,7 +230,8 @@ def _echelon(m):
             g = gcd(p, f)
             s, f = p // g, f // g
             if s != 1:
-                row = rows[r] = {c: s * w for c, w in row.items()}
+                for c, w in row.items():
+                    row[c] = s * w
             for c, v in others:
                 w = row.get(c)
                 if w is None:
@@ -242,7 +247,8 @@ def _echelon(m):
             if s != 1:
                 content = gcd(*row.values())
                 if content > 1:
-                    rows[r] = {c: w // content for c, w in row.items()}
+                    for c, w in row.items():
+                        row[c] = w // content
         pivot_cols.append(col)
         pivot_rows.append(pivot)
     return pivot_cols, pivot_rows

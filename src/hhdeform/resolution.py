@@ -10,13 +10,16 @@ A BimoduleMap stores, per source generator, a list of monomial terms
 (c, left, target, right): the rational c times left (x) right in the
 summand of `target`, with left and right basis monomials.  The
 differential, composites and the chain-map liftings all live in this
-form; the generators of each P^n are built once, as (n, r, i) tuples.
-Every term is checked (degrees, corners from (n, r, i), exact
+form.  The generators are (n, r, i) tuples, built one row (n, r) of m at
+a time when a caller first reads it (`generator_rows`), and kept; a
+consumer that walks a whole degree reads `generators`, assembled from the
+same rows.  Every term is checked (degrees, corners from (n, r, i), exact
 coefficient) before anything reads it: a map built from a dict checks all
 of them when it is made, and the differential builds and checks each
-generator's closed-form image the first time it is read, so a consumer
-that reads only some generators (`homcomplex.pullback_matrix`) never
-builds the rest.
+generator's closed-form image the first time it is read, reading its
+targets from rows r and r - 1 of P^{n-1}, so a consumer that reads only
+some generators (`homcomplex.pullback_matrix`) never builds the rest, nor
+their generators.
 `underlying_matrix` flattens a map to exact rational linear algebra on the
 16m(n+1)-dimensional underlying vector spaces, which is how kernels,
 images and exactness are computed.  Every summand is 4 x 4,
@@ -66,18 +69,47 @@ class Generator(namedtuple("Generator", "n r i")):
         return f"G({self.n};{self.r},{self.i})"
 
 
-_generators = {}
+class _Rows(dict):
+    """The rows of P^n at m vertices: rows[r] is the tuple of
+    Generator(n, r, i), i ascending, built the first time it is read and
+    kept; r outside 0..n raises Generator's ValueError."""
+
+    __slots__ = ("n", "m")
+
+    def __init__(self, n, m):
+        super().__init__()
+        self.n, self.m = n, m
+
+    def __missing__(self, r):
+        row = self[r] = tuple(Generator(self.n, r, i) for i in range(self.m))
+        return row
+
+
+_generators = {}  # (n, m): the _Rows of P^n
+_degrees = {}  # (n, m): generators(n, m), assembled from its rows
+
+
+def generator_rows(n, m):
+    """The rows of P^n at m vertices (`_Rows`), one table per (n, m)
+    shared by every caller."""
+    rows = _generators.get((n, m))
+    if rows is None:
+        rows = _generators[n, m] = _Rows(n, m)
+    return rows
 
 
 def generators(n, m):
     """All m(n+1) generators of P^n, i outer, r inner, both ascending, as
-    a tuple built once per (n, m) and shared by every caller.
+    a tuple assembled once per (n, m) from the very objects of its rows
+    (`generator_rows`) and shared by every caller.
 
     This ordering fixes every matrix layout in the package.
     """
-    gens = _generators.get((n, m))
+    gens = _degrees.get((n, m))
     if gens is None:
-        gens = _generators[n, m] = tuple(Generator(n, r, i) for i in range(m) for r in range(n + 1))
+        table = generator_rows(n, m)
+        rows = [table[r] for r in range(n + 1)]
+        gens = _degrees[n, m] = tuple(row[i] for i in range(m) for row in rows)
     return gens
 
 
@@ -208,13 +240,13 @@ def _signed_runs(alg):
 def differential(n, alg):
     """The differential P^n -> P^{n-1}, n >= 1, straight from the closed
     form: two-term images at r = 0 and r = n, four terms otherwise.  Each
-    image is built and checked when it is first read."""
+    image is built and checked when it is first read; the image of
+    Generator(n, r, i) targets rows r and r - 1 of P^{n-1} only."""
     if n < 1:
         raise ValueError("the differential is defined for n >= 1")
     m = alg.m
     # e_i, a_i and abar_i, in the order of alg.basis
     E, A, B = alg.basis[:m], alg.basis[m : 2 * m], alg.basis[2 * m : 3 * m]
-    targets = generators(n - 1, m)  # Generator(n - 1, r, i) sits at i * n + r
     # (1, -1), indexed by whether the sign flips; (-1)^n is units[odd]
     units = (linalg.F1, -linalg.F1)
     one = units[0]
@@ -228,29 +260,34 @@ def differential(n, alg):
             got = runs[start, count] = (q, -q)
         return got
 
+    rows = generator_rows(n - 1, m)
+
     def image(gen):
         r, i = gen.r, gen.i
         if r == 0:
             #  e_i (x)_0 a_{i+n-1}  +  (-1)^n a_i (x)_0 e_{i+n}
+            row = rows[0]
             return [
-                (one, E[i], targets[i * n], A[(i + n - 1) % m]),
-                (units[odd], A[i], targets[(i + 1) % m * n], E[(i + n) % m]),
+                (one, E[i], row[i], A[(i + n - 1) % m]),
+                (units[odd], A[i], row[(i + 1) % m], E[(i + n) % m]),
             ]
         if r == n:
             #  (-1)^n e_i (x)_{n-1} abar_{i-n}  +  abar_{i-1} (x)_{n-1} e_{i-n}
+            row = rows[n - 1]
             return [
-                (units[odd], E[i], targets[i * n + n - 1], B[(i - n) % m]),
-                (one, B[(i - 1) % m], targets[(i - 1) % m * n + n - 1], E[(i - n) % m]),
+                (units[odd], E[i], row[i], B[(i - n) % m]),
+                (one, B[(i - 1) % m], row[(i - 1) % m], E[(i - n) % m]),
             ]
         # the signs (-1)^n and (-1)^(n+r), read from the signed runs
+        same, below = rows[r], rows[r - 1]
         flip = (n + r) % 2
         k = (i + n - 2 * r) % m
         start = (i - r + 1) % m
         return [
-            (one, E[i], targets[i * n + r], A[(k - 1) % m]),
-            (signed_run(start, n - r)[odd], E[i], targets[i * n + r - 1], B[k]),
-            (signed_run(start, r)[flip], A[i], targets[(i + 1) % m * n + r], E[k]),
-            (units[flip], B[(i - 1) % m], targets[(i - 1) % m * n + r - 1], E[k]),
+            (one, E[i], same[i], A[(k - 1) % m]),
+            (signed_run(start, n - r)[odd], E[i], below[i], B[k]),
+            (signed_run(start, r)[flip], A[i], same[(i + 1) % m], E[k]),
+            (units[flip], B[(i - 1) % m], below[(i - 1) % m], E[k]),
         ]
 
     return BimoduleMap._closed_form(alg, n, n - 1, image)

@@ -184,6 +184,21 @@ def test_verify_oracle_non_generic(runner):
     assert result.exit_code == 0, result.output
 
 
+def test_verify_oracle_past_its_cap_fails_and_the_other_checks_still_run(runner):
+    # the bar oracle stops at m <= 3: at m = 4 it fails with its cap, and
+    # hom-dims after it still runs and passes
+    result = runner.invoke(
+        cli.main,
+        ["verify", "--m", "4", "--q", "2,1,1,1", "--checks", "oracle,hom-dims", "--format", "json"],
+    )
+    assert result.exit_code == 1, result.output
+    payload = json.loads(result.output)
+    assert payload["checks"] == [
+        {"name": "oracle", "pass": False, "detail": "bar oracle capped at n <= 3, m <= 3"},
+        {"name": "hom-dims", "pass": True, "detail": "degrees 0..14"},
+    ]
+
+
 @pytest.mark.parametrize("q", ["-1,1,1", "1,1,1"])
 def test_verify_closed_form_checks_at_a_root_of_unity(runner, q):
     # --allow-non-generic lets the run proceed; the closed forms and the

@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhdeform import cli, homcomplex, linalg
-from hhdeform.algebra import AlgebraElement, NonGenericParameters, algebra, e, z
+from hhdeform import cli, homcomplex, linalg, resolution
+from hhdeform.algebra import Algebra, AlgebraElement, NonGenericParameters, algebra, e, z
 from hhdeform.homcomplex import (
-    _block_starts,
+    _blocks,
     coboundary_matrix,
     cohomology_dimension,
     expected_cohomology_dim,
@@ -19,7 +20,14 @@ from hhdeform.homcomplex import (
     kernel_image_dims,
     pullback_matrix,
 )
-from hhdeform.resolution import BimoduleMap, Generator, compose, differential, generators
+from hhdeform.resolution import (
+    BimoduleMap,
+    Generator,
+    compose,
+    differential,
+    generator_rows,
+    generators,
+)
 from hhdeform.ring import canonical_generators, ring_report
 from test_linalg import assert_same_rows, counted_eliminations
 from test_resolution import bimodule_maps, small_coeffs
@@ -315,24 +323,77 @@ def test_coboundary_checks_the_closed_form_terms_it_reads():
     basis = list(alg.basis)
     basis[16], basis[17] = basis[17], basis[16]
     alg.basis = basis
-    assert _block_starts(1, alg).get(Generator(1, 0, 0)) is not None
+    assert _blocks(1, alg)[1].get(Generator(1, 0, 0)) is not None
     differential(1, alg)  # nothing is built yet, so nothing is refused yet
     with pytest.raises(ValueError, match="right factor a1 of G\\(1;0,0\\)"):
         coboundary_matrix(0, alg)
 
 
-def test_coboundaries_read_only_the_generators_with_a_corner_block():
-    m = 16
+def generators_made():
+    return sum(len(row) for rows in resolution._generators.values() for row in rows.values())
+
+
+def test_coboundaries_read_only_the_generators_with_a_corner_block(monkeypatch):
+    # fresh row tables, so that every generator counted below was made here
+    monkeypatch.setattr(resolution, "_generators", {})
+    monkeypatch.setattr(resolution, "_degrees", {})
+    # m: (generators read, generators made, m(n+1) summed over degrees 1..2m+7)
+    want = {16: (2544, 4192, 13104), 64: (28608, 47488, 596160)}
+    for m, (want_read, want_made, total) in want.items():
+        alg = algebra(m, (F(7, 3),) + (F(-5, 2),) * (m - 1))
+        made = -generators_made()
+        for n in range(2 * m + 7):
+            coboundary_matrix(n, alg)
+        made += generators_made()
+        read = 0
+        for n in range(1, 2 * m + 8):
+            d = differential(n, alg)
+            assert list(d._terms) == list(_blocks(n, alg)[1]), n
+            read += len(d._terms)
+        assert sum(m * (n + 1) for n in range(1, 2 * m + 8)) == total
+        assert (read, made) == (want_read, want_made), m
+        assert 3 * made < total
+        # no whole degree was assembled
+        assert not resolution._degrees
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_hom_basis_starts_and_dimension_are_read_from_the_block_table(m):
     alg = algebra(m, (F(7, 3),) + (F(-5, 2),) * (m - 1))
     for n in range(2 * m + 7):
-        coboundary_matrix(n, alg)
-    read = total = 0
-    for n in range(1, 2 * m + 8):
-        d = differential(n, alg)
-        assert list(d._terms) == list(_block_starts(n, alg)), n
-        read += len(d._terms)
-        total += len(generators(n, m))
-    assert (read, total) == (2544, 13104)
+        blocks, starts, dimension = _blocks(n, alg)
+        # one block per generator with a nonempty corner, in generators
+        # order, each generator the very object of its row
+        assert [(gen, list(corner)) for gen, corner in blocks] == [
+            (gen, alg.corner_basis(gen.i, gen.terminus(m)))
+            for gen in generators(n, m)
+            if alg.corner_basis(gen.i, gen.terminus(m))
+        ], n
+        assert all(gen is generator_rows(n, m)[gen.r][gen.i] for gen, _corner in blocks)
+        expanded = [(gen, mono) for gen, corner in blocks for mono in corner]
+        assert hom_space_basis(n, alg) == expanded, n
+        first = {}
+        for k, (gen, _mono) in enumerate(expanded):
+            first.setdefault(gen, k)
+        assert list(starts.items()) == list(first.items()), n
+        assert hom_dimension(n, alg) == dimension == len(expanded), n
+        assert dimension == expected_hom_dimension(n, m), n
+
+
+def test_a_compute_table_expands_no_hom_basis(monkeypatch):
+    built = []
+
+    def build_algebra(spec):
+        built.append(Algebra(spec))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_algebra", build_algebra)
+    result = CliRunner().invoke(cli.main, ["compute", "--m", "5", "--q", "7/3,-5/2,1/9,3,2"])
+    assert result.exit_code == 0, result.output
+    (alg,) = built
+    cached = {fn.__name__ for fn, _args in alg.cache}
+    assert "_blocks" in cached and "coboundary_matrix" in cached
+    assert "hom_space_basis" not in cached
 
 
 def product_pullback(g, alg):

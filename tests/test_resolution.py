@@ -18,6 +18,7 @@ from hhdeform.resolution import (
     check_complex,
     compose,
     differential,
+    generator_rows,
     generators,
     underlying_matrix,
     verify_exactness,
@@ -83,6 +84,36 @@ def test_generators_are_immutable_and_slot_only():
         g.extra = 1
     assert not hasattr(g, "__dict__")
     assert g == Generator(2, 1, 0) and g.r == 1
+
+
+def test_generators_are_assembled_from_the_shared_rows(monkeypatch):
+    monkeypatch.setattr(resolution, "_generators", {})
+    monkeypatch.setattr(resolution, "_degrees", {})
+    n, m = 4, 3
+    table = generator_rows(n, m)
+    assert generator_rows(n, m) is table and not table
+    rows = [table[r] for r in range(n + 1)]
+    assert rows[2] == tuple(Generator(n, 2, i) for i in range(m))
+    assert all(table[r] is rows[r] for r in range(n + 1))
+    gens = generators(n, m)
+    # i outer, r inner: the very objects of the rows built first
+    assert len(gens) == m * (n + 1)
+    for i in range(m):
+        for r in range(n + 1):
+            assert gens[i * (n + 1) + r] is rows[r][i]
+    # and a row read after the degree is the same row again
+    assert generator_rows(n, m)[1] is rows[1]
+
+
+@pytest.mark.parametrize("r", [-1, 3, 7])
+def test_generator_row_outside_the_degree_refused(monkeypatch, r):
+    monkeypatch.setattr(resolution, "_generators", {})
+    with pytest.raises(ValueError) as want:
+        Generator(2, r, 0)
+    with pytest.raises(ValueError) as got:
+        generator_rows(2, 4)[r]
+    assert str(got.value) == str(want.value) == f"r must be in 0..n, got {r} at degree 2"
+    assert not generator_rows(2, 4)
 
 
 def test_generators_are_built_once():
