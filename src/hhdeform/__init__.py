@@ -3,7 +3,6 @@ self-injective cycle algebras, with an independent bar-complex oracle."""
 
 from .algebra import (
     Algebra,
-    AlgebraElement,
     AlgebraSpec,
     BasisMonomial,
     NonGenericParameters,
@@ -40,7 +39,6 @@ from .ring import (
 
 __all__ = [
     "Algebra",
-    "AlgebraElement",
     "AlgebraSpec",
     "BasisMonomial",
     "BimoduleMap",

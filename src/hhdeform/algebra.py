@@ -12,8 +12,8 @@ the third relation rewrites abar_{i-1} a_{i-1} as q_i z_i.  So the
 product of two basis monomials is one scaled monomial or zero, and
 `Algebra.product` reads it from the structure-constant table as a pair
 (monomial, coefficient) or None; every assembly loop in the package calls
-it once per product of monomials.  `AlgebraElement` is left only as the
-return type of `Algebra.multiply` and `monomial_multiply`.
+it once per product of monomials.  A combination of monomials is a plain
+dict {BasisMonomial: Fraction} with no zero entries.
 
 The product of the deformation parameters, zeta, governs everything: the
 finiteness theorems hold exactly when zeta is not a root of unity, which
@@ -78,74 +78,6 @@ def abar(i):
 
 def z(i):
     return BasisMonomial(LOOP, i)
-
-
-class AlgebraElement:
-    """A finitely supported rational combination of basis monomials.
-    Coefficients go through `linalg.exact`, so a float raises TypeError."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for mono, c in coeffs.items():
-                c = exact(c)
-                if c:
-                    self.coeffs[mono] = c
-
-    @classmethod
-    def of(cls, mono, coeff=1):
-        res = cls()
-        coeff = exact(coeff)
-        if coeff:
-            res.coeffs[mono] = coeff
-        return res
-
-    def coefficient(self, mono):
-        return self.coeffs.get(mono, Fraction(0))
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for mono, c in other.coeffs.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        res = AlgebraElement()
-        res.coeffs = out
-        return res
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        res = AlgebraElement()
-        res.coeffs = {mono: -c for mono, c in self.coeffs.items()}
-        return res
-
-    def scale(self, s):
-        s = exact(s)
-        res = AlgebraElement()
-        if s:
-            res.coeffs = {mono: c * s for mono, c in self.coeffs.items()}
-        return res
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = [f"{c}*{mono}" for mono, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())]
-        return " + ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -246,19 +178,25 @@ class Algebra:
         return self._table.get((x, y))
 
     def multiply(self, x, y):
-        out = AlgebraElement()
-        for mx, cx in x.coeffs.items():
-            for my, cy in y.coeffs.items():
-                prod = self.product(mx, my)
+        """The product of two combinations {BasisMonomial: coefficient}, as
+        a dict with no zero entries.  Every coefficient goes through
+        `linalg.exact` first, so a float raises TypeError even when the
+        product vanishes."""
+        x = [(mono, exact(c)) for mono, c in x.items()]
+        y = [(mono, exact(c)) for mono, c in y.items()]
+        out = {}
+        for mx, cx in x:
+            for my, cy in y:
+                prod = self._table.get((mx, my))
                 if prod is not None:
-                    out = out + AlgebraElement.of(prod[0], cx * cy * prod[1])
-        return out
+                    out[prod[0]] = out.get(prod[0], 0) + cx * cy * prod[1]
+        return {mono: c for mono, c in out.items() if c}
 
     def monomial_multiply(self, mx, my):
+        """The product of basis monomials as {monomial: coefficient}, or {}
+        when it is zero."""
         prod = self.product(mx, my)
-        if prod is None:
-            return AlgebraElement()
-        return AlgebraElement.of(*prod)
+        return {} if prod is None else {prod[0]: prod[1]}
 
     def corner_basis(self, i, j):
         """Monomial basis of e_i . Algebra . e_j, for vertices i, j in 0..m-1.

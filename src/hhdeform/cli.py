@@ -29,6 +29,8 @@ ALL_CHECKS = ("complex", "exactness", "recursions", "hom-dims", "cohomology", "r
 # The least --max-degree at which a check does its work: the resolution
 # checks need d^1, and the ring (like sweep's total dimension m+4) needs HH^2.
 MIN_DEGREE = {"complex": 1, "exactness": 1, "recursions": 1, "ring": 2}
+# The ring check and the ring report that `verify` prints both stop here.
+RING_MAX_DEGREE = 8
 
 
 RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -265,7 +267,7 @@ def run_check(name, alg, max_degree):
                 return False, f"degree {n}: dim HH = {got}, closed form {want}"
         return True, f"degrees 0..{max_degree}"
     if name == "ring":
-        report = ring.ring_report(alg, max_degree=min(max_degree, 8))
+        report = ring.ring_report(alg, max_degree=min(max_degree, RING_MAX_DEGREE))
         detail = f"total dim {report['total_dim']}"
         if not report["passed"]:
             detail = "; ".join(report["failures"])
@@ -314,7 +316,7 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
             passed, detail = False, str(exc)
         results.append({"name": name, "pass": passed, "detail": detail})
         if name == "ring" and passed:
-            ring_payload = ring.ring_report(alg, max_degree=min(max_degree, 8))
+            ring_payload = ring.ring_report(alg, max_degree=min(max_degree, RING_MAX_DEGREE))
     payload = {
         "spec": spec_payload(alg),
         "degrees": [],

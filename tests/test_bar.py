@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from hhdeform import linalg
-from hhdeform.algebra import AlgebraElement, algebra
+from hhdeform.algebra import algebra
 from hhdeform.bar import (
     DegreeCapExceeded,
     _bar_coboundary,
@@ -14,7 +14,9 @@ from hhdeform.bar import (
     bar_cohomology_dimension,
 )
 from hhdeform.homcomplex import cohomology_dimension
+from test_algebra import add_into
 from test_linalg import assert_same_rows
+from test_resolution import rule_multiply
 
 F = Fraction
 
@@ -123,46 +125,33 @@ def test_degree_cap_enforced():
 
 def scan_bar_coboundary(n, alg):
     """Reference assembly: for each source cochain, expand its coboundary
-    over every (n+1)-tuple, multiplying whole algebra elements by the
-    product rule of two basis monomials rather than the structure-constant
-    table."""
+    over every (n+1)-tuple, multiplying whole combinations by the product
+    rule of two basis monomials rather than the structure-constant table."""
     m = alg.m
-
-    def rule(x, y):
-        prod = alg._monomial_product(x, y)
-        return AlgebraElement.of(*prod) if prod else AlgebraElement()
-
-    def multiply(x, y):
-        out = AlgebraElement()
-        for mx, cx in x.coeffs.items():
-            for my, cy in y.coeffs.items():
-                out = out + rule(mx, my).scale(cx * cy)
-        return out
-
+    multiply = rule_multiply(alg)
     source = bar_basis(n, alg)
     target_index = {item: k for k, item in enumerate(bar_basis(n + 1, alg))}
     mat = linalg.Matrix(len(target_index), len(source))
     for col, (tup0, mono0) in enumerate(source):
-        mono_elt = AlgebraElement.of(mono0)
+        mono_elt = {mono0: 1}
         for big in _tuples(n + 1, alg):
-            acc = AlgebraElement()
+            acc = {}
             if n == 0:
-                r1 = AlgebraElement.of(big[0])
+                r1 = {big[0]: 1}
                 if (big[0].terminus(m),) == tup0:
-                    acc = acc + multiply(r1, mono_elt)
+                    add_into(acc, multiply(r1, mono_elt))
                 if (big[0].origin(m),) == tup0:
-                    acc = acc - multiply(mono_elt, r1)
+                    add_into(acc, multiply(mono_elt, r1), -1)
             else:
                 if big[1:] == tup0:
-                    acc = acc + multiply(AlgebraElement.of(big[0]), mono_elt)
+                    add_into(acc, multiply({big[0]: 1}, mono_elt))
                 for j in range(1, n + 1):
-                    for mono, c in rule(big[j - 1], big[j]).coeffs.items():
+                    for mono, c in multiply({big[j - 1]: 1}, {big[j]: 1}).items():
                         if big[: j - 1] + (mono,) + big[j + 1 :] == tup0:
-                            acc = acc + mono_elt.scale((-1) ** j * c)
+                            add_into(acc, mono_elt, (-1) ** j * c)
                 if big[:-1] == tup0:
-                    last = multiply(mono_elt, AlgebraElement.of(big[-1]))
-                    acc = acc + last.scale((-1) ** (n + 1))
-            for mono, c in acc.coeffs.items():
+                    add_into(acc, multiply(mono_elt, {big[-1]: 1}), (-1) ** (n + 1))
+            for mono, c in acc.items():
                 mat.add_to_entry(target_index[(big, mono)], col, c)
     return mat
 

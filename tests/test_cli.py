@@ -463,3 +463,27 @@ def test_repeated_list_entries_rejected_before_any_work(runner, monkeypatch, arg
     result = runner.invoke(cli.main, args)
     assert result.exit_code == 2, result.output
     assert args[-2] + " repeats" in result.output
+
+
+@pytest.mark.parametrize("max_degree", ["3", "12"])
+def test_verify_prints_the_ring_report_that_it_checked(runner, monkeypatch, max_degree):
+    from hhdeform import ring
+
+    real = ring.ring_report
+    degrees = []
+
+    def recorded(alg, max_degree):
+        degrees.append(max_degree)
+        return real(alg, max_degree=max_degree)
+
+    monkeypatch.setattr(ring, "ring_report", recorded)
+    result = runner.invoke(
+        cli.main,
+        ["verify", "--m", "2", "--q", "2,1", "--checks", "ring",
+         "--max-degree", max_degree, "--format", "json"],
+    )
+    assert result.exit_code == 0, result.output
+    top = min(int(max_degree), cli.RING_MAX_DEGREE)
+    assert degrees == [top, top]
+    alg = cli.make_algebra(2, "2,1", False)
+    assert json.loads(result.output)["ring"] == json.loads(json.dumps(real(alg, max_degree=top)))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhdeform import cli, homcomplex, linalg, resolution
-from hhdeform.algebra import Algebra, AlgebraElement, NonGenericParameters, algebra, e, z
+from hhdeform.algebra import Algebra, NonGenericParameters, algebra, e, z
 from hhdeform.homcomplex import (
     _blocks,
     coboundary_matrix,
@@ -29,6 +29,7 @@ from hhdeform.resolution import (
     generators,
 )
 from hhdeform.ring import canonical_generators, ring_report
+from test_algebra import add_into
 from test_linalg import assert_same_rows, counted_eliminations
 from test_resolution import bimodule_maps, small_coeffs
 from test_ring import slot_lifts
@@ -255,14 +256,11 @@ def scan_coboundary(n, alg):
     mat = linalg.Matrix(len(target_index), len(source))
     for col, (gen0, mono0) in enumerate(source):
         for gen in generators(n + 1, alg.m):
-            acc = AlgebraElement()
+            acc = {}
             for c, left, tgt, right in d.terms(gen):
                 if tgt == gen0:
-                    acc = acc + alg.multiply(
-                        alg.multiply(AlgebraElement.of(left, c), AlgebraElement.of(mono0)),
-                        AlgebraElement.of(right),
-                    )
-            for mono, c in acc.coeffs.items():
+                    add_into(acc, alg.multiply(alg.multiply({left: c}, {mono0: 1}), {right: 1}))
+            for mono, c in acc.items():
                 mat.add_to_entry(target_index[(gen, mono)], col, c)
     return mat
 

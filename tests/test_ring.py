@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhdeform import linalg, ring
-from hhdeform.algebra import AlgebraElement, NonGenericParameters, a, abar, algebra, e, z
+from hhdeform.algebra import NonGenericParameters, a, abar, algebra, e, z
 from hhdeform.resolution import BimoduleMap, Generator, compose, differential, generators, term_coords
 from hhdeform.homcomplex import coboundary_matrix, hom_dimension, hom_space_basis, pullback_matrix
 from hhdeform.ring import (
@@ -18,6 +18,7 @@ from hhdeform.ring import (
     lift_cocycle,
     ring_report,
 )
+from test_algebra import add_into
 from test_resolution import augment, small_coeffs
 
 F = Fraction
@@ -26,9 +27,9 @@ COPRIME_Q = (F(7, 3), F(-5, 2), F(1, 9), F(3), F(2), F(-1, 7), F(5, 11), F(-13, 
 
 
 def cochain_of_values(degree, values, alg):
-    """The Cochain whose value at each generator gen is the algebra
-    element values[gen]."""
-    coeffs = {(gen, mono): c for gen, val in values.items() for mono, c in val.coeffs.items()}
+    """The Cochain whose value at each generator gen is the combination
+    values[gen] = {monomial: coefficient}."""
+    coeffs = {(gen, mono): c for gen, val in values.items() for mono, c in val.items()}
     return Cochain.of(degree, coeffs, alg)
 
 
@@ -38,11 +39,11 @@ def augmented(lift, alg):
 
 
 def value_at(cochain, gen, alg):
-    """The value of a cochain at one generator, as an algebra element."""
-    value = AlgebraElement()
+    """The value of a cochain at one generator, as {monomial: coefficient}."""
+    value = {}
     for (g, mono), c in zip(hom_space_basis(cochain.degree, alg), cochain.vector):
         if g == gen:
-            value = value + AlgebraElement.of(mono, c)
+            add_into(value, {mono: c})
     return value
 
 
@@ -133,9 +134,9 @@ def term_basis(alg, src_gen, target_degree):
 def slot_lifts(f, k, alg):
     """Solve-based reference lifting: one exact linear system per generator
     and level, the unknowns listed by `term_basis`, the level-0 columns
-    multiplied out as algebra elements by `Algebra.monomial_multiply`, and
-    free variables zero.  Unlike `lift_cocycle`, its right factors are not
-    all vertices."""
+    read from the {monomial: coefficient} dicts that
+    `Algebra.monomial_multiply` returns, and free variables zero.  Unlike
+    `lift_cocycle`, its right factors are not all vertices."""
     degree = f.degree
     product = alg.product
     values = {gen: [F(0)] * len(alg.basis) for gen in generators(degree, alg.m)}
@@ -154,7 +155,7 @@ def slot_lifts(f, k, alg):
                 cols = []
                 for _, ml, mr in slots:
                     prod = alg.monomial_multiply(ml, mr)
-                    cols.append([prod.coefficient(mono) for mono in alg.basis])
+                    cols.append([prod.get(mono, F(0)) for mono in alg.basis])
             else:
                 rhs = carried.value_coords(gen)
                 cols = []
@@ -311,17 +312,15 @@ def test_u1u2_class_matches_explicit_lift(alg3):
     _, lift1 = explicit_lifts(alg3)
     values = {}
     for gen in generators(2, m):
-        acc = AlgebraElement()
+        acc = {}
         for c, left, mid, right in lift1.terms(gen):
-            acc = acc + alg3.multiply(
-                alg3.multiply(AlgebraElement.of(left, c), value_at(u1.representative, mid, alg3)),
-                AlgebraElement.of(right),
-            )
-        if not acc.is_zero():
+            value = value_at(u1.representative, mid, alg3)
+            add_into(acc, alg3.multiply(alg3.multiply({left: c}, value), {right: 1}))
+        if acc:
             values[gen] = acc
     # the only nonzero value is at (r=1, i=0): abar_{m-1} a_{m-1} = q_0 z_0
     assert set(values) == {Generator(2, 1, 0)}
-    assert values[Generator(2, 1, 0)] == AlgebraElement.of(z(0), alg3.q[0])
+    assert values[Generator(2, 1, 0)] == {z(0): alg3.q[0]}
     explicit = class_of(cochain_of_values(2, values, alg3), alg3)
     generic = cup_product(u1, u2, alg3)
     assert explicit.coordinates == generic.coordinates
@@ -348,12 +347,12 @@ def test_degree_zero_annihilates(alg3):
 def act_by_value(x, u, alg):
     """The class of z . u for x the class of the central element z: each
     value of u multiplied by z, with no lifting."""
-    central = AlgebraElement()
+    central = {}
     for (_, mono), c in zip(hom_space_basis(0, alg), x.representative.vector):
-        central = central + AlgebraElement.of(mono, c)
+        add_into(central, {mono: c})
     values = {}
     for (gen, mono), c in zip(hom_space_basis(u.degree, alg), u.representative.vector):
-        values[gen] = values.get(gen, AlgebraElement()) + alg.multiply(central, AlgebraElement.of(mono, c))
+        add_into(values.setdefault(gen, {}), alg.multiply(central, {mono: c}))
     return class_of(cochain_of_values(u.degree, values, alg), alg)
 
 
