@@ -10,10 +10,11 @@ A BimoduleMap stores, per source generator, a list of monomial terms
 (c, left, target, right): the rational c times left (x) right in the
 summand of `target`, with left and right basis monomials.  The
 differential, composites and the chain-map liftings all live in this
-form.  The generators are (n, r, i) tuples, built one row (n, r) of m at
-a time when a caller first reads it (`generator_rows`), and kept; a
-consumer that walks a whole degree reads `generators`, assembled from the
-same rows.  Every term is checked (degrees, corners from (n, r, i), exact
+form, and a value is its terms: `is_zero` and the augmentation check of
+`check_complex` sum the coefficients of like terms directly.  The
+generators are (n, r, i) tuples, built one row (n, r) of m at a time when
+a caller first reads it (`generator_rows`), and kept; a consumer that
+walks a whole degree reads `generators`, assembled from the same rows.  Every term is checked (degrees, corners from (n, r, i), exact
 coefficient) before anything reads it: a map built from a dict checks all
 of them when it is made, and the differential builds and checks each
 generator's closed-form image the first time it is read, reading its
@@ -22,11 +23,14 @@ some generators (`homcomplex.pullback_matrix`) never builds the rest, nor
 their generators.
 `underlying_matrix` flattens a map to exact rational linear algebra on the
 16m(n+1)-dimensional underlying vector spaces, which is how kernels,
-images and exactness are computed.  Every summand is 4 x 4,
-so it walks each term over the stencil of its (left, right) pair, read
-from one per-algebra table fetched once per call: the nonzero products
-bl . left (x) right . br as offsets into the blocks of the source and
-target generators, grouped by coefficient.
+images and exactness are computed.  P^n has one layout: the summand of
+Generator(n, r, i) holds the 16 coordinates from 16 (i (n+1) + r), the
+k-th monomial into its origin (x) the j-th out of its terminus at 4 k + j,
+and `augmentation_matrix` follows it too.  Every summand is 4 x 4, so
+`underlying_matrix` walks each term over the stencil of its (left, right)
+pair, read from one per-algebra table fetched once per call: the nonzero
+products bl . left (x) right . br as offsets into the blocks of the
+source and target generators, grouped by coefficient.
 A map holds only a weak reference to its flattened matrix: a repeated
 call returns the same object while a caller still holds it, and nothing
 keeps it alive after that, so `check_complex` builds each d^n once
@@ -213,15 +217,16 @@ class BimoduleMap:
         return got
 
     def is_zero(self):
-        """Exact zero test, via canonical expansion of every value."""
-        for gen in self.assignments:
-            if any(v for v in self.value_coords(gen)):
+        """Exact zero test: a value is zero exactly when the coefficients
+        of each (left, target, right) among its terms sum to zero."""
+        for terms in self.assignments.values():
+            sums = {}
+            for c, left, target, right in terms:
+                key = (left, target, right)
+                sums[key] = sums.get(key, 0) + c
+            if any(sums.values()):
                 return False
         return True
-
-    def value_coords(self, gen):
-        """Coordinates of the image of `gen` over the basis of P^{target_degree}."""
-        return term_coords(self.terms(gen), self.target_degree, self.alg)
 
     def __repr__(self):
         return (
@@ -352,34 +357,6 @@ def compose(f, g):
 
 
 @memoised
-def _p_basis(n, alg):
-    """Ordered basis of the underlying vector space of P^n: per generator,
-    (left monomial into the origin) x (right monomial out of the terminus)."""
-    m = alg.m
-    basis = []
-    for gen in generators(n, m):
-        for ml in alg.monomials_into(gen.i):
-            for mr in alg.monomials_from(gen.terminus(m)):
-                basis.append((gen, ml, mr))
-    return basis
-
-
-@memoised
-def _p_basis_index(n, alg):
-    return {item: k for k, item in enumerate(_p_basis(n, alg))}
-
-
-def term_coords(terms, n, alg):
-    """Coordinates over the underlying basis of P^n of a list of
-    (c, left, target, right) monomial terms."""
-    index = _p_basis_index(n, alg)
-    coords = [linalg.F0] * len(index)
-    for c, ml, target, mr in terms:
-        coords[index[(target, ml, mr)]] += c
-    return coords
-
-
-@memoised
 def _stencils(alg):
     """{(left, right): its `_stencil`}, added to by `underlying_matrix`."""
     return {}
@@ -459,19 +436,26 @@ def underlying_matrix(f):
 
 @memoised
 def augmentation_matrix(alg):
-    """The multiplication map P^0 -> Algebra on underlying vector spaces."""
-    source = _p_basis(0, alg)
-    mat = linalg.Matrix(len(alg.basis), len(source))
-    for col, (_gen, bl, br) in enumerate(source):
-        prod = alg.product(bl, br)
-        if prod is not None:
-            mat.add_to_entry(alg.basis_index[prod[0]], col, prod[1])
+    """The multiplication map P^0 -> Algebra on underlying vector spaces,
+    bl (x) br -> bl . br.  Its columns follow `underlying_matrix`: vertex
+    i holds the 16 from 16 i, bl the k-th of `monomials_into(i)` and br
+    the j-th of `monomials_from(i)` at 16 i + 4 k + j."""
+    mat = linalg.Matrix(len(alg.basis), 16 * alg.m)
+    col = 0
+    for i in range(alg.m):
+        for bl in alg.monomials_into(i):
+            for br in alg.monomials_from(i):
+                prod = alg.product(bl, br)
+                if prod is not None:
+                    mat.add_to_entry(alg.basis_index[prod[0]], col, prod[1])
+                col += 1
     return mat
 
 
 def check_complex(N, alg):
     """True iff d^n o d^{n+1} = 0 for 1 <= n < N and the multiplication
-    map (`augmentation_matrix`) kills the image of every generator of P^1.
+    map kills the image of every generator of P^1: the products l . r of
+    its terms c (l (x) r), times c, sum to zero.
 
     Each d^n o d^{n+1} is checked twice, by composing the maps and by
     multiplying their underlying matrices, and the two must agree.  Both
@@ -484,9 +468,13 @@ def check_complex(N, alg):
     if N < 1:
         raise ValueError("N must be at least 1")
     diffs = {n: differential(n, alg) for n in range(1, N + 1)}
-    multiplication = augmentation_matrix(alg)
-    for gen in generators(1, alg.m):
-        if any(multiplication.mul_vector(diffs[1].value_coords(gen))):
+    product = alg.product
+    for terms in diffs[1].assignments.values():
+        sums = {}
+        for c, left, _target, right in terms:
+            if (prod := product(left, right)) is not None:
+                sums[prod[0]] = sums.get(prod[0], 0) + c * prod[1]
+        if any(sums.values()):
             return False
     for n in range(1, N):
         ok_maps = compose(diffs[n], diffs[n + 1]).is_zero()

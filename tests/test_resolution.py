@@ -7,13 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhdeform import linalg, resolution
-from hhdeform.algebra import a, abar, algebra, e
+from hhdeform.algebra import a, abar, algebra, e, memoised, z
 from hhdeform.freepaths import q_run
 from hhdeform.resolution import (
     BimoduleMap,
     Generator,
-    _p_basis,
-    _p_basis_index,
     augmentation_matrix,
     check_complex,
     compose,
@@ -50,6 +48,45 @@ def augment(f):
             if prod is not None:
                 add_into(acc, {prod[0]: prod[1]}, c)
     return out
+
+
+@memoised
+def _p_basis(n, alg):
+    """Reference basis of the underlying vector space of P^n, as a list:
+    per generator, (left monomial into the origin) x (right monomial out
+    of the terminus)."""
+    m = alg.m
+    basis = []
+    for gen in generators(n, m):
+        for ml in alg.monomials_into(gen.i):
+            for mr in alg.monomials_from(gen.terminus(m)):
+                basis.append((gen, ml, mr))
+    return basis
+
+
+@memoised
+def _p_basis_index(n, alg):
+    return {item: k for k, item in enumerate(_p_basis(n, alg))}
+
+
+def term_coords(terms, n, alg):
+    """Coordinates over `_p_basis(n)` of a list of (c, left, target, right)
+    monomial terms."""
+    index = _p_basis_index(n, alg)
+    coords = [F(0)] * len(index)
+    for c, ml, target, mr in terms:
+        coords[index[(target, ml, mr)]] += c
+    return coords
+
+
+def value_coords(f, gen):
+    """Coordinates of the image of gen under f over `_p_basis`."""
+    return term_coords(f.terms(gen), f.target_degree, f.alg)
+
+
+def coords_zero(f):
+    """Reference zero test: every value has zero coordinates."""
+    return not any(any(value_coords(f, gen)) for gen in generators(f.source_degree, f.alg.m))
 
 
 def p_dimension(alg, n):
@@ -178,7 +215,7 @@ def test_compose_with_identity():
     assert not compose(d1, identity_map(1, alg)).is_zero()
     lhs = compose(d1, identity_map(1, alg))
     for gen in generators(1, 3):
-        assert lhs.value_coords(gen) == d1.value_coords(gen)
+        assert value_coords(lhs, gen) == value_coords(d1, gen)
 
 
 def test_compose_degree_mismatch():
@@ -270,6 +307,7 @@ def test_opposite_terms_leave_no_stored_entry():
     terms = [(s * F(5, 3), *t) for t in triples for s in (1, -1)]
     f = BimoduleMap(alg, 1, 0, {gen: terms})
     assert len(f.terms(gen)) == 4
+    assert f.is_zero() and coords_zero(f)
     mat = underlying_matrix(f)
     assert (mat.rows, mat.cols) == (48, 96)
     assert all(row == {} for row in mat._rows)
@@ -280,8 +318,23 @@ def test_opposite_terms_leave_no_stored_entry():
     rest = [(F(2), *triples[1])]
     g = BimoduleMap(alg, 1, 0, {gen: terms + rest})
     h = BimoduleMap(alg, 1, 0, {gen: rest})
+    assert not g.is_zero() and not coords_zero(g)
     assert underlying_matrix(g) == underlying_matrix(h)
     assert compose(identity_map(0, alg), g).assignments == h.assignments
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_equal_factors_into_two_targets_are_not_like_terms(m):
+    # at m = 1, 2 the summands of G(2;0,0) and G(2;1,0) share the corner
+    # (e_0, e_0), so one (left, right) pair can go into either
+    alg = algebra(m, (F(2),) + (F(1),) * (m - 1))
+    gen, one, other = Generator(2, 0, 0), Generator(2, 0, 0), Generator(2, 1, 0)
+    for left, right in [(e(0), e(0)), (e(0), z(0)), (z(0), e(0))]:
+        for target, zero in [(one, True), (other, False)]:
+            f = BimoduleMap(
+                alg, 2, 2, {gen: [(F(3), left, one, right), (F(-3), left, target, right)]}
+            )
+            assert f.is_zero() == coords_zero(f) == zero
 
 
 def test_inexact_coefficients_refused():
@@ -496,11 +549,18 @@ def test_augmentation_composite_vanishes():
         assert val == {}
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-def test_augmentation_check_catches_a_broken_d1(m, monkeypatch):
+@pytest.mark.parametrize(
+    "m,q",
+    [
+        pytest.param(m, (zeta,) + (1,) * (m - 1), id=f"{m}" if zeta == 2 else f"{m}-zeta={zeta}")
+        for zeta in (2, 1, -1)
+        for m in (1, 2, 3, 5)
+    ],
+)
+def test_augmentation_check_catches_a_broken_d1(m, q, monkeypatch):
     # with N = 1 there is no d o d to compose: only the augmentation check
     # runs, on d^1 with only the first term of each image kept
-    alg = algebra(m, (2,) + (1,) * (m - 1))
+    alg = algebra(m, q)
     d1 = differential(1, alg)
     bad = BimoduleMap(alg, 1, 0, {gen: d1.terms(gen)[:1] for gen in generators(1, m)})
     assert any(augment(bad).values())
@@ -512,6 +572,23 @@ def test_augmentation_check_catches_a_broken_d1(m, monkeypatch):
 def test_augmentation_matrix_surjective():
     alg = algebra(3, (2, 1, 1))
     assert linalg.rank(augmentation_matrix(alg)) == 4 * alg.m
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1), F(-1)])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_augmentation_matrix_columns_follow_the_p0_basis(m, zeta):
+    # the columns are the reference basis of P^0, in its order, so the
+    # matrix composes with the flattened d^1 to zero
+    q = (zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2)
+    alg = algebra(m, q)
+    ref = linalg.Matrix(len(alg.basis), p_dimension(alg, 0))
+    for col, (_gen, bl, br) in enumerate(_p_basis(0, alg)):
+        prod = alg._monomial_product(bl, br)
+        if prod is not None:
+            ref.add_to_entry(alg.basis_index[prod[0]], col, prod[1])
+    mat = augmentation_matrix(alg)
+    assert mat == ref
+    assert mat.matmul(underlying_matrix(differential(1, alg))).is_zero()
 
 
 @pytest.mark.parametrize(
@@ -728,6 +805,8 @@ def test_assembly_matches_the_multiply_reference(m, zeta):
             assert collected(compose(prev, d)) == multiply_compose(prev, d), n
             assert_matches_fraction_compose(prev, d)
             assert_matches_fraction_compose(d, identity_map(n, alg))
+            for h in (compose(prev, d), compose(d, identity_map(n, alg))):
+                assert h.is_zero() == coords_zero(h), n
             # d o d = 0: every product cancels and none is stored
             assert all(row == {} for row in underlying_matrix(prev).matmul(mat)._rows), n
 
@@ -832,6 +911,7 @@ def test_assembly_of_random_maps_matches_the_multiply_reference(data):
     g = data.draw(bimodule_maps(alg, c_deg, a_deg))
     f = data.draw(bimodule_maps(alg, a_deg, b_deg))
     for h in (f, g):
+        assert h.is_zero() == coords_zero(h) == echoed(h).is_zero()
         assert underlying_matrix(h) == multiply_underlying(h)
         assert_flattened_in_entry_order(h)
         assert_flattened_in_entry_order(echoed(h))
