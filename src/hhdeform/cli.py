@@ -9,8 +9,9 @@ JSON with the fixed schema
      ring: {...} | null,
      checks: [{name, pass, detail}]}
 
-and CSV with one row per degree, for `compute` only.  Exit codes: 0 all
-good, 1 a check or theorem comparison failed, 2 invalid configuration.
+and CSV with one row per degree, for `compute` only.  Every command exits
+1 when a check failed (compute's one check is its closed-form comparison),
+2 on invalid configuration, and 0 otherwise.
 """
 
 import json
@@ -25,10 +26,6 @@ from . import bar, homcomplex, resolution, ring
 from .algebra import AlgebraSpec, build_algebra
 from .freepaths import verify_g_recursions
 
-ALL_CHECKS = ("complex", "exactness", "recursions", "hom-dims", "cohomology", "ring", "oracle")
-# The least --max-degree at which a check does its work: the resolution
-# checks need d^1, and the ring (like sweep's total dimension m+4) needs HH^2.
-MIN_DEGREE = {"complex": 1, "exactness": 1, "recursions": 1, "ring": 2}
 # The ring check and the ring report that `verify` prints both stop here.
 RING_MAX_DEGREE = 8
 
@@ -165,6 +162,12 @@ def emit(payload, fmt, output):
         click.echo(text, nl=False)
 
 
+def report(spec, degrees, ring_payload, checks, fmt, output):
+    """Emit the payload, then exit 1 if a check failed and 0 otherwise."""
+    emit({"spec": spec, "degrees": degrees, "ring": ring_payload, "checks": checks}, fmt, output)
+    sys.exit(0 if all(chk["pass"] for chk in checks) else 1)
+
+
 def output_in_a_directory(ctx, param, value):
     """Refuse an --output in a missing directory; click.Path does not look."""
     if value and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
@@ -202,7 +205,6 @@ def compute(m, q_text, max_degree, fmt, allow_non_generic, output):
         max_degree = 2 * m + 6
     rows = degree_rows(alg, max_degree)
     checks = []
-    mismatches = []
     if alg.generic:
         mismatches = compare_rows(rows, m)
         checks.append(
@@ -212,81 +214,98 @@ def compute(m, q_text, max_degree, fmt, allow_non_generic, output):
                 "detail": "; ".join(mismatches),
             }
         )
-    payload = {
-        "spec": spec_payload(alg),
-        "degrees": rows,
-        "ring": None,
-        "checks": checks,
-    }
-    emit(payload, fmt, output)
-    sys.exit(1 if mismatches else 0)
+    report(spec_payload(alg), rows, None, checks, fmt, output)
 
 
-def run_check(name, alg, max_degree):
-    """One named verification; returns (passed, detail).  At zeta = +-1 the
-    cohomology and ring checks fail without running: their closed forms and
-    ring presentation hold only when zeta is not a root of unity."""
-    m = alg.m
-    if name in ("cohomology", "ring") and not alg.generic:
-        return False, (
-            f"zeta = {alg.zeta} is a root of unity: the closed forms and the "
-            "ring presentation do not apply"
-        )
-    if name == "recursions":
-        top = min(max_degree, 8)
-        for n in range(1, top + 1):
-            if not verify_g_recursions(n, alg):
-                return False, f"recursion identity fails at degree {n}"
-        return True, f"degrees 1..{top}"
-    if name == "complex":
-        ok = resolution.check_complex(max_degree, alg)
-        return ok, f"d o d = 0 through degree {max_degree}"
-    if name == "exactness":
-        top = min(max_degree, 5)
-        ok, rows = resolution.verify_exactness(top, alg)
-        bad = [r for r in rows if not r["ok"]]
-        detail = f"degrees 0..{top - 1}"
-        if bad:
-            r = bad[0]
-            detail = (
-                f"degree {r['degree']}: kernel {r['kernel_dim']} != image {r['image_dim']}"
-            )
-        return ok, detail
-    if name == "hom-dims":
-        for n in range(max_degree + 1):
-            got = homcomplex.hom_dimension(n, alg)
-            want = homcomplex.expected_hom_dimension(n, m)
-            if got != want:
-                return False, f"degree {n}: {got} != {want}"
-        return True, f"degrees 0..{max_degree}"
-    if name == "cohomology":
-        for n in range(max_degree + 1):
-            got = homcomplex.cohomology_dimension(n, alg)
-            want = homcomplex.expected_cohomology_dim(n, m)
-            if got != want:
-                return False, f"degree {n}: dim HH = {got}, closed form {want}"
-        return True, f"degrees 0..{max_degree}"
-    if name == "ring":
-        report = ring.ring_report(alg, max_degree=min(max_degree, RING_MAX_DEGREE))
-        detail = f"total dim {report['total_dim']}"
-        if not report["passed"]:
-            detail = "; ".join(report["failures"])
-        return report["passed"], detail
-    if name == "oracle":
-        top = min(max_degree, 3)
+def check_recursions(alg, top):
+    top = min(top, 8)
+    for n in range(1, top + 1):
+        if not verify_g_recursions(n, alg):
+            return False, f"recursion identity fails at degree {n}"
+    return True, f"degrees 1..{top}"
+
+
+def check_complex(alg, top):
+    return resolution.check_complex(top, alg), f"d o d = 0 through degree {top}"
+
+
+def check_exactness(alg, top):
+    top = min(top, 5)
+    ok, rows = resolution.verify_exactness(top, alg)
+    for r in rows:
+        if not r["ok"]:
+            return ok, f"degree {r['degree']}: kernel {r['kernel_dim']} != image {r['image_dim']}"
+    return ok, f"degrees 0..{top - 1}"
+
+
+def check_hom_dims(alg, top):
+    for n in range(top + 1):
+        got = homcomplex.hom_dimension(n, alg)
+        want = homcomplex.expected_hom_dimension(n, alg.m)
+        if got != want:
+            return False, f"degree {n}: {got} != {want}"
+    return True, f"degrees 0..{top}"
+
+
+def check_cohomology(alg, top):
+    for n in range(top + 1):
+        got = homcomplex.cohomology_dimension(n, alg)
+        want = homcomplex.expected_cohomology_dim(n, alg.m)
+        if got != want:
+            return False, f"degree {n}: dim HH = {got}, closed form {want}"
+    return True, f"degrees 0..{top}"
+
+
+def check_ring(alg, top):
+    result = ring.ring_report(alg, max_degree=min(top, RING_MAX_DEGREE))
+    if not result["passed"]:
+        return False, "; ".join(result["failures"])
+    return True, f"total dim {result['total_dim']}"
+
+
+def check_oracle(alg, top):
+    top = min(top, 3)
+    try:
         for n in range(top + 1):
             oracle = bar.bar_cohomology_dimension(n, alg)
             direct = homcomplex.cohomology_dimension(n, alg, allow_non_generic=True)
             if oracle != direct:
                 return False, f"degree {n}: oracle {oracle} != complex {direct}"
-        return True, f"engines agree through degree {top}"
-    raise click.BadParameter(f"unknown check {name!r}")
+    except bar.DegreeCapExceeded as exc:
+        return False, str(exc)
+    return True, f"engines agree through degree {top}"
+
+
+# name: (check (alg, top degree) -> (passed, detail), least --max-degree,
+# needs a generic zeta), in the default --checks order.  The resolution
+# checks need d^1, and the ring (like sweep's total dimension m+4) HH^2.
+CHECKS = {
+    "complex": (check_complex, 1, False),
+    "exactness": (check_exactness, 1, False),
+    "recursions": (check_recursions, 1, False),
+    "hom-dims": (check_hom_dims, 0, False),
+    "cohomology": (check_cohomology, 0, True),
+    "ring": (check_ring, 2, True),
+    "oracle": (check_oracle, 0, False),
+}
+
+
+def run_check(name, alg, max_degree):
+    """The check `name` of CHECKS; returns (passed, detail).  At zeta = +-1 a
+    check that needs a generic zeta fails without running."""
+    check, _, needs_generic = CHECKS[name]
+    if needs_generic and not alg.generic:
+        return False, (
+            f"zeta = {alg.zeta} is a root of unity: the closed forms and the "
+            "ring presentation do not apply"
+        )
+    return check(alg, max_degree)
 
 
 @main.command()
 @click.option("--m", "m", type=click.IntRange(min=1), required=True)
 @click.option("--q", "q_text", type=str, required=True)
-@click.option("--checks", "checks_text", type=str, default=",".join(ALL_CHECKS))
+@click.option("--checks", "checks_text", type=str, default=",".join(CHECKS))
 @common_options("table", "json")
 @allow_non_generic_option
 def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
@@ -294,37 +313,24 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
     names = parse_list(checks_text, "--checks")
     if len(set(names)) < len(names):
         raise click.UsageError(f"--checks repeats an entry: {checks_text}")
-    unknown = [c for c in names if c not in ALL_CHECKS]
+    unknown = [c for c in names if c not in CHECKS]
     if unknown:
         raise click.UsageError(f"unknown checks: {', '.join(unknown)}")
-    if max_degree is not None:
-        for name in names:
-            if max_degree < MIN_DEGREE.get(name, 0):
-                raise click.UsageError(
-                    f"the {name} check needs --max-degree >= {MIN_DEGREE[name]}"
-                )
-    needs_generic = any(c in ("cohomology", "ring") for c in names)
+    for name in names:
+        if max_degree is not None and max_degree < CHECKS[name][1]:
+            raise click.UsageError(f"the {name} check needs --max-degree >= {CHECKS[name][1]}")
+    needs_generic = any(CHECKS[c][2] for c in names)
     alg = make_algebra(m, q_text, allow_non_generic, needs_generic=needs_generic)
     if max_degree is None:
         max_degree = 2 * m + 6
     results = []
     ring_payload = None
     for name in names:
-        try:
-            passed, detail = run_check(name, alg, max_degree)
-        except bar.DegreeCapExceeded as exc:
-            passed, detail = False, str(exc)
+        passed, detail = run_check(name, alg, max_degree)
         results.append({"name": name, "pass": passed, "detail": detail})
         if name == "ring" and passed:
             ring_payload = ring.ring_report(alg, max_degree=min(max_degree, RING_MAX_DEGREE))
-    payload = {
-        "spec": spec_payload(alg),
-        "degrees": [],
-        "ring": ring_payload,
-        "checks": results,
-    }
-    emit(payload, fmt, output)
-    sys.exit(0 if all(r["pass"] for r in results) else 1)
+    report(spec_payload(alg), [], ring_payload, results, fmt, output)
 
 
 @main.command()
@@ -347,37 +353,29 @@ def sweep(m_range, zeta_text, max_degree, fmt, output):
     if 0 in zetas:
         raise click.UsageError("--zeta values must be nonzero")
     results = []
-    failed = False
     for m in range(lo, hi + 1):
         degree_top = max_degree if max_degree is not None else 2 * m + 6
         for zeta in zetas:
             name = f"m={m}, zeta={zeta}"
-            if zeta in (Fraction(1), Fraction(-1)):
+            spec = AlgebraSpec(m, (zeta,) + (Fraction(1),) * (m - 1))
+            if not spec.generic:
                 results.append(
                     {"name": name, "pass": True, "detail": "skipped: zeta is a root of unity"}
                 )
                 continue
-            alg = build_algebra(AlgebraSpec(m, (zeta,) + (Fraction(1),) * (m - 1)))
+            alg = build_algebra(spec)
             total = sum(
                 homcomplex.cohomology_dimension(n, alg) for n in range(degree_top + 1)
             )
-            ok = total == m + 4
-            failed = failed or not ok
             results.append(
                 {
                     "name": name,
-                    "pass": ok,
+                    "pass": total == m + 4,
                     "detail": f"total dim {total}, expected {m + 4}",
                 }
             )
-    payload = {
-        "spec": {"m": f"{lo}:{hi}", "q": [], "zeta": [str(v) for v in zetas], "generic": None},
-        "degrees": [],
-        "ring": None,
-        "checks": results,
-    }
-    emit(payload, fmt, output)
-    sys.exit(1 if failed else 0)
+    report({"m": f"{lo}:{hi}", "q": [], "zeta": [str(v) for v in zetas], "generic": None},
+           [], None, results, fmt, output)
 
 
 if __name__ == "__main__":

@@ -77,13 +77,6 @@ class Matrix:
             m._rows[r] = {c: x for c, v in enumerate(row) if (x := exact(v))}
         return m
 
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m._rows[i][i] = F1
-        return m
-
     def add_to_entry(self, r, c, v):
         """Add v to entry (r, c); v goes through `exact` unless it is a
         Fraction.  A first write stores v itself; a sum that reaches zero is
@@ -102,12 +95,6 @@ class Matrix:
                 row[c] = s
             else:
                 del row[c]
-
-    def row(self, r):
-        return [self._rows[r].get(c, F0) for c in range(self.cols)]
-
-    def to_lists(self):
-        return [self.row(r) for r in range(self.rows)]
 
     def is_zero(self):
         return all(not row for row in self._rows)

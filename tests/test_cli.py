@@ -165,6 +165,20 @@ def test_verify_ring_and_oracle(runner):
     assert payload["ring"]["passed"]
 
 
+def test_verify_default_checks_and_their_details(runner):
+    result = runner.invoke(cli.main, ["verify", "--m", "2", "--q", "3,1", "--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["checks"] == [
+        {"name": "complex", "pass": True, "detail": "d o d = 0 through degree 10"},
+        {"name": "exactness", "pass": True, "detail": "degrees 0..4"},
+        {"name": "recursions", "pass": True, "detail": "degrees 1..8"},
+        {"name": "hom-dims", "pass": True, "detail": "degrees 0..10"},
+        {"name": "cohomology", "pass": True, "detail": "degrees 0..10"},
+        {"name": "ring", "pass": True, "detail": "total dim 6"},
+        {"name": "oracle", "pass": True, "detail": "engines agree through degree 3"},
+    ]
+
+
 def test_verify_oracle_non_generic(runner):
     # the oracle cross-check itself is regime-independent
     result = runner.invoke(
@@ -277,6 +291,23 @@ def test_sweep_skips_roots_of_unity(runner):
     assert result.exit_code == 0, result.output
     assert "skipped: zeta is a root of unity" in result.output
     assert "total dim 6" in result.output
+
+
+def test_sweep_exits_1_when_a_total_is_wrong(runner, monkeypatch):
+    real = homcomplex.cohomology_dimension
+
+    def wrong(n, alg, **kwargs):
+        return real(n, alg, **kwargs) + (1 if n == 0 else 0)
+
+    monkeypatch.setattr(homcomplex, "cohomology_dimension", wrong)
+    result = runner.invoke(
+        cli.main, ["sweep", "--m-range", "2:2", "--zeta", "2,-1", "--format", "json"]
+    )
+    assert result.exit_code == 1, result.output
+    assert json.loads(result.output)["checks"] == [
+        {"name": "m=2, zeta=2", "pass": False, "detail": "total dim 7, expected 6"},
+        {"name": "m=2, zeta=-1", "pass": True, "detail": "skipped: zeta is a root of unity"},
+    ]
 
 
 def test_sweep_bad_range(runner):
@@ -402,7 +433,8 @@ def test_output_directory_rejected_before_any_work(runner, monkeypatch, tmp_path
 def test_verify_max_degree_zero_allowed_for_other_checks(runner):
     result = runner.invoke(
         cli.main,
-        ["verify", "--m", "2", "--q", "2,1", "--checks", "hom-dims,cohomology", "--max-degree", "0"],
+        ["verify", "--m", "2", "--q", "2,1", "--checks", "hom-dims,cohomology,oracle",
+         "--max-degree", "0"],
     )
     assert result.exit_code == 0, result.output
 

@@ -19,6 +19,7 @@ from hhdeform.ring import (
     ring_report,
 )
 from test_algebra import add_into
+from test_linalg import identity, to_lists
 from test_resolution import augment, small_coeffs, term_coords, value_coords
 
 F = Fraction
@@ -427,7 +428,7 @@ def test_ring_report_lifts_without_a_solve(solves):
     assert report["passed"], report["failures"]
     assert solves == []
     # the patch is live: a direct call is seen
-    one = linalg.Matrix.identity(1)
+    one = identity(1)
     assert linalg.solve(one, [F(3)]) == [F(3)]
     assert solves == [one]
 
@@ -435,7 +436,7 @@ def test_ring_report_lifts_without_a_solve(solves):
 def greedy_complement(alg, n):
     """Extend the echelon image basis by each kernel vector that raises the
     rank, in kernel order."""
-    span = linalg.rref(coboundary_matrix(n - 1, alg).transpose()).to_lists() if n else []
+    span = to_lists(linalg.rref(coboundary_matrix(n - 1, alg).transpose())) if n else []
     chosen = []
     for vec in linalg.kernel_basis(coboundary_matrix(n, alg)):
         if linalg.rank(linalg.Matrix.from_rows(span + [vec])) > len(span):
@@ -460,7 +461,7 @@ def hom_class_coordinates(vector, n, alg):
     im d^{n-1} and the reduced-echelon basis of ker d^n as the columns of
     one matrix over hom_space_basis(n), the complement at its pivot columns
     after the image, and one solve with free variables zero."""
-    image = linalg.rref(coboundary_matrix(n - 1, alg).transpose()).to_lists() if n else []
+    image = to_lists(linalg.rref(coboundary_matrix(n - 1, alg).transpose())) if n else []
     vectors = image + linalg.kernel_basis(coboundary_matrix(n, alg))
     rows = [{c: v[r] for c, v in enumerate(vectors) if v[r]} for r in range(hom_dimension(n, alg))]
     columns = linalg.Matrix(len(rows), len(vectors), rows)
