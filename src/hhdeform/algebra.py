@@ -109,6 +109,9 @@ class AlgebraSpec:
         return self.zeta not in (Fraction(1), Fraction(-1))
 
 
+_EMPTY_CORNER = []
+
+
 class Algebra:
     """Structure constants of the quotient algebra on its 4m-monomial basis."""
 
@@ -138,10 +141,11 @@ class Algebra:
                 p = self._monomial_product(x, y)
                 if p is not None:
                     self._table[(x, y)] = p
-        # the basis is in canonical order, so each corner list is too
-        self._corners = {(i, j): [] for i in range(self.m) for j in range(self.m)}
+        # the nonempty corners only, at most 3m of the m^2; the basis is in
+        # canonical order, so each corner list is too
+        self._corners = {}
         for mono in self.basis:
-            self._corners[self.endpoints[mono]].append(mono)
+            self._corners.setdefault(self.endpoints[mono], []).append(mono)
         self.cache = {}
 
     def require_generic(self, allow_non_generic=False):
@@ -202,9 +206,10 @@ class Algebra:
         """Monomial basis of e_i . Algebra . e_j, for vertices i, j in 0..m-1.
 
         Endpoints are taken mod m, so m = 1 and m = 2 get their enlarged
-        corners from the same table, in the canonical basis order.
+        corners from the same table, in the canonical basis order.  Every
+        empty corner is one shared empty list, which no caller may extend.
         """
-        return self._corners[i, j]
+        return self._corners.get((i, j), _EMPTY_CORNER)
 
     def monomials_into(self, v):
         """Basis of Algebra . e_v (monomials with terminus v)."""
@@ -220,7 +225,13 @@ class Algebra:
 
 def memoised(fn):
     """Memoise fn(*args, alg) in the cache of the Algebra instance `alg`:
-    a repeated call returns the very object built by the first one."""
+    a repeated call returns the very object built by the first one.
+
+    The returned function has one attribute, `forget(*args, alg)`, which
+    drops that one entry (if it is there), so the next call builds anew.
+    A caller binds `forget` once, at import time: bench/tracer.py rebinds
+    the public names to wrappers that carry no attributes.
+    """
 
     def cached(*args):
         key = (fn, args[:-1])
@@ -231,8 +242,12 @@ def memoised(fn):
             value = cache[key] = fn(*args)
             return value
 
+    def forget(*args):
+        args[-1].cache.pop((fn, args[:-1]), None)
+
     cached.__name__ = fn.__name__
     cached.__doc__ = fn.__doc__
+    cached.forget = forget
     return cached
 
 

@@ -9,7 +9,8 @@ JSON with the fixed schema
      ring: {...} | null,
      checks: [{name, pass, detail}]}
 
-and CSV with one row per degree, for `compute` only.  Every command exits
+and CSV with one row per degree, for `compute` only; there a failed
+check is written to stderr, as in the table.  Every command exits
 1 when a check failed (compute's one check is its closed-form comparison),
 2 on invalid configuration, and 0 otherwise.
 """
@@ -81,19 +82,10 @@ def spec_payload(alg):
 
 
 def degree_rows(alg, max_degree):
-    rows = []
-    for n in range(max_degree + 1):
-        ker, im = homcomplex.kernel_image_dims(n, alg)
-        rows.append(
-            {
-                "n": n,
-                "hom_dim": homcomplex.hom_dimension(n, alg),
-                "ker": ker,
-                "im": im,
-                "hh": ker - im,
-            }
-        )
-    return rows
+    return [
+        {"n": n, "hom_dim": hom_dim, "ker": ker, "im": im, "hh": ker - im}
+        for n, (hom_dim, ker, im) in enumerate(homcomplex.kernel_image_table(max_degree, alg))
+    ]
 
 
 def compare_rows(rows, m):
@@ -114,6 +106,12 @@ def compare_rows(rows, m):
                     f"degree {n}: {field} = {row[field]}, closed form gives {want}"
                 )
     return mismatches
+
+
+def check_line(chk):
+    status = "pass" if chk["pass"] else "FAIL"
+    detail = f" ({chk['detail']})" if chk["detail"] else ""
+    return f"check {chk['name']}: {status}{detail}"
 
 
 def emit(payload, fmt, output):
@@ -150,10 +148,7 @@ def emit(payload, fmt, output):
                     "FAILED: " + "; ".join(payload["ring"]["failures"]),
                 )
             )
-        for chk in payload["checks"]:
-            status = "pass" if chk["pass"] else "FAIL"
-            detail = f" ({chk['detail']})" if chk["detail"] else ""
-            lines.append(f"check {chk['name']}: {status}{detail}")
+        lines.extend(check_line(chk) for chk in payload["checks"])
         text = "\n".join(lines) + "\n"
     if output:
         with open(output, "w") as handle:
@@ -163,9 +158,15 @@ def emit(payload, fmt, output):
 
 
 def report(spec, degrees, ring_payload, checks, fmt, output):
-    """Emit the payload, then exit 1 if a check failed and 0 otherwise."""
+    """Emit the payload, then exit 1 if a check failed and 0 otherwise.
+    CSV rows have no place for the checks, so there each failed check
+    goes to stderr."""
     emit({"spec": spec, "degrees": degrees, "ring": ring_payload, "checks": checks}, fmt, output)
-    sys.exit(0 if all(chk["pass"] for chk in checks) else 1)
+    failed = [chk for chk in checks if not chk["pass"]]
+    if fmt == "csv":
+        for chk in failed:
+            click.echo(check_line(chk), err=True)
+    sys.exit(1 if failed else 0)
 
 
 def output_in_a_directory(ctx, param, value):
@@ -364,9 +365,7 @@ def sweep(m_range, zeta_text, max_degree, fmt, output):
                 )
                 continue
             alg = build_algebra(spec)
-            total = sum(
-                homcomplex.cohomology_dimension(n, alg) for n in range(degree_top + 1)
-            )
+            total = sum(ker - im for _, ker, im in homcomplex.kernel_image_table(degree_top, alg))
             results.append(
                 {
                     "name": name,

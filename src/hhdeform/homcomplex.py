@@ -22,9 +22,15 @@ and checked, so from m = 4 on most images are never built (at m = 16,
 degrees 1..39, 2,544 of 13,104), and most generators neither (4,192 of
 13,120 with degree 0).  The coboundary d^n is the pullback
 along the differential d^{n+1}; cup products are pullbacks along
-chain-map liftings.  The closed-form dimension tables from the kernel/image
-analysis live in the expected_* functions and are used as comparison
-data, never as a computation path.
+chain-map liftings.
+
+`kernel_image_table`, the table that `compute` and `sweep` read, drops
+each coboundary, differential and block table once no later degree reads
+it: after degree n it keeps d^n and the blocks of degrees n and n + 1.
+The ring and `verify`'s checks reread the coboundaries and keep them
+all.  The closed-form dimension tables from the kernel/image analysis
+live in the expected_* functions and are used as comparison data, never
+as a computation path.
 """
 
 from . import linalg
@@ -157,6 +163,31 @@ def kernel_image_dims(n, alg):
     ker = dn.cols - linalg.rank(dn)
     im = linalg.rank(coboundary_matrix(n - 1, alg)) if n >= 1 else 0
     return ker, im
+
+
+# bound once, at import: bench/tracer.py rebinds coboundary_matrix and
+# differential to wrappers that carry no forget attribute
+_forget_coboundary, _forget_differential, _forget_blocks = (
+    coboundary_matrix.forget, differential.forget, _blocks.forget
+)
+
+
+def kernel_image_table(top, alg):
+    """[(dim Hom(P^n, .), dim ker d^n, dim im d^{n-1}) for n = 0..top].
+
+    Each degree reads `kernel_image_dims` and then `hom_dimension`, then
+    drops the memo entries that no later degree reads: d^{n-1}, whose two
+    ranks have now been read; the differential d^{n+1}, which feeds only
+    d^n; and the blocks of degree n - 1.
+    """
+    table = []
+    for n in range(top + 1):
+        ker, im = kernel_image_dims(n, alg)
+        table.append((hom_dimension(n, alg), ker, im))
+        _forget_coboundary(n - 1, alg)
+        _forget_differential(n + 1, alg)
+        _forget_blocks(n - 1, alg)
+    return table
 
 
 def cohomology_dimension(n, alg, allow_non_generic=False):

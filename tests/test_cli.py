@@ -67,6 +67,28 @@ def test_compute_csv(runner):
     assert lines[1].split(",")[-1] == "3"  # dim HH^0 = m + 1
 
 
+def test_compute_csv_names_a_failed_check_on_stderr(runner, monkeypatch):
+    real = homcomplex.expected_cohomology_dim
+    monkeypatch.setattr(
+        homcomplex, "expected_cohomology_dim", lambda n, m: real(n, m) + (1 if n == 0 else 0)
+    )
+    args = ["compute", "--m", "2", "--q", "3,1", "--max-degree", "2", "--format", "csv"]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 1
+    # stdout stays the degree rows alone
+    assert result.stdout.splitlines() == ["n,hom_dim,ker,im,hh", "0,4,3,0,3", "1,8,3,1,2", "2,12,6,5,1"]
+    assert result.stderr == (
+        "check closed-form-comparison: FAIL (degree 0: hh = 3, closed form gives 4)\n"
+    )
+
+
+def test_compute_csv_writes_nothing_to_stderr_when_every_check_passes(runner):
+    args = ["compute", "--m", "2", "--q", "3,1", "--max-degree", "2", "--format", "csv"]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0
+    assert result.stderr == ""
+
+
 def test_compute_rational_q(runner):
     result = runner.invoke(
         cli.main,
@@ -294,12 +316,13 @@ def test_sweep_skips_roots_of_unity(runner):
 
 
 def test_sweep_exits_1_when_a_total_is_wrong(runner, monkeypatch):
-    real = homcomplex.cohomology_dimension
+    real = homcomplex.kernel_image_dims
 
-    def wrong(n, alg, **kwargs):
-        return real(n, alg, **kwargs) + (1 if n == 0 else 0)
+    def wrong(n, alg):
+        ker, im = real(n, alg)
+        return ker + (1 if n == 0 else 0), im
 
-    monkeypatch.setattr(homcomplex, "cohomology_dimension", wrong)
+    monkeypatch.setattr(homcomplex, "kernel_image_dims", wrong)
     result = runner.invoke(
         cli.main, ["sweep", "--m-range", "2:2", "--zeta", "2,-1", "--format", "json"]
     )

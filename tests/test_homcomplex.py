@@ -18,6 +18,7 @@ from hhdeform.homcomplex import (
     hom_dimension,
     hom_space_basis,
     kernel_image_dims,
+    kernel_image_table,
     pullback_matrix,
 )
 from hhdeform.resolution import (
@@ -119,6 +120,62 @@ def test_coboundary_read_order_is_unchanged(monkeypatch):
     cli.degree_rows(algebra(4, (2, 1, 1, 1)), N)
     # [0, 1, 0, 2, 1, 3, 2, ...]
     assert degrees == [0] + [d for n in range(1, N + 1) for d in (n, n - 1)]
+
+
+@pytest.mark.parametrize("zeta", [F(2), F(1), F(-1)])
+@pytest.mark.parametrize("m", range(1, 7))
+def test_the_table_equals_the_per_degree_reads(m, zeta):
+    q = (zeta,) + (1,) * (m - 1)
+    top = 2 * m + 6
+    reads = algebra(m, q)
+    want = [(hom_dimension(n, reads), *kernel_image_dims(n, reads)) for n in range(top + 1)]
+    assert kernel_image_table(top, algebra(m, q)) == want
+
+
+def memo_degrees(alg):
+    """{function name: sorted degrees} of the per-degree entries in alg.cache."""
+    held = {}
+    for fn, args in alg.cache:
+        if args:
+            held.setdefault(fn.__name__, []).append(args[0])
+    return {name: sorted(degrees) for name, degrees in held.items()}
+
+
+@pytest.mark.parametrize("m, N", [(1, 6), (3, 12), (5, 16)])
+def test_a_table_keeps_only_what_a_later_degree_reads(m, N):
+    alg = algebra(m, (F(7, 3),) + (1,) * (m - 1))
+    cli.degree_rows(alg, N)
+    held = memo_degrees(alg)
+    assert held["coboundary_matrix"] == [N]
+    assert held["_blocks"] == [N, N + 1]
+    assert "differential" not in held
+
+
+def test_a_forgotten_coboundary_is_rebuilt_equal():
+    alg = algebra(3, (F(7, 3), F(-5, 2), 1))
+    dropped = coboundary_matrix(3, alg)
+    kernel_image_table(8, alg)
+    assert memo_degrees(alg)["coboundary_matrix"] == [8]
+    assert cohomology_dimension(3, alg) == expected_cohomology_dim(3, 3)
+    rebuilt = coboundary_matrix(3, alg)
+    assert rebuilt is not dropped
+    assert_same_rows(rebuilt, dropped)
+
+
+def test_forgetting_an_absent_entry_is_a_no_op():
+    alg = algebra(2, (3, 1))
+    coboundary_matrix.forget(4, alg)
+    differential.forget(5, alg)
+    _blocks.forget(0, alg)
+    assert alg.cache == {}
+    d2 = coboundary_matrix(2, alg)
+    held = dict(alg.cache)
+    coboundary_matrix.forget(4, alg)
+    _blocks.forget(7, alg)
+    assert alg.cache == held
+    coboundary_matrix.forget(2, alg)
+    coboundary_matrix.forget(2, alg)
+    assert coboundary_matrix(2, alg) is not d2
 
 
 def fresh_kernel_image_dims(n, m, q):
