@@ -15,6 +15,10 @@ product of two basis monomials is one scaled monomial or zero, and
 it once per product of monomials.  A combination of monomials is a plain
 dict {BasisMonomial: Fraction} with no zero entries.
 
+Every table in the package that is filled the first time a key is read
+is a `Table`, a dict that builds a missing entry and keeps it; `alg.cache`,
+the per-algebra memo of `memoised`, is one.
+
 The product of the deformation parameters, zeta, governs everything: the
 finiteness theorems hold exactly when zeta is not a root of unity, which
 over the rationals means zeta not in {1, -1}.
@@ -141,12 +145,13 @@ class Algebra:
                 p = self._monomial_product(x, y)
                 if p is not None:
                     self._table[(x, y)] = p
-        # the nonempty corners only, at most 3m of the m^2; the basis is in
-        # canonical order, so each corner list is too
-        self._corners = {}
+        # the nonempty corners (at most 3m of the m^2) in canonical basis
+        # order; an empty one is added by `_no_corner` when first read
+        self._corners = Table(self._no_corner)
         for mono in self.basis:
             self._corners.setdefault(self.endpoints[mono], []).append(mono)
-        self.cache = {}
+        # the memo of `memoised`
+        self.cache = Table(lambda key: key[0](*key[1], self))
 
     def require_generic(self, allow_non_generic=False):
         if not self.generic and not allow_non_generic:
@@ -208,8 +213,16 @@ class Algebra:
         Endpoints are taken mod m, so m = 1 and m = 2 get their enlarged
         corners from the same table, in the canonical basis order.  Every
         empty corner is one shared empty list, which no caller may extend.
+        A vertex outside 0..m-1 raises ValueError.
         """
-        return self._corners.get((i, j), _EMPTY_CORNER)
+        return self._corners[i, j]
+
+    def _no_corner(self, ends):
+        """The empty corner at a pair of vertices in 0..m-1."""
+        for v in ends:
+            if not 0 <= v < self.m:
+                raise ValueError(f"vertex {v} is not in 0..{self.m - 1} at m = {self.m}")
+        return _EMPTY_CORNER
 
     def monomials_into(self, v):
         """Basis of Algebra . e_v (monomials with terminus v)."""
@@ -223,9 +236,25 @@ class Algebra:
         return f"Algebra(m={self.m}, q={self.q}, zeta={self.zeta})"
 
 
+class Table(dict):
+    """A dict that builds a missing entry as build(key) when the key is read,
+    stores it and returns it; a build that raises stores nothing."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def memoised(fn):
-    """Memoise fn(*args, alg) in the cache of the Algebra instance `alg`:
-    a repeated call returns the very object built by the first one.
+    """Memoise fn(*args, alg) in the cache of the Algebra instance `alg`,
+    at the key (fn, args without alg): a repeated call returns the very
+    object built by the first one.
 
     The returned function has one attribute, `forget(*args, alg)`, which
     drops that one entry (if it is there), so the next call builds anew.
@@ -234,13 +263,7 @@ def memoised(fn):
     """
 
     def cached(*args):
-        key = (fn, args[:-1])
-        cache = args[-1].cache
-        try:
-            return cache[key]
-        except KeyError:
-            value = cache[key] = fn(*args)
-            return value
+        return args[-1].cache[fn, args[:-1]]
 
     def forget(*args):
         args[-1].cache.pop((fn, args[:-1]), None)

@@ -34,7 +34,7 @@ as a computation path.
 """
 
 from . import linalg
-from .algebra import memoised
+from .algebra import Table, memoised
 # generators is not called here; bench/tests/test_bench.py reads the
 # by-name import homcomplex.generators
 from .resolution import _collect, differential, generator_rows, generators  # noqa: F401
@@ -80,8 +80,8 @@ def hom_dimension(n, alg):
 
 @memoised
 def _pullback_stencils(alg):
-    """{(left, right): its `_pullback_stencil`}, added as pairs are met."""
-    return {}
+    """{(left, right): its `_pullback_stencil`}, built on first read."""
+    return Table(lambda pair: _pullback_stencil(*pair, alg))
 
 
 def _pullback_stencil(left, right, alg):
@@ -129,10 +129,7 @@ def pullback_matrix(g):
             col = cols.get(tgt)
             if col is None:
                 continue
-            stencil = stencils.get((left, right))
-            if stencil is None:
-                stencil = stencils[left, right] = _pullback_stencil(left, right, alg)
-            for dc, dr, coeff in stencil:
+            for dc, dr, coeff in stencils[left, right]:
                 row = rows[start + dr]
                 cc = col + dc
                 v = c if coeff is None else c * coeff

@@ -11,10 +11,14 @@ A BimoduleMap stores, per source generator, a list of monomial terms
 summand of `target`, with left and right basis monomials.  The
 differential, composites and the chain-map liftings all live in this
 form, and a value is its terms: `is_zero` and the augmentation check of
-`check_complex` sum the coefficients of like terms directly.  The
-generators are (n, r, i) tuples, built one row (n, r) of m at a time when
-a caller first reads it (`generator_rows`), and kept; a consumer that
-walks a whole degree reads `generators`, assembled from the same rows.  Every term is checked (degrees, corners from (n, r, i), exact
+`check_complex` sum the coefficients of like terms directly.
+The generators are (n, r, i) tuples, built one row (n, r) of m at a time
+when first read (`generator_rows`) and kept at module level, shared by
+every algebra: per-algebra rows slowed the compute-m16 benchmark's
+`wall_s` by 9-11% (higher in 9 of 10 and 10 of 10 pairs on two runs),
+as its warm passes reuse the 4,192 rows each op reads.
+`generators` assembles a degree from the same row objects on each call.
+Every term is checked (degrees, corners from (n, r, i), exact
 coefficient) before anything reads it: a map built from a dict checks all
 of them when it is made, and the differential builds and checks each
 generator's closed-form image the first time it is read, reading its
@@ -28,9 +32,8 @@ Generator(n, r, i) holds the 16 coordinates from 16 (i (n+1) + r), the
 k-th monomial into its origin (x) the j-th out of its terminus at 4 k + j,
 and `augmentation_matrix` follows it too.  Every summand is 4 x 4, so
 `underlying_matrix` walks each term over the stencil of its (left, right)
-pair, read from one per-algebra table fetched once per call: the nonzero
-products bl . left (x) right . br as offsets into the blocks of the
-source and target generators, grouped by coefficient.
+pair, built once per algebra: the nonzero products bl . left (x) right .
+br as offsets into the source and target blocks, grouped by coefficient.
 A map holds only a weak reference to its flattened matrix: a repeated
 call returns the same object while a caller still holds it, and nothing
 keeps it alive after that, so `check_complex` builds each d^n once
@@ -47,7 +50,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
-from .algebra import memoised
+from .algebra import Table, memoised
 from .freepaths import q_run
 
 
@@ -73,48 +76,31 @@ class Generator(namedtuple("Generator", "n r i")):
         return f"G({self.n};{self.r},{self.i})"
 
 
-class _Rows(dict):
-    """The rows of P^n at m vertices: rows[r] is the tuple of
-    Generator(n, r, i), i ascending, built the first time it is read and
-    kept; r outside 0..n raises Generator's ValueError."""
-
-    __slots__ = ("n", "m")
-
-    def __init__(self, n, m):
-        super().__init__()
-        self.n, self.m = n, m
-
-    def __missing__(self, r):
-        row = self[r] = tuple(Generator(self.n, r, i) for i in range(self.m))
-        return row
+def _rows_of(degree):
+    """The rows of P^n at m vertices, degree = (n, m); see `generator_rows`."""
+    n, m = degree
+    return Table(lambda r: tuple(Generator(n, r, i) for i in range(m)))
 
 
-_generators = {}  # (n, m): the _Rows of P^n
-_degrees = {}  # (n, m): generators(n, m), assembled from its rows
+_generators = Table(_rows_of)  # (n, m): the rows of P^n at m vertices
 
 
 def generator_rows(n, m):
-    """The rows of P^n at m vertices (`_Rows`), one table per (n, m)
-    shared by every caller."""
-    rows = _generators.get((n, m))
-    if rows is None:
-        rows = _generators[n, m] = _Rows(n, m)
-    return rows
+    """The rows of P^n at m vertices: rows[r] is the tuple of
+    Generator(n, r, i), i ascending, built the first time it is read and
+    kept; r outside 0..n raises Generator's ValueError."""
+    return _generators[n, m]
 
 
 def generators(n, m):
     """All m(n+1) generators of P^n, i outer, r inner, both ascending, as
-    a tuple assembled once per (n, m) from the very objects of its rows
-    (`generator_rows`) and shared by every caller.
+    a tuple of the very objects of its rows (`generator_rows`).
 
     This ordering fixes every matrix layout in the package.
     """
-    gens = _degrees.get((n, m))
-    if gens is None:
-        table = generator_rows(n, m)
-        rows = [table[r] for r in range(n + 1)]
-        gens = _degrees[n, m] = tuple(row[i] for i in range(m) for row in rows)
-    return gens
+    table = _generators[n, m]
+    rows = [table[r] for r in range(n + 1)]
+    return tuple(row[i] for i in range(m) for row in rows)
 
 
 def _corner(gen, n, m):
@@ -237,8 +223,8 @@ class BimoduleMap:
 
 @memoised
 def _signed_runs(alg):
-    """{(start, count): (q_run, -q_run)}, added as the differentials need them."""
-    return {}
+    """{(start, count): (q_run, -q_run)}, built on first read."""
+    return Table(lambda run: ((q := q_run(alg, *run)), -q))
 
 
 @memoised
@@ -257,14 +243,6 @@ def differential(n, alg):
     one = units[0]
     odd = n % 2
     runs = _signed_runs(alg)
-
-    def signed_run(start, count):
-        got = runs.get((start, count))
-        if got is None:
-            q = q_run(alg, start, count)
-            got = runs[start, count] = (q, -q)
-        return got
-
     rows = generator_rows(n - 1, m)
 
     def image(gen):
@@ -290,8 +268,8 @@ def differential(n, alg):
         start = (i - r + 1) % m
         return [
             (one, E[i], same[i], A[(k - 1) % m]),
-            (signed_run(start, n - r)[odd], E[i], below[i], B[k]),
-            (signed_run(start, r)[flip], A[i], same[(i + 1) % m], E[k]),
+            (runs[start, n - r][odd], E[i], below[i], B[k]),
+            (runs[start, r][flip], A[i], same[(i + 1) % m], E[k]),
             (units[flip], B[(i - 1) % m], below[(i - 1) % m], E[k]),
         ]
 
@@ -358,8 +336,8 @@ def compose(f, g):
 
 @memoised
 def _stencils(alg):
-    """{(left, right): its `_stencil`}, added to by `underlying_matrix`."""
-    return {}
+    """{(left, right): its `_stencil`}, built on first read."""
+    return Table(lambda pair: _stencil(*pair, alg))
 
 
 def _stencil(left, right, alg):
@@ -416,9 +394,7 @@ def underlying_matrix(f):
     for gen in generators(f.source_degree, m):
         for c, left, target, right in f.terms(gen):
             base = 16 * (target.i * (n + 1) + target.r)
-            if (groups := stencils.get((left, right))) is None:
-                groups = stencils[left, right] = _stencil(left, right, alg)
-            for coeff, offsets in groups:
+            for coeff, offsets in stencils[left, right]:
                 v = c if coeff is None else c * coeff
                 for dc, dr in offsets:
                     row = rows[base + dr]

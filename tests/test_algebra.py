@@ -5,6 +5,7 @@ import pytest
 from hhdeform.algebra import (
     AlgebraSpec,
     BasisMonomial,
+    Table,
     a,
     abar,
     algebra,
@@ -159,6 +160,19 @@ def test_corner_bases_are_the_monomials_between_their_vertices(m):
     assert empty == max(0, m * m - 3 * m)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_corners_outside_the_vertices_refused(m):
+    alg = algebra(m, (2,) + (1,) * (m - 1))
+    for i, j, bad in ((m, 0, m), (0, m, m), (-1, 0, -1)):
+        with pytest.raises(ValueError, match=f"vertex {bad} is not in 0..{m - 1} at m = {m}"):
+            alg.corner_basis(i, j)
+    # a refused read stores nothing, and every empty corner still reads []
+    assert all(0 <= i < m and 0 <= j < m for i, j in alg._corners)
+    empty = [(i, j) for i in range(m) for j in range(m) if not alg.corner_basis(i, j)]
+    assert len(empty) == max(0, m * m - 3 * m)
+    assert all(alg.corner_basis(i, j) == [] for i, j in empty)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_corner_bases_partition_the_basis(m):
     alg = algebra(m, (2,) + (1,) * (m - 1))
@@ -266,6 +280,62 @@ def test_memoised_runs_once_per_algebra(result):
         assert probe(3, alg) is result
     assert probe(4, first) is result
     assert calls == [(3, first), (3, second), (4, first)]
+
+
+def test_a_table_builds_a_missing_entry_once():
+    calls = []
+
+    def build(key):
+        calls.append(key)
+        return [key]
+
+    table = Table(build)
+    first = table[3]
+    assert first == [3] and table[3] is first and table[3] is first
+    assert table.get(4) is None and 4 not in table
+    assert table[4] == [4]
+    assert calls == [3, 4]
+    assert table == {3: [3], 4: [4]}
+
+
+def test_a_build_that_raises_stores_nothing():
+    def build(key):
+        if key < 0:
+            raise ValueError(f"negative key {key}")
+        return key
+
+    table = Table(build)
+    table[1]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative key -2"):
+            table[-2]
+    assert table == {1: 1}
+
+
+def test_a_memo_build_that_raises_stores_nothing():
+    from hhdeform import bar, homcomplex, resolution
+
+    alg = algebra(3, (2, 1, 1))
+    for read, degree in ((homcomplex._blocks, -1), (resolution.differential, 0), (bar._tuples, -1)):
+        with pytest.raises(ValueError):
+            read(degree, alg)
+        assert alg.cache == {}, read
+    assert isinstance(alg.cache, Table)
+
+
+def test_forget_pops_one_memo_entry():
+    def build(n, alg):
+        return [n]
+
+    probe = memoised(build)
+    alg = algebra(2, (2, 1))
+    kept, dropped = probe(1, alg), probe(2, alg)
+    # the memo key is (fn, args without alg)
+    assert list(alg.cache) == [(build, (1,)), (build, (2,))]
+    probe.forget(2, alg)
+    assert list(alg.cache) == [(build, (1,))]
+    assert probe(1, alg) is kept
+    assert probe(2, alg) == dropped and probe(2, alg) is not dropped
 
 
 @pytest.mark.parametrize("m", range(1, 9))

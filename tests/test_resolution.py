@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhdeform import linalg, resolution
-from hhdeform.algebra import a, abar, algebra, e, memoised, z
+from hhdeform.algebra import Table, a, abar, algebra, e, memoised, z
 from hhdeform.freepaths import q_run
 from hhdeform.resolution import (
     BimoduleMap,
@@ -123,9 +123,13 @@ def test_generators_are_immutable_and_slot_only():
     assert g == Generator(2, 1, 0) and g.r == 1
 
 
+def fresh_rows(monkeypatch):
+    """Give resolution a fresh, empty table of generator rows."""
+    monkeypatch.setattr(resolution, "_generators", Table(resolution._rows_of))
+
+
 def test_generators_are_assembled_from_the_shared_rows(monkeypatch):
-    monkeypatch.setattr(resolution, "_generators", {})
-    monkeypatch.setattr(resolution, "_degrees", {})
+    fresh_rows(monkeypatch)
     n, m = 4, 3
     table = generator_rows(n, m)
     assert generator_rows(n, m) is table and not table
@@ -144,7 +148,7 @@ def test_generators_are_assembled_from_the_shared_rows(monkeypatch):
 
 @pytest.mark.parametrize("r", [-1, 3, 7])
 def test_generator_row_outside_the_degree_refused(monkeypatch, r):
-    monkeypatch.setattr(resolution, "_generators", {})
+    fresh_rows(monkeypatch)
     with pytest.raises(ValueError) as want:
         Generator(2, r, 0)
     with pytest.raises(ValueError) as got:
@@ -156,7 +160,10 @@ def test_generator_row_outside_the_degree_refused(monkeypatch, r):
 def test_generators_are_built_once():
     gens = generators(4, 3)
     assert type(gens) is tuple
-    assert generators(4, 3) is gens
+    # every call hands out the very objects of the rows, built once
+    rows = generator_rows(4, 3)
+    for again in (gens, generators(4, 3)):
+        assert all(gen is rows[gen.r][gen.i] for gen in again)
     # a fresh Generator equals and hashes like the shared one, so lookups
     # with fresh keys hit (canonical_generators builds its keys afresh)
     table = {gen: k for k, gen in enumerate(gens)}
