@@ -134,8 +134,16 @@ class Algebra:
         self.basis_index = {mono: k for k, mono in enumerate(self.basis)}
         # (origin, terminus) of each basis monomial
         self.endpoints = {mono: (mono.origin(self.m), mono.terminus(self.m)) for mono in self.basis}
-        self._into = {v: [mono for mono in self.basis if mono.terminus(self.m) == v] for v in range(self.m)}
-        self._from = {v: [mono for mono in self.basis if mono.origin(self.m) == v] for v in range(self.m)}
+        # the monomials into and out of each vertex and the nonempty corners
+        # (at most 3m of the m^2), in basis order; `_none_at` adds an empty
+        # corner when first read and refuses a vertex outside 0..m-1
+        self._into, self._from = Table(self._none_at), Table(self._none_at)
+        self._corners = Table(lambda ends: self._none_at(*ends))
+        for mono in self.basis:
+            origin, terminus = self.endpoints[mono]
+            self._into.setdefault(terminus, []).append(mono)
+            self._from.setdefault(origin, []).append(mono)
+            self._corners.setdefault((origin, terminus), []).append(mono)
         # the nonzero products, over composable pairs only: y runs over the
         # monomials out of the terminus of x in basis order, so the entries
         # come in the order of a walk over all pairs
@@ -145,11 +153,6 @@ class Algebra:
                 p = self._monomial_product(x, y)
                 if p is not None:
                     self._table[(x, y)] = p
-        # the nonempty corners (at most 3m of the m^2) in canonical basis
-        # order; an empty one is added by `_no_corner` when first read
-        self._corners = Table(self._no_corner)
-        for mono in self.basis:
-            self._corners.setdefault(self.endpoints[mono], []).append(mono)
         # the memo of `memoised`
         self.cache = Table(lambda key: key[0](*key[1], self))
 
@@ -217,19 +220,20 @@ class Algebra:
         """
         return self._corners[i, j]
 
-    def _no_corner(self, ends):
-        """The empty corner at a pair of vertices in 0..m-1."""
-        for v in ends:
+    def _none_at(self, *vertices):
+        """The empty list of monomials at a corner or a vertex, for vertices
+        in 0..m-1; a vertex outside raises ValueError."""
+        for v in vertices:
             if not 0 <= v < self.m:
                 raise ValueError(f"vertex {v} is not in 0..{self.m - 1} at m = {self.m}")
         return _EMPTY_CORNER
 
     def monomials_into(self, v):
-        """Basis of Algebra . e_v (monomials with terminus v)."""
+        """Basis of Algebra . e_v (monomials with terminus v), v in 0..m-1."""
         return self._into[v]
 
     def monomials_from(self, v):
-        """Basis of e_v . Algebra (monomials with origin v)."""
+        """Basis of e_v . Algebra (monomials with origin v), v in 0..m-1."""
         return self._from[v]
 
     def __repr__(self):

@@ -9,14 +9,16 @@ coefficient is an unnormalised integer pair (num, den).  Each recursion
 appends or prepends one step, and its two summands end (or start) with
 steps of different kinds, so they never share a path.  `g_generators` is
 the decoded view {steps: Fraction}, `steps` a tuple of the algebra's arrow
-monomials and () for e_i.  The rewriting map down to the quotient is kept
-in tests/test_freepaths.py as a reference.
+monomials and () for e_i.  Every closed-form coefficient (both recursions,
+the split, `resolution.differential`) is an entry of `signed_runs`.  The
+rewriting map down to the quotient is kept in tests/test_freepaths.py as a
+reference.
 """
 
 import logging
 from fractions import Fraction
 
-from .algebra import a, abar, memoised
+from .algebra import Table, a, abar, memoised
 
 log = logging.getLogger(__name__)
 
@@ -41,16 +43,22 @@ def _q_runs(start, alg):
     return [Fraction(1)]
 
 
+@memoised
+def signed_runs(alg):
+    """{(start mod m, count): (q_run, -q_run)}, built on first read."""
+    return Table(lambda run: ((q := q_run(alg, *run)), -q))
+
+
 def split_coefficient(alg, p, s, t, i):
     """c(p; s, t; i), the coefficient of g[p][s,i] . g[q][t,i+p-2s] in the
     split of g[p+q][s+t,i] (the Koszul diagonal K_{p+q} in K_p (x) K_q):
 
         prod_{u=1..t} (-1)^p (q_{i-s-u+1} ... q_{i-u+p-2s})
 
-    a product of t runs of p - s parameters each."""
-    c = Fraction((-1) ** (p * t))
+    a product of t signed runs of p - s parameters, from `signed_runs`."""
+    runs, m, c = signed_runs(alg), alg.m, Fraction(1)
     for u in range(1, t + 1):
-        c *= q_run(alg, i - s - u + 1, p - s)
+        c *= runs[(i - s - u + 1) % m, p - s][p % 2]
     return c
 
 
@@ -62,19 +70,18 @@ def _g_codes(n, alg):
         g[n][r,i] = g[n-1][r,i] . a_{i+n-2r-1}
                     + (-1)^n (q_{i-r+1} ... q_{i+n-2r}) g[n-1][r-1,i] . abar_{i+n-2r}
 
-    with missing summands treated as zero and the empty q-product as 1."""
+    with missing summands zero and the signed run read from `signed_runs`."""
     m = alg.m
     if n < 0:
         raise ValueError("the generator tables start at degree 0")
     if n == 0:
         return {(0, i): {0: (1, 1)} for i in range(m)}
-    prev, table = _g_codes(n - 1, alg), {}
+    prev, runs, table = _g_codes(n - 1, alg), signed_runs(alg), {}
     for i in range(m):
         for r in range(n + 1):
             entry = {2 * c: v for c, v in prev[(r, i)].items()} if r < n else {}
             if r > 0:
-                qn, qd = q_run(alg, i - r + 1, n - r).as_integer_ratio()
-                qn = -qn if n % 2 else qn
+                qn, qd = runs[(i - r + 1) % m, n - r][n % 2].as_integer_ratio()
                 entry.update({2 * c + 1: (qn * x, qd * y) for c, (x, y) in prev[(r - 1, i)].items()})
             table[(r, i)] = entry
     return table
@@ -103,17 +110,19 @@ def verify_g_recursions(n, alg):
 
     reproduces g[n][r,i] for every (r, i), read in place on the coded tables
     (a_i keeps a code, abar_{i-1} sets its top bit; pairs are compared by
-    cross-multiplication); each (r, i) where the two forms differ is logged once."""
+    cross-multiplication, the signed run read from `signed_runs`); each
+    (r, i) where the two forms differ is logged once."""
     if n < 1:
         raise ValueError(f"the recursions start at degree 1, got degree {n}")
     m, top, prev, ok = alg.m, 1 << (n - 1), _g_codes(n - 1, alg), True
+    runs = signed_runs(alg)
     for (r, i), entry in _g_codes(n, alg).items():
-        sign, parts = (-1) ** r, []
+        parts = []
         if r < n:
-            qn, qd = q_run(alg, i - r + 1, r).as_integer_ratio()
-            parts.append((prev[(r, (i + 1) % m)], 0, sign * qn, qd))
+            qn, qd = runs[(i - r + 1) % m, r][r % 2].as_integer_ratio()
+            parts.append((prev[(r, (i + 1) % m)], 0, qn, qd))
         if r > 0:
-            parts.append((prev[(r - 1, (i - 1) % m)], top, sign, 1))
+            parts.append((prev[(r - 1, (i - 1) % m)], top, (-1) ** r, 1))
         if len(entry) != sum(len(part) for part, *_ in parts) or not all(
             (got := entry.get(c | bit)) and got[0] * d * y == f * x * got[1]
             for part, bit, f, d in parts for c, (x, y) in part.items()

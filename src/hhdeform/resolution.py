@@ -21,9 +21,10 @@ as its warm passes reuse the 4,192 rows each op reads.
 Every term is checked (degrees, corners from (n, r, i), exact
 coefficient) before anything reads it: a map built from a dict checks all
 of them when it is made, and the differential builds and checks each
-generator's closed-form image the first time it is read, reading its
-targets from rows r and r - 1 of P^{n-1}, so a consumer that reads only
-some generators (`homcomplex.pullback_matrix`) never builds the rest, nor
+generator's image, one closed form for every r (coefficients from
+`freepaths.signed_runs`), the first time it is read, reading its targets
+from rows r and r - 1 of P^{n-1}, so a consumer that reads only some
+generators (`homcomplex.pullback_matrix`) never builds the rest, nor
 their generators.
 `underlying_matrix` flattens a map to exact rational linear algebra on the
 16m(n+1)-dimensional underlying vector spaces, which is how kernels,
@@ -51,7 +52,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import Table, memoised
-from .freepaths import q_run
+from .freepaths import signed_runs
 
 
 class Generator(namedtuple("Generator", "n r i")):
@@ -222,56 +223,40 @@ class BimoduleMap:
 
 
 @memoised
-def _signed_runs(alg):
-    """{(start, count): (q_run, -q_run)}, built on first read."""
-    return Table(lambda run: ((q := q_run(alg, *run)), -q))
-
-
-@memoised
 def differential(n, alg):
-    """The differential P^n -> P^{n-1}, n >= 1, straight from the closed
-    form: two-term images at r = 0 and r = n, four terms otherwise.  Each
-    image is built and checked when it is first read; the image of
-    Generator(n, r, i) targets rows r and r - 1 of P^{n-1} only."""
+    """The differential P^n -> P^{n-1}, n >= 1: the right recursion of
+    `freepaths` on the right face plus (-1)^n times the left one on the left
+    face.  With k = i + n - 2r, s = i - r + 1 (both mod m) and [s, c] the
+    run q_s ... q_{s+c-1}, signed from `signed_runs`, Generator(n, r, i) goes
+    to, in this order, built and checked when first read,
+        e_i (x) G(n-1,r,i) (x) a_{k-1}                     if r < n
+        (-1)^n [s, n-r] e_i (x) G(n-1,r-1,i) (x) abar_k    if r > 0
+        (-1)^(n+r) [s, r] a_i (x) G(n-1,r,i+1) (x) e_k     if r < n
+        (-1)^(n+r) abar_{i-1} (x) G(n-1,r-1,i-1) (x) e_k   if r > 0"""
     if n < 1:
         raise ValueError("the differential is defined for n >= 1")
     m = alg.m
     # e_i, a_i and abar_i, in the order of alg.basis
     E, A, B = alg.basis[:m], alg.basis[m : 2 * m], alg.basis[2 * m : 3 * m]
-    # (1, -1), indexed by whether the sign flips; (-1)^n is units[odd]
-    units = (linalg.F1, -linalg.F1)
-    one = units[0]
+    units = (linalg.F1, -linalg.F1)  # (-1)^e is units[e % 2]
     odd = n % 2
-    runs = _signed_runs(alg)
+    runs = signed_runs(alg)
     rows = generator_rows(n - 1, m)
 
     def image(gen):
         r, i = gen.r, gen.i
-        if r == 0:
-            #  e_i (x)_0 a_{i+n-1}  +  (-1)^n a_i (x)_0 e_{i+n}
-            row = rows[0]
-            return [
-                (one, E[i], row[i], A[(i + n - 1) % m]),
-                (units[odd], A[i], row[(i + 1) % m], E[(i + n) % m]),
-            ]
-        if r == n:
-            #  (-1)^n e_i (x)_{n-1} abar_{i-n}  +  abar_{i-1} (x)_{n-1} e_{i-n}
-            row = rows[n - 1]
-            return [
-                (units[odd], E[i], row[i], B[(i - n) % m]),
-                (one, B[(i - 1) % m], row[(i - 1) % m], E[(i - n) % m]),
-            ]
-        # the signs (-1)^n and (-1)^(n+r), read from the signed runs
-        same, below = rows[r], rows[r - 1]
-        flip = (n + r) % 2
         k = (i + n - 2 * r) % m
-        start = (i - r + 1) % m
-        return [
-            (one, E[i], same[i], A[(k - 1) % m]),
-            (runs[start, n - r][odd], E[i], below[i], B[k]),
-            (runs[start, r][flip], A[i], same[(i + 1) % m], E[k]),
-            (units[flip], B[(i - 1) % m], below[(i - 1) % m], E[k]),
-        ]
+        s, flip = (i - r + 1) % m, (n + r) % 2
+        terms = []
+        if r < n:
+            terms.append((units[0], E[i], rows[r][i], A[(k - 1) % m]))
+        if r > 0:
+            terms.append((runs[s, n - r][odd], E[i], rows[r - 1][i], B[k]))
+        if r < n:
+            terms.append((runs[s, r][flip], A[i], rows[r][(i + 1) % m], E[k]))
+        if r > 0:
+            terms.append((units[flip], B[(i - 1) % m], rows[r - 1][(i - 1) % m], E[k]))
+        return terms
 
     return BimoduleMap._closed_form(alg, n, n - 1, image)
 

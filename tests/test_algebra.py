@@ -173,6 +173,20 @@ def test_corners_outside_the_vertices_refused(m):
     assert all(alg.corner_basis(i, j) == [] for i, j in empty)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_monomials_at_a_vertex_outside_refused(m):
+    alg = algebra(m, (2,) + (1,) * (m - 1))
+    for read in (alg.monomials_into, alg.monomials_from):
+        for bad in (-1, m):
+            with pytest.raises(ValueError, match=f"vertex {bad} is not in 0..{m - 1} at m = {m}"):
+                read(bad)
+    # a refused read stores nothing, and every vertex keeps its rows in basis order
+    assert sorted(alg._into) == sorted(alg._from) == list(range(m))
+    for v in range(m):
+        assert alg.monomials_into(v) == [mono for mono in alg.basis if mono.terminus(m) == v]
+        assert alg.monomials_from(v) == [mono for mono in alg.basis if mono.origin(m) == v]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_corner_bases_partition_the_basis(m):
     alg = algebra(m, (2,) + (1,) * (m - 1))

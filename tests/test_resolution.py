@@ -443,29 +443,45 @@ def test_lazy_differential_checks_what_it_reads():
         d.terms(Generator(2, 0, 3))
 
 
-@pytest.mark.parametrize("m", [3, 4])
+COPRIME_Q = (F(7, 3), F(-5, 2), F(1, 9), F(3), F(2))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_differential_matches_g_recursion_coefficients(m):
-    # the first two terms of the differential carry the same coefficients
-    # as the defining recursion of the generator family
-    alg = algebra(m, (2,) + (5,) * (m - 1))
-    for n in range(1, 6):
+    # the right face carries the right recursion's coefficients and the left
+    # face (-1)^n times the left recursion's: (-1)^r q_{i-r+1} ... q_i at a_i
+    # and (-1)^r at abar_{i-1}.  Terms are keyed by (target, left factor), as
+    # at m <= 2 the left-face targets can equal the right-face ones.
+    zetas = (F(2), F(1), F(-1))
+    spread = [(z,) if m == 1 else (3 * z, F(1, 3)) + (F(1),) * (m - 2) for z in zetas]
+    for q in spread + [COPRIME_Q[:m]]:
+        check_differential_against_g_recursions(algebra(m, q))
+
+
+def check_differential_against_g_recursions(alg):
+    m = alg.m
+    for n in range(1, 7):
         d = differential(n, alg)
         for gen in generators(n, m):
             r, i = gen.r, gen.i
-            by_target = {}
+            k = (i + n - 2 * r) % m
+            by_key = {}
             for c, l, t, rr in d.terms(gen):
-                by_target.setdefault(t, []).append((c, l, rr))
+                assert (t, l) not in by_key
+                by_key[t, l] = (c, rr)
+            want = {}
             if r <= n - 1:
-                t1 = Generator(n - 1, r, i)
-                (c, l, rr), = by_target[t1]
-                assert (c, l) == (1, e(i))
-                assert rr == a((i + n - 2 * r - 1) % m)
+                want[Generator(n - 1, r, i), e(i)] = (1, a((k - 1) % m))
             if r >= 1:
-                t2 = Generator(n - 1, r - 1, i)
-                (c, l, rr), = by_target[t2]
                 coeff = F((-1) ** n) * q_run(alg, i - r + 1, n - r)
-                assert (c, l) == (coeff, e(i))
-                assert rr == abar((i + n - 2 * r) % m)
+                want[Generator(n - 1, r - 1, i), e(i)] = (coeff, abar(k))
+            if r <= n - 1:
+                coeff = F((-1) ** (n + r)) * q_run(alg, i - r + 1, r)
+                want[Generator(n - 1, r, (i + 1) % m), a(i)] = (coeff, e(k))
+            if r >= 1:
+                j = (i - 1) % m
+                want[Generator(n - 1, r - 1, j), abar(j)] = (F((-1) ** (n + r)), e(k))
+            assert by_key == want
 
 
 def test_underlying_dimensions():
