@@ -136,7 +136,8 @@ class Algebra:
         self.endpoints = {mono: (mono.origin(self.m), mono.terminus(self.m)) for mono in self.basis}
         # the monomials into and out of each vertex and the nonempty corners
         # (at most 3m of the m^2), in basis order; `_none_at` adds an empty
-        # corner when first read and refuses a vertex outside 0..m-1
+        # corner when first read and refuses a vertex that is not an int in
+        # 0..m-1
         self._into, self._from = Table(self._none_at), Table(self._none_at)
         self._corners = Table(lambda ends: self._none_at(*ends))
         for mono in self.basis:
@@ -216,15 +217,15 @@ class Algebra:
         Endpoints are taken mod m, so m = 1 and m = 2 get their enlarged
         corners from the same table, in the canonical basis order.  Every
         empty corner is one shared empty list, which no caller may extend.
-        A vertex outside 0..m-1 raises ValueError.
+        A vertex that is not an int in 0..m-1 raises ValueError.
         """
         return self._corners[i, j]
 
     def _none_at(self, *vertices):
-        """The empty list of monomials at a corner or a vertex, for vertices
-        in 0..m-1; a vertex outside raises ValueError."""
+        """The empty list of monomials at a corner or a vertex, for integer
+        vertices in 0..m-1; any other vertex raises ValueError."""
         for v in vertices:
-            if not 0 <= v < self.m:
+            if not isinstance(v, int) or not 0 <= v < self.m:
                 raise ValueError(f"vertex {v} is not in 0..{self.m - 1} at m = {self.m}")
         return _EMPTY_CORNER
 

@@ -10,9 +10,10 @@ appends or prepends one step, and its two summands end (or start) with
 steps of different kinds, so they never share a path.  `g_generators` is
 the decoded view {steps: Fraction}, `steps` a tuple of the algebra's arrow
 monomials and () for e_i.  Every closed-form coefficient (both recursions,
-the split, `resolution.differential`) is an entry of `signed_runs`.  The
-rewriting map down to the quotient is kept in tests/test_freepaths.py as a
-reference.
+the split, `resolution.differential`) is an entry of `signed_runs`, built
+per start from the integer prefix products of the parameters, one
+normalised Fraction per entry; `q_run` reads it.  The rewriting map
+down to the quotient is kept in tests/test_freepaths.py as a reference.
 """
 
 import logging
@@ -25,28 +26,35 @@ log = logging.getLogger(__name__)
 
 def q_run(alg, start, count):
     """Product q_start q_{start+1} ... of `count` consecutive parameters,
-    indices reduced mod m; the empty product is 1."""
-    if count < 0:
-        raise ValueError(f"a q-run has count >= 0, got count {count}")
-    m, q = alg.m, alg.q
-    start %= m
-    run = _q_runs(start, alg)
-    while len(run) <= count:
-        run.append(run[-1] * q[(start + len(run) - 1) % m])
-    return run[count]
-
-
-@memoised
-def _q_runs(start, alg):
-    """The products of the first 0, 1, 2, ... parameters from q_start on,
-    extended by one factor at a time by `q_run`."""
-    return [Fraction(1)]
+    indices reduced mod m; the empty product is 1.  Read from
+    `signed_runs`."""
+    return signed_runs(alg)[start % alg.m, count][0]
 
 
 @memoised
 def signed_runs(alg):
-    """{(start mod m, count): (q_run, -q_run)}, built on first read."""
-    return Table(lambda run: ((q := q_run(alg, *run)), -q))
+    """{(start mod m, count): (q_run, -q_run)}, built on first read.
+
+    Per start, the products of the first 0, 1, 2, ... parameters from
+    q_start on are kept as unreduced integer pairs (num, den), extended one
+    factor at a time; an entry is one normalised Fraction and its
+    negative.  A negative count raises ValueError and stores nothing."""
+    m, ratios = alg.m, [v.as_integer_ratio() for v in alg.q]
+    prefixes = [[(1, 1)] for _ in range(m)]
+
+    def build(run):
+        start, count = run
+        if count < 0:
+            raise ValueError(f"a q-run has count >= 0, got count {count}")
+        prefix = prefixes[start % m]
+        while len(prefix) <= count:
+            num, den = prefix[-1]
+            qn, qd = ratios[(start + len(prefix) - 1) % m]
+            prefix.append((num * qn, den * qd))
+        q = Fraction(*prefix[count])
+        return q, -q
+
+    return Table(build)
 
 
 def split_coefficient(alg, p, s, t, i):

@@ -16,11 +16,12 @@ only the corner block of tgt, and lands in the corner block of gen.  So
 it walks the per-algebra stencil of its (left, right) pair: the nonzero
 products left . mono0 . right over the corner monomials mono0, as offsets
 into the two blocks, with their coefficients.  The walk reads g, through
-`g.terms`, only at the generators of P^N whose corner block is not empty.
-For the differential that read is where each closed-form image is built
-and checked, so from m = 4 on most images are never built (at m = 16,
-degrees 1..39, 2,544 of 13,104), and most generators neither (4,192 of
-13,120 with degree 0).  The coboundary d^n is the pullback
+`g.terms`, only at the generators of P^N whose corner block is not empty,
+which by cyclic symmetry are whole rows (N, r).  For the differential
+that read is where the closed-form images are built and checked, one row
+(N, r) at a time, so from m = 4 on most images are never built (at
+m = 16, degrees 1..39, 2,544 of 13,104), and most generators neither
+(4,192 of 13,120 with degree 0).  The coboundary d^n is the pullback
 along the differential d^{n+1}; cup products are pullbacks along
 chain-map liftings.
 

@@ -174,7 +174,8 @@ class Matrix:
 
 def _echelon(m):
     """Forward elimination to a row echelon form on integer rows, each
-    nonzero row scaled once over its own least common denominator.
+    nonzero row scaled once over its own least common denominator, found
+    in one pass; a row whose entries are all integers keeps its numerators.
 
     An index maps each column to the set of rows holding it, so each pivot
     touches only those rows; the columns that hold entries are visited in
@@ -189,8 +190,14 @@ def _echelon(m):
     rows = {}
     for r, row in enumerate(m._rows):
         if row:
-            d = lcm(*[v._denominator for v in row.values()])
-            rows[r] = {c: v._numerator * (d // v._denominator) for c, v in row.items()}
+            d = 1
+            for v in row.values():
+                if d % v._denominator:
+                    d = lcm(d, v._denominator)
+            if d == 1:
+                rows[r] = {c: v._numerator for c, v in row.items()}
+            else:
+                rows[r] = {c: v._numerator * (d // v._denominator) for c, v in row.items()}
     index = {}
     for r, row in rows.items():
         for c in row:

@@ -19,13 +19,14 @@ every algebra: per-algebra rows slowed the compute-m16 benchmark's
 as its warm passes reuse the 4,192 rows each op reads.
 `generators` assembles a degree from the same row objects on each call.
 Every term is checked (degrees, corners from (n, r, i), exact
-coefficient) before anything reads it: a map built from a dict checks all
-of them when it is made, and the differential builds and checks each
-generator's image, one closed form for every r (coefficients from
-`freepaths.signed_runs`), the first time it is read, reading its targets
-from rows r and r - 1 of P^{n-1}, so a consumer that reads only some
-generators (`homcomplex.pullback_matrix`) never builds the rest, nor
-their generators.
+coefficient) before anything reads it, by one checker: a map built from
+a dict checks all of them when it is made, and the differential builds
+and checks its images one row (n, r) at a time, one closed form for every
+r (coefficients from `freepaths.signed_runs`), when the first generator
+of the row is read, reading its targets from rows r and r - 1 of
+P^{n-1}, so a consumer that reads only some rows
+(`homcomplex.pullback_matrix`) never builds the rest, nor their
+generators.
 `underlying_matrix` flattens a map to exact rational linear algebra on the
 16m(n+1)-dimensional underlying vector spaces, which is how kernels,
 images and exactness are computed.  P^n has one layout: the summand of
@@ -124,9 +125,10 @@ class BimoduleMap:
     raises ValueError.
 
     A map built from a dict checks every term here and keeps the dict's
-    order.  The differential is built by `_closed_form` instead: each
-    generator's image is built and given the same check the first time
-    `terms` reads it, and `assignments` reads every generator in
+    order.  The differential is built by `_closed_form` instead, one row
+    (n, r) at a time: the first `terms` read of a generator of the source
+    degree builds the m images of its row and gives them the same check,
+    storing nothing if one fails, and `assignments` reads every row, in
     `generators` order."""
 
     def __init__(self, alg, source_degree, target_degree, assignments):
@@ -134,53 +136,52 @@ class BimoduleMap:
         self.source_degree = source_degree
         self.target_degree = target_degree
         self._build = None
-        self._terms = {}
         self._flat = None  # weak reference to the last underlying_matrix
-        for gen, terms in assignments.items():
-            kept = self._checked(gen, terms)
-            if kept:
-                self._terms[gen] = kept
+        self._terms = self._checked(assignments.items())
 
     @classmethod
     def _closed_form(cls, alg, source_degree, target_degree, build):
-        """The map whose image of gen is build(gen), checked on first read."""
+        """The map whose images of row r are the (generator, terms) pairs
+        of build(r), built and checked when one of them is first read."""
         f = cls(alg, source_degree, target_degree, {})
         f._build = build
         return f
 
-    def _checked(self, gen, terms=None):
-        """The nonzero terms of the image of gen, once each has passed the
-        degree, corner (`_corner`'s, inlined for targets) and exactness
-        checks, the last before the zero test; with terms None, the image is
-        built by the closed form once gen is known to be a generator."""
+    def _checked(self, images):
+        """{gen: its nonzero terms} for the (gen, terms) pairs of images, in
+        their order, once each term has passed the degree, corner
+        (`_corner`'s, inlined for targets) and exactness checks, the last
+        before the zero test; a generator with no nonzero term is left out."""
         m = self.alg.m
         ends = self.alg.endpoints
-        start, end = _corner(gen, self.source_degree, m)
-        n = self.target_degree
-        if terms is None:
-            terms = self._build(gen)
-        kept = []
-        for term in terms:
-            c, left, target, right = term
-            if type(c) is not Fraction:
-                term = (c := linalg.exact(c), left, target, right)
-            if not c._numerator:
-                continue
-            if not isinstance(target, Generator) or target.n != n or not 0 <= target.i < m:
-                raise ValueError(f"{target} is not a generator of P^{n} at m = {m}")
-            origin, terminus = target.i, (target.i + n - 2 * target.r) % m
-            if ends.get(left) != (start, origin):
-                raise ValueError(
-                    f"left factor {left} of {gen}->{target} is not in "
-                    f"e_{start} . Algebra . e_{origin}"
-                )
-            if ends.get(right) != (terminus, end):
-                raise ValueError(
-                    f"right factor {right} of {gen}->{target} is not in "
-                    f"e_{terminus} . Algebra . e_{end}"
-                )
-            kept.append(term)
-        return kept
+        source, n = self.source_degree, self.target_degree
+        checked = {}
+        for gen, terms in images:
+            start, end = _corner(gen, source, m)
+            kept = []
+            for term in terms:
+                c, left, target, right = term
+                if type(c) is not Fraction:
+                    term = (c := linalg.exact(c), left, target, right)
+                if not c._numerator:
+                    continue
+                if not isinstance(target, Generator) or target.n != n or not 0 <= target.i < m:
+                    raise ValueError(f"{target} is not a generator of P^{n} at m = {m}")
+                origin, terminus = target.i, (target.i + n - 2 * target.r) % m
+                if ends.get(left) != (start, origin):
+                    raise ValueError(
+                        f"left factor {left} of {gen}->{target} is not in "
+                        f"e_{start} . Algebra . e_{origin}"
+                    )
+                if ends.get(right) != (terminus, end):
+                    raise ValueError(
+                        f"right factor {right} of {gen}->{target} is not in "
+                        f"e_{terminus} . Algebra . e_{end}"
+                    )
+                kept.append(term)
+            if kept:
+                checked[gen] = kept
+        return checked
 
     @property
     def assignments(self):
@@ -200,7 +201,9 @@ class BimoduleMap:
         if got is None:
             if self._build is None:
                 return []
-            got = self._terms[gen] = self._checked(gen)
+            _corner(gen, self.source_degree, self.alg.m)
+            self._terms.update(self._checked(self._build(gen.r)))
+            got = self._terms.setdefault(gen, [])
         return got
 
     def is_zero(self):
@@ -228,37 +231,44 @@ def differential(n, alg):
     `freepaths` on the right face plus (-1)^n times the left one on the left
     face.  With k = i + n - 2r, s = i - r + 1 (both mod m) and [s, c] the
     run q_s ... q_{s+c-1}, signed from `signed_runs`, Generator(n, r, i) goes
-    to, in this order, built and checked when first read,
+    to, in this order,
         e_i (x) G(n-1,r,i) (x) a_{k-1}                     if r < n
         (-1)^n [s, n-r] e_i (x) G(n-1,r-1,i) (x) abar_k    if r > 0
         (-1)^(n+r) [s, r] a_i (x) G(n-1,r,i+1) (x) e_k     if r < n
-        (-1)^(n+r) abar_{i-1} (x) G(n-1,r-1,i-1) (x) e_k   if r > 0"""
+        (-1)^(n+r) abar_{i-1} (x) G(n-1,r-1,i-1) (x) e_k   if r > 0
+    built and checked one row (n, r) at a time, when the first of its m
+    generators is read."""
     if n < 1:
         raise ValueError("the differential is defined for n >= 1")
     m = alg.m
     # e_i, a_i and abar_i, in the order of alg.basis
     E, A, B = alg.basis[:m], alg.basis[m : 2 * m], alg.basis[2 * m : 3 * m]
     units = (linalg.F1, -linalg.F1)  # (-1)^e is units[e % 2]
-    odd = n % 2
     runs = signed_runs(alg)
-    rows = generator_rows(n - 1, m)
+    sources, targets = generator_rows(n, m), generator_rows(n - 1, m)
 
-    def image(gen):
-        r, i = gen.r, gen.i
-        k = (i + n - 2 * r) % m
-        s, flip = (i - r + 1) % m, (n + r) % 2
-        terms = []
-        if r < n:
-            terms.append((units[0], E[i], rows[r][i], A[(k - 1) % m]))
-        if r > 0:
-            terms.append((runs[s, n - r][odd], E[i], rows[r - 1][i], B[k]))
-        if r < n:
-            terms.append((runs[s, r][flip], A[i], rows[r][(i + 1) % m], E[k]))
-        if r > 0:
-            terms.append((units[flip], B[(i - 1) % m], rows[r - 1][(i - 1) % m], E[k]))
-        return terms
+    def row(r):
+        """The images of Generator(n, r, i), i ascending, as (gen, terms)."""
+        # rows r and r - 1 of P^{n-1}; an index -1 below is m - 1
+        same = targets[r] if r < n else None
+        lower = targets[r - 1] if r > 0 else None
+        flip = (n + r) % 2
+        images = []
+        for i, gen in enumerate(sources[r]):
+            k, s = (i + n - 2 * r) % m, (i - r + 1) % m
+            terms = []
+            if same:
+                terms.append((units[0], E[i], same[i], A[k - 1]))
+            if lower:
+                terms.append((runs[s, n - r][n % 2], E[i], lower[i], B[k]))
+            if same:
+                terms.append((runs[s, r][flip], A[i], same[(i + 1) % m], E[k]))
+            if lower:
+                terms.append((units[flip], B[i - 1], lower[i - 1], E[k]))
+            images.append((gen, terms))
+        return images
 
-    return BimoduleMap._closed_form(alg, n, n - 1, image)
+    return BimoduleMap._closed_form(alg, n, n - 1, row)
 
 
 @memoised

@@ -187,6 +187,23 @@ def test_monomials_at_a_vertex_outside_refused(m):
         assert alg.monomials_from(v) == [mono for mono in alg.basis if mono.origin(m) == v]
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.5, F(1, 2)], ids=["0.5", "1.5", "1/2"])
+def test_a_vertex_that_is_not_an_int_refused(bad):
+    # each lies in the range 0..m-1 but names no vertex
+    alg = algebra(3, (2, 1, 1))
+    stored = (dict(alg._into), dict(alg._from), dict(alg._corners))
+    reads = (
+        alg.monomials_into,
+        alg.monomials_from,
+        lambda v: alg.corner_basis(v, 2),
+        lambda v: alg.corner_basis(0, v),
+    )
+    for read in reads:
+        with pytest.raises(ValueError, match=f"vertex {bad} is not in 0..2 at m = 3"):
+            read(bad)
+    assert (alg._into, alg._from, alg._corners) == stored
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
 def test_corner_bases_partition_the_basis(m):
     alg = algebra(m, (2,) + (1,) * (m - 1))

@@ -1,6 +1,6 @@
 import logging
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -448,6 +448,31 @@ def test_q_run_refuses_a_negative_count():
         with pytest.raises(ValueError, match=f"count {count}"):
             q_run(alg, 0, count)
     assert q_run(alg, 0, 0) == 1
+
+
+COPRIME_Q = (F(7, 3), F(-5, 2), F(1, 9), F(3), F(2), F(-1, 7))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 6])
+def test_signed_runs_are_normalised_fraction_products(m):
+    # co-prime parameters, and zeta = 1 and -1 spread over unequal entries
+    spreads = [COPRIME_Q[:m]] + [
+        (z,) if m == 1 else (F(-3, 2) * z, F(-2, 3)) + (F(1),) * (m - 2) for z in (F(1), F(-1))
+    ]
+    for q in spreads:
+        alg = algebra(m, q)
+        runs = freepaths.signed_runs(alg)
+        for start in range(m):
+            # longest first, so the shorter runs are read off a built prefix
+            for count in range(3 * m, -1, -1):
+                plain = F(1)
+                for u in range(count):
+                    plain *= q[(start + u) % m]
+                pair = runs[start, count]
+                assert pair == (plain, -plain), (q, start, count)
+                for v in pair:
+                    assert type(v) is F and v.denominator > 0, (q, start, count)
+                    assert gcd(v.numerator, v.denominator) == 1, (q, start, count)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])

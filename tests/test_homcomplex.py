@@ -406,7 +406,8 @@ def test_coboundaries_read_only_the_generators_with_a_corner_block(monkeypatch):
         read = 0
         for n in range(1, 2 * m + 8):
             d = differential(n, alg)
-            assert list(d._terms) == list(_blocks(n, alg)[1]), n
+            # whole rows are built, so only the set of images is pinned
+            assert set(d._terms) == set(_blocks(n, alg)[1]), n
             read += len(d._terms)
         assert sum(m * (n + 1) for n in range(1, 2 * m + 8)) == total
         assert (read, made) == (want_read, want_made), m

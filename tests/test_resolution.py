@@ -443,6 +443,52 @@ def test_lazy_differential_checks_what_it_reads():
         d.terms(Generator(2, 0, 3))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 16])
+def test_a_read_builds_the_images_of_its_whole_row(m):
+    alg = algebra(m, (F(7, 3),) + (F(-5, 2),) * (m - 1))
+    n = 3
+    d = differential(n, alg)
+    rows = generator_rows(n, m)
+    for r in (0, 1, n):
+        before = dict(d._terms)
+        got = d.terms(Generator(n, r, m - 1))
+        added = {gen: terms for gen, terms in d._terms.items() if gen not in before}
+        assert list(added) == list(rows[r]), r
+        assert all(gen is rows[r][gen.i] for gen in added)
+        assert got is added[rows[r][m - 1]]
+        # the rest of the row is read without a rebuild
+        assert all(d.terms(gen) is added[gen] for gen in rows[r])
+        assert len(d._terms) == len(before) + m
+
+
+def test_a_broken_image_refuses_every_read_of_its_row():
+    # a_0 and a_1 trade places in the basis the closed form reads, so the
+    # images of G(1;0,0) and G(1;0,1) are wrong and that of G(1;0,3) is not
+    alg = algebra(5, (2, 1, 1, 1, 1))
+    basis = list(alg.basis)
+    basis[5], basis[6] = basis[6], basis[5]
+    alg.basis = basis
+    d = differential(1, alg)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="right factor a1 of G\\(1;0,0\\)"):
+            d.terms(Generator(1, 0, 3))
+    assert d._terms == {}
+    # row r = 1 reads no a_i, so it is built and kept
+    assert d.terms(Generator(1, 1, 3))
+    assert set(d._terms) == set(generator_rows(1, 5)[1])
+
+
+def test_refusing_a_non_generator_builds_nothing(monkeypatch):
+    fresh_rows(monkeypatch)
+    alg = algebra(3, (2, 1, 1))
+    d = differential(2, alg)
+    for bad in (Generator(3, 0, 0), Generator(2, 0, 3), Generator(1, 0, 0), (2, 0, 0)):
+        with pytest.raises(ValueError, match="not a generator of P\\^2"):
+            d.terms(bad)
+    assert d._terms == {}
+    assert not generator_rows(2, 3) and not generator_rows(1, 3)
+
+
 COPRIME_Q = (F(7, 3), F(-5, 2), F(1, 9), F(3), F(2))
 
 
