@@ -35,8 +35,6 @@ ARROW = "a"
 BAR = "abar"
 LOOP = "z"
 
-_KIND_ORDER = {VERTEX: 0, ARROW: 1, BAR: 2, LOOP: 3}
-
 
 class NonGenericParameters(Exception):
     """Raised when a theorem-level operation is asked to run with zeta a
@@ -47,7 +45,8 @@ class BasisMonomial(namedtuple("BasisMonomial", "kind index")):
     """One of e_i, a_i, abar_i, z_i.  Vertex indices live in 0..m-1.
 
     A tuple (kind, index), so it hashes and compares as one; tuple order
-    is not the canonical basis order, so sort monomials by `sort_key`."""
+    is not the canonical basis order, so sort monomials by
+    `Algebra.basis_index`."""
 
     __slots__ = ()
 
@@ -60,9 +59,6 @@ class BasisMonomial(namedtuple("BasisMonomial", "kind index")):
         if self.kind == ARROW:
             return (self.index + 1) % m
         return self.index
-
-    def sort_key(self):
-        return (_KIND_ORDER[self.kind], self.index)
 
     def __repr__(self):
         return f"{self.kind}{self.index}"

@@ -12,7 +12,7 @@ the decoded view {steps: Fraction}, `steps` a tuple of the algebra's arrow
 monomials and () for e_i.  Every closed-form coefficient (both recursions,
 the split, `resolution.differential`) is an entry of `signed_runs`, built
 per start from the integer prefix products of the parameters, one
-normalised Fraction per entry; `q_run` reads it.  The rewriting map
+normalised Fraction per entry.  The rewriting map
 down to the quotient is kept in tests/test_freepaths.py as a reference.
 """
 
@@ -24,16 +24,11 @@ from .algebra import Table, a, abar, memoised
 log = logging.getLogger(__name__)
 
 
-def q_run(alg, start, count):
-    """Product q_start q_{start+1} ... of `count` consecutive parameters,
-    indices reduced mod m; the empty product is 1.  Read from
-    `signed_runs`."""
-    return signed_runs(alg)[start % alg.m, count][0]
-
-
 @memoised
 def signed_runs(alg):
-    """{(start mod m, count): (q_run, -q_run)}, built on first read.
+    """{(start mod m, count): (run, -run)}, built on first read, where run
+    is the product q_start q_{start+1} ... of `count` consecutive
+    parameters, indices mod m, and the empty product is 1.
 
     Per start, the products of the first 0, 1, 2, ... parameters from
     q_start on are kept as unreduced integer pairs (num, den), extended one

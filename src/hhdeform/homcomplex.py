@@ -29,9 +29,10 @@ chain-map liftings.
 each coboundary, differential and block table once no later degree reads
 it: after degree n it keeps d^n and the blocks of degrees n and n + 1.
 The ring and `verify`'s checks reread the coboundaries and keep them
-all.  The closed-form dimension tables from the kernel/image analysis
-live in the expected_* functions and are used as comparison data, never
-as a computation path.
+all.  The paper's dimension tables live in the expected_* functions as
+comparison data, never as a computation path: dim Hom(P^n, .), dim ker d^n
+and dim HH^n are closed forms, and dim im d^{n-1} is rank-nullity on
+d^{n-1}, hom minus kernel at degree n - 1, as the computed table has it.
 """
 
 from . import linalg
@@ -199,22 +200,17 @@ def cohomology_dimension(n, alg, allow_non_generic=False):
 
 
 def expected_hom_dimension(n, m):
-    """Piecewise closed form for dim Hom(P^n, Algebra)."""
-    if m <= 2:
-        return 4 * (n + 1)
+    """Closed form for dim Hom(P^n, Algebra), p = n // m: (4p + 4)m when
+    n mod m is m - 1, else (4p + 2)m; at m = 1 and m = 2 that is 4(n + 1)."""
     p, t = divmod(n, m)
     return (4 * p + 4) * m if t == m - 1 else (4 * p + 2) * m
 
 
 def expected_kernel_dim(n, m):
-    """Closed form for dim ker d^n in the generic regime; m >= 2."""
+    """Closed form for dim ker d^n in the generic regime, m >= 2: m + 1
+    for n <= 1, else (2p + 1)m with p = n // m."""
     if m < 2:
         raise ValueError("no closed-form kernel table for m = 1")
-    if m == 2:
-        if n <= 1:
-            return 3
-        p = n // 2
-        return 2 * (2 * p + 1)
     if n <= 1:
         return m + 1
     p = n // m
@@ -222,23 +218,13 @@ def expected_kernel_dim(n, m):
 
 
 def expected_image_dim(n, m):
-    """Closed form for dim im d^{n-1} in the generic regime; m >= 2."""
+    """dim im d^{n-1} in the generic regime, m >= 2, by rank-nullity on
+    d^{n-1}: the two closed forms above at degree n - 1; 0 at n = 0."""
     if m < 2:
         raise ValueError("no closed-form image table for m = 1")
     if n == 0:
         return 0
-    if m == 2:
-        if n == 1:
-            return 1
-        if n == 2:
-            return 5
-        k = n - 1
-        p = k // 2
-        return 2 * (2 * p + 3) if k % 2 == 1 else 2 * (2 * p + 1)
-    if n in (1, 2):
-        return m - 1
-    p = n // m
-    return (2 * p + 1) * m
+    return expected_hom_dimension(n - 1, m) - expected_kernel_dim(n - 1, m)
 
 
 def expected_cohomology_dim(n, m):

@@ -197,14 +197,18 @@ class BimoduleMap:
         return self._terms
 
     def terms(self, gen):
+        """The terms of the image of gen, [] when it is zero.  Anything but
+        a generator of the source degree raises `_corner`'s ValueError, on
+        a hit as on a miss: a stored key is one, so a hit needs only the
+        type test (an equal plain tuple hits too)."""
         got = self._terms.get(gen)
-        if got is None:
-            if self._build is None:
-                return []
-            _corner(gen, self.source_degree, self.alg.m)
+        if got is not None and type(gen) is Generator:
+            return got
+        _corner(gen, self.source_degree, self.alg.m)
+        if got is None and self._build is not None:
             self._terms.update(self._checked(self._build(gen.r)))
             got = self._terms.setdefault(gen, [])
-        return got
+        return [] if got is None else got
 
     def is_zero(self):
         """Exact zero test: a value is zero exactly when the coefficients

@@ -150,11 +150,13 @@ def test_corner_bases():
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
 def test_corner_bases_are_the_monomials_between_their_vertices(m):
     alg = algebra(m, (2,) + (1,) * (m - 1))
+    # the canonical order: vertices, arrows, backward arrows, loops
+    assert alg.basis == [mono(i) for mono in (e, a, abar, z) for i in range(m)]
     empty = 0
     for i in range(m):
         for j in range(m):
             corner = [mono for mono in alg.basis if (mono.origin(m), mono.terminus(m)) == (i, j)]
-            assert alg.corner_basis(i, j) == sorted(corner, key=lambda mono: mono.sort_key())
+            assert alg.corner_basis(i, j) == sorted(corner, key=alg.basis_index.get)
             empty += not corner
     # only (i, i), (i, i+1) and (i+1, i) are not empty; the rest read []
     assert empty == max(0, m * m - 3 * m)

@@ -279,6 +279,29 @@ def test_verify_detects_injected_fault(runner, monkeypatch):
     assert "check cohomology: FAIL" in result.output
 
 
+
+@pytest.mark.parametrize("m, q", [(1, "-5/2"), (3, "2,1,1")])
+@pytest.mark.parametrize(
+    "check, field, form",
+    [("hom-dims", "hom_dim", "expected_hom_dimension"),
+     ("cohomology", "hh", "expected_cohomology_dim")],
+)
+def test_verify_closed_form_checks_name_the_degree_and_field(
+    runner, monkeypatch, m, q, check, field, form
+):
+    # the closed form is off by one from degree 2 on; the detail is the
+    # first mismatch, in compute's wording
+    real = getattr(homcomplex, form)
+    monkeypatch.setattr(homcomplex, form, lambda n, m: real(n, m) + (n >= 2))
+    args = ["verify", "--m", str(m), "--q", q, "--checks", check, "--format", "json"]
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 1
+    got = real(2, m)
+    assert json.loads(result.output)["checks"] == [
+        {"name": check, "pass": False,
+         "detail": f"degree 2: {field} = {got}, closed form gives {got + 1}"}
+    ]
+
 def test_compute_detects_injected_fault(runner, monkeypatch):
     real = homcomplex.expected_hom_dimension
 

@@ -6,7 +6,7 @@ import pytest
 
 from hhdeform import freepaths
 from hhdeform.algebra import ARROW, BAR, BasisMonomial, a, abar, algebra, e, z
-from hhdeform.freepaths import g_generators, q_run, split_coefficient, verify_g_recursions
+from hhdeform.freepaths import g_generators, signed_runs, split_coefficient, verify_g_recursions
 from test_algebra import add_into
 
 F = Fraction
@@ -188,6 +188,15 @@ def test_recursion_identity_small_degrees(m, q):
 # tables and the in-place check of `freepaths` are compared against.
 
 
+def q_product(alg, start, count):
+    """q_start q_{start+1} ... of `count` consecutive parameters, indices
+    mod m, as a plain Fraction product that does not read `signed_runs`."""
+    product = F(1)
+    for u in range(count):
+        product *= alg.q[(start + u) % alg.m]
+    return product
+
+
 def reference_tables(n, alg):
     """g[n] by the right-multiplication recursion, on step tuples with
     Fraction coefficients."""
@@ -204,7 +213,7 @@ def reference_tables(n, alg):
                 entry.update({p + (step,): c for p, c in prev[(r, i)].items()})
             if r > 0:
                 step = abar((i + n - 2 * r) % m)
-                coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
+                coeff = q_product(alg, i - r + 1, n - r) * (-1) ** n
                 entry.update({p + (step,): coeff * c for p, c in prev[(r - 1, i)].items()})
             table[(r, i)] = entry
     return table
@@ -225,7 +234,7 @@ def g_left_form(n, alg):
             entry = {}
             sign = (-1) ** r
             if r < n:
-                coeff = q_run(alg, i - r + 1, r) * sign
+                coeff = q_product(alg, i - r + 1, r) * sign
                 entry.update({(a(i),) + p: coeff * c for p, c in prev[(r, (i + 1) % m)].items()})
             if r > 0:
                 j = (i - 1) % m
@@ -432,7 +441,7 @@ def test_q_run_is_the_product_of_consecutive_parameters(m):
     q = tuple(F(k + 2, 2 * k + 1) * (-1) ** k for k in range(m))
     alg = algebra(m, q)
     for start in range(-2 * m - 1, 2 * m + 2):
-        runs = [q_run(alg, start, count) for count in range(longest, -1, -1)]
+        runs = [signed_runs(alg)[start % m, count][0] for count in range(longest, -1, -1)]
         naive = F(1)
         for count, run in enumerate(reversed(runs)):
             assert run == naive, (start, count)
@@ -443,11 +452,12 @@ def test_q_run_refuses_a_negative_count():
     # a negative count would read the memoised run from its end, so the
     # answer would depend on how far earlier calls had extended it
     alg = algebra(3, (2, 3, 5))
-    assert q_run(alg, 0, 2) == 6
+    runs = signed_runs(alg)
+    assert runs[0, 2][0] == 6
     for count in (-1, -3):
         with pytest.raises(ValueError, match=f"count {count}"):
-            q_run(alg, 0, count)
-    assert q_run(alg, 0, 0) == 1
+            runs[0, count][0]
+    assert runs[0, 0][0] == 1
 
 
 COPRIME_Q = (F(7, 3), F(-5, 2), F(1, 9), F(3), F(2), F(-1, 7))
@@ -489,7 +499,7 @@ def test_memoised_tables_match_a_from_scratch_loop(m):
                     if r <= n - 1:
                         acc.update(multiply(prev[(r, i)], arrow(i + n - 2 * r - 1, m), m))
                     if r >= 1:
-                        coeff = q_run(alg, i - r + 1, n - r) * (-1) ** n
+                        coeff = q_product(alg, i - r + 1, n - r) * (-1) ** n
                         product = multiply(prev[(r - 1, i)], bar(i + n - 2 * r, m), m)
                         for path, c in product.items():
                             acc[path] = acc.get(path, 0) + coeff * c

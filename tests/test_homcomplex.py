@@ -235,6 +235,17 @@ def test_kernel_image_closed_forms(m):
         assert im == expected_image_dim(n, m)
 
 
+
+@pytest.mark.parametrize("m", [6, 8, 16])
+def test_the_dimension_table_matches_every_closed_form(m):
+    alg = algebra(m, (2,) + (1,) * (m - 1))
+    top = 2 * m + 6
+    want = [
+        (expected_hom_dimension(n, m), expected_kernel_dim(n, m), expected_image_dim(n, m))
+        for n in range(top + 1)
+    ]
+    assert kernel_image_table(top, alg) == want
+
 def test_kernel_image_closed_forms_m2():
     alg = algebra(2, (3, 1))
     for n in range(10):

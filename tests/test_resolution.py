@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hhdeform import linalg, resolution
 from hhdeform.algebra import Table, a, abar, algebra, e, memoised, z
-from hhdeform.freepaths import q_run
 from hhdeform.resolution import (
     BimoduleMap,
     Generator,
@@ -22,6 +21,7 @@ from hhdeform.resolution import (
     verify_exactness,
 )
 from test_algebra import add_into
+from test_freepaths import q_product
 
 F = Fraction
 
@@ -403,8 +403,8 @@ def eager_differential(n, alg):
         else:
             flip = (n + r) % 2
             k = (i + n - 2 * r) % m
-            q_n = q_run(alg, i - r + 1, n - r)
-            q_r = q_run(alg, i - r + 1, r)
+            q_n = q_product(alg, i - r + 1, n - r)
+            q_r = q_product(alg, i - r + 1, r)
             terms = [
                 (one, E[i], to(r, i), A[(k - 1) % m]),
                 (-q_n if odd else q_n, E[i], to(r - 1, i), B[k]),
@@ -489,6 +489,29 @@ def test_refusing_a_non_generator_builds_nothing(monkeypatch):
     assert not generator_rows(2, 3) and not generator_rows(1, 3)
 
 
+
+def test_terms_refuses_a_non_generator_on_a_hit_as_on_a_miss():
+    # the plain tuple (2, 0, 0) equals G(2;0,0), so once that row is stored
+    # it finds the stored key; a dict map has no row to build
+    alg = algebra(3, (2, 1, 1))
+    d = differential(2, alg)
+    bad = ((2, 0, 0), "junk", Generator(5, 0, 0), Generator(2, 0, 3), Generator(1, 0, 0))
+    gen, absent = Generator(2, 0, 0), Generator(2, 1, 0)
+    for stage in ("fresh", "row built", "all built", "dict"):
+        if stage == "row built":
+            d.terms(gen)
+        elif stage == "all built":
+            d.assignments
+        elif stage == "dict":
+            d = BimoduleMap(alg, 2, 1, {gen: d.terms(gen)})
+        for key in bad:
+            with pytest.raises(ValueError, match="not a generator of P\\^2"):
+                d.terms(key)
+        assert d.terms(gen), stage
+    # a generator with no stored image reads no terms
+    assert d.terms(absent) == []
+    assert d.terms(Generator(2, 2, 1)) == []
+
 COPRIME_Q = (F(7, 3), F(-5, 2), F(1, 9), F(3), F(2))
 
 
@@ -519,10 +542,10 @@ def check_differential_against_g_recursions(alg):
             if r <= n - 1:
                 want[Generator(n - 1, r, i), e(i)] = (1, a((k - 1) % m))
             if r >= 1:
-                coeff = F((-1) ** n) * q_run(alg, i - r + 1, n - r)
+                coeff = F((-1) ** n) * q_product(alg, i - r + 1, n - r)
                 want[Generator(n - 1, r - 1, i), e(i)] = (coeff, abar(k))
             if r <= n - 1:
-                coeff = F((-1) ** (n + r)) * q_run(alg, i - r + 1, r)
+                coeff = F((-1) ** (n + r)) * q_product(alg, i - r + 1, r)
                 want[Generator(n - 1, r, (i + 1) % m), a(i)] = (coeff, e(k))
             if r >= 1:
                 j = (i - 1) % m

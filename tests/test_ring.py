@@ -377,6 +377,11 @@ def test_ring_report(m, q):
     report = ring_report(algebra(m, q))
     assert report["passed"], report["failures"]
     assert report["total_dim"] == m + 4
+    # the dimension relations keep their names, degree 0 written with m
+    dims = [name for name in report["relations_verified"] if name.startswith("dim HH")]
+    assert dims == ["dim HH^0 = m+1", "dim HH^1 = 2", "dim HH^2 = 1"] + [
+        f"dim HH^{n} = 0" for n in range(3, 9)
+    ]
 
 
 def test_ring_report_m1():
