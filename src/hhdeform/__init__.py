@@ -9,7 +9,6 @@ from .algebra import (
     algebra,
     build_algebra,
 )
-from .bar import bar_cochain_dimension, bar_cohomology_dimension
 from .freepaths import g_generators, verify_g_recursions
 from .homcomplex import (
     coboundary_matrix,
@@ -68,3 +67,13 @@ __all__ = [
     "verify_exactness",
     "verify_g_recursions",
 ]
+
+
+def __getattr__(name):
+    # the bar oracle is imported on first read, so `import hhdeform.cli`
+    # does not load it for commands that never run it; the name is not
+    # cached here, so a rebinding of the bar module's attribute shows through
+    if name in ("bar_cochain_dimension", "bar_cohomology_dimension"):
+        from . import bar
+        return getattr(bar, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

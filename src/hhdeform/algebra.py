@@ -25,7 +25,6 @@ over the rationals means zeta not in {1, -1}.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import exact
@@ -80,21 +79,23 @@ def z(i):
     return BasisMonomial(LOOP, i)
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
+class AlgebraSpec(namedtuple("AlgebraSpec", "m q")):
     """Input data: vertex count m and deformation parameters q."""
 
-    m: int
-    q: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", tuple(exact(v) for v in self.q))
-        if self.m < 1:
+    def __new__(cls, m, q):
+        q = tuple(exact(v) for v in q)
+        # bool is an int subclass, and True would build an algebra with m True
+        if type(m) is not int:
+            raise ValueError(f"m must be an int, got {m!r}")
+        if m < 1:
             raise ValueError("m must be at least 1")
-        if len(self.q) != self.m:
+        if len(q) != m:
             raise ValueError("q must have exactly m entries")
-        if any(v == 0 for v in self.q):
+        if any(v == 0 for v in q):
             raise ValueError("zero deformation parameter")
+        return super().__new__(cls, m, q)
 
     @property
     def zeta(self):

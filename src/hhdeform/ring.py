@@ -19,7 +19,7 @@ off the Koszul diagonal in closed form (`lift_cocycle`): no linear system
 is solved, and every right factor is a vertex.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import linalg
 from .algebra import a, abar, e, memoised, z
@@ -32,12 +32,10 @@ from .homcomplex import (
 from .resolution import BimoduleMap, Generator, differential, generators  # noqa: F401
 
 
-@dataclass
-class Cochain:
+class Cochain(namedtuple("Cochain", "degree vector")):
     """An element of Hom(P^n, Algebra): its vector over hom_space_basis(n)."""
 
-    degree: int
-    vector: list
+    __slots__ = ()
 
     @classmethod
     def of(cls, degree, values, alg):
@@ -53,11 +51,10 @@ class Cochain:
         return not any(coboundary_matrix(self.degree, alg).mul_vector(self.vector))
 
 
-@dataclass
-class CohomologyClass:
-    degree: int
-    representative: Cochain
-    coordinates: tuple
+class CohomologyClass(namedtuple("CohomologyClass", "degree representative coordinates")):
+    """A class of degree n: a representing Cochain and its coordinates."""
+
+    __slots__ = ()
 
     def is_zero(self):
         return not any(self.coordinates)

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,42 @@ def test_wrong_parameter_count_rejected():
 def test_spec_needs_parameters():
     with pytest.raises(TypeError):
         AlgebraSpec(2)
+
+
+def test_spec_refuses_an_m_that_is_not_an_int():
+    # 2.0 once passed and failed later in Algebra; True built an algebra with m True
+    for bad, q in ((2.0, (2, 2)), (F(2), (2, 2)), (True, (2,))):
+        with pytest.raises(ValueError, match=re.escape(f"m must be an int, got {bad!r}")):
+            AlgebraSpec(bad, q)
+
+
+def test_spec_validation_order():
+    # a float q entry is a TypeError before any ValueError about m, length or zero
+    for m, q in ((0, (0.5,)), (2.0, (0.5, 1)), (3, (0.5, 1)), (2, (0, 0.5))):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            AlgebraSpec(m, q)
+    # then m, then the length, then a zero entry
+    for m, q, message in (
+        (2.0, (1,), "m must be an int"),
+        (0, (), "m must be at least 1"),
+        (0, (0,), "m must be at least 1"),
+        (3, (0, 1), "q must have exactly m entries"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            AlgebraSpec(m, q)
+
+
+def test_spec_fields_repr_and_immutability():
+    spec = AlgebraSpec(2, (F(1, 2), 4))
+    assert spec._fields == ("m", "q")
+    assert repr(spec) == "AlgebraSpec(m=2, q=(Fraction(1, 2), Fraction(4, 1)))"
+    assert AlgebraSpec(m=2, q=[F(1, 2), 4]) == spec and hash(AlgebraSpec(2, (F(1, 2), 4))) == hash(spec)
+    for field in ("m", "q", "zeta"):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, 1)
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert not hasattr(spec, "__dict__")
 
 
 def test_basis_monomials_are_immutable_and_slot_only():

@@ -11,6 +11,7 @@ from hhdeform.resolution import BimoduleMap, Generator, compose, differential, g
 from hhdeform.homcomplex import coboundary_matrix, hom_dimension, hom_space_basis, pullback_matrix
 from hhdeform.ring import (
     Cochain,
+    CohomologyClass,
     _cohomology_space,
     canonical_generators,
     class_of,
@@ -86,6 +87,47 @@ def test_cochain_of_refuses_inexact_values(alg3):
     vector = Cochain.of(0, {key: 2}, alg3).vector
     assert vector[hom_space_basis(0, alg3).index(key)] == 2
     assert all(type(v) is F for v in vector)
+
+
+def test_cochain_and_class_fields_repr_and_immutability(alg3):
+    cochain = Cochain(0, [F(1), F(0)])
+    assert cochain._fields == ("degree", "vector")
+    assert repr(cochain) == "Cochain(degree=0, vector=[Fraction(1, 1), Fraction(0, 1)])"
+    cls = CohomologyClass(0, cochain, (F(2),))
+    assert cls._fields == ("degree", "representative", "coordinates")
+    assert repr(cls) == (
+        "CohomologyClass(degree=0, representative=Cochain(degree=0, "
+        "vector=[Fraction(1, 1), Fraction(0, 1)]), coordinates=(Fraction(2, 1),))"
+    )
+    for value, fields in ((cochain, ("degree", "vector")), (cls, cls._fields)):
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    _, u1, _ = canonical_generators(alg3)
+    assert isinstance(u1, CohomologyClass) and isinstance(u1.representative, Cochain)
+    assert u1.degree == u1.representative.degree == 1
+
+
+def test_cochain_of_and_the_cocycle_and_zero_tests(alg3):
+    def unit(degree, item):
+        return Cochain.of(degree, {item: 1}, alg3)
+
+    basis = hom_space_basis(1, alg3)
+    with pytest.raises(ValueError, match="values off the Hom-basis of degree 0"):
+        Cochain.of(0, {basis[0]: 1}, alg3)
+    # a Hom-basis map of degree 1 that d^1 does not kill is no cocycle
+    d1 = coboundary_matrix(1, alg3)
+    assert any(not unit(1, item).is_cocycle(alg3) for item in basis)
+    assert all((not unit(1, item).is_cocycle(alg3)) == any(d1.mul_vector(unit(1, item).vector)) for item in basis)
+    # a nonzero coboundary of a degree-0 cochain is a cocycle whose class is zero
+    d0 = coboundary_matrix(0, alg3)
+    boundaries = (Cochain(1, d0.mul_vector(unit(0, item).vector)) for item in hom_space_basis(0, alg3))
+    boundary = next(b for b in boundaries if any(b.vector))
+    assert boundary.is_cocycle(alg3)
+    assert class_of(boundary, alg3).is_zero()
+    assert not class_of(canonical_generators(alg3)[0][0].representative, alg3).is_zero()
 
 
 def test_lift_cocycle_refuses_a_negative_level(alg3):
