@@ -13,6 +13,11 @@ and CSV with one row per degree, for `compute` only; there a failed
 check is written to stderr, as in the table.  Every command exits
 1 when a check failed (compute's one check is its closed-form comparison),
 2 on invalid configuration, and 0 otherwise.
+
+The command line is `hhdeform COMMAND [--name VALUE | --name=VALUE |
+--flag]... [--help]`, read from the one option table `COMMANDS` by a
+stdlib-only parser.  A value is always the next word, so `--q -2/7` is a
+value; each option may be given once.
 """
 
 import json
@@ -20,8 +25,6 @@ import os
 import re
 import sys
 from fractions import Fraction
-
-import click
 
 from . import homcomplex, resolution, ring
 from .algebra import AlgebraSpec, build_algebra
@@ -32,40 +35,46 @@ RING_MAX_DEGREE = 8
 
 
 RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+DIGITS = re.compile(r"[0-9]+")
 
 
-def parse_rational(text):
+class UsageError(Exception):
+    """An invalid command line; `main` prints it under the usage line and
+    exits 2."""
+
+
+def parse_rational(text, option):
     try:
-        if not RATIONAL.fullmatch(text.strip()):
-            raise ValueError("not an integer or p/q")
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(f"not a rational: {text!r}") from exc
+        if RATIONAL.fullmatch(text.strip()):
+            return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"Invalid value for '{option}': not a rational: {text!r}")
 
 
 def parse_list(text, option):
     """The stripped entries of a comma list; an empty entry is refused."""
     parts = [p.strip() for p in text.split(",")]
     if not all(parts):
-        raise click.BadParameter(f"{option} has an empty entry: {text!r}")
+        raise UsageError(f"{option} has an empty entry: {text!r}")
     return parts
 
 
 def parse_q(text, m):
     parts = parse_list(text, "--q")
     if len(parts) != m:
-        raise click.BadParameter(f"expected {m} parameters, got {len(parts)}")
-    return tuple(parse_rational(p) for p in parts)
+        raise UsageError(f"Invalid value for '--q': expected {m} parameters, got {len(parts)}")
+    return tuple(parse_rational(p, "--q") for p in parts)
 
 
 def make_algebra(m, q_text, allow_non_generic, needs_generic=True):
     try:
         spec = AlgebraSpec(m, parse_q(q_text, m))
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     alg = build_algebra(spec)
     if needs_generic and not alg.generic and not allow_non_generic:
-        raise click.UsageError(
+        raise UsageError(
             f"zeta = {alg.zeta} is a root of unity; pass --allow-non-generic "
             "to compute raw dimensions without theorem comparisons"
         )
@@ -151,7 +160,8 @@ def emit(payload, fmt, output):
         with open(output, "w") as handle:
             handle.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def report(spec, degrees, ring_payload, checks, fmt, output):
@@ -162,40 +172,10 @@ def report(spec, degrees, ring_payload, checks, fmt, output):
     failed = [chk for chk in checks if not chk["pass"]]
     if fmt == "csv":
         for chk in failed:
-            click.echo(check_line(chk), err=True)
+            print(check_line(chk), file=sys.stderr)
     sys.exit(1 if failed else 0)
 
 
-def output_in_a_directory(ctx, param, value):
-    """Refuse an --output in a missing directory; click.Path does not look."""
-    if value and not os.path.isdir(os.path.dirname(os.path.abspath(value))):
-        raise click.BadParameter(f"the directory of {value!r} does not exist")
-    return value
-
-
-def common_options(*formats):
-    def decorate(f):
-        f = click.option("--max-degree", type=click.IntRange(min=0), default=None, help="Top degree (default 2m+6).")(f)
-        f = click.option("--format", "fmt", type=click.Choice(formats), default="table")(f)
-        return click.option(
-            "--output", type=click.Path(dir_okay=False), default=None, callback=output_in_a_directory
-        )(f)
-    return decorate
-
-
-allow_non_generic_option = click.option("--allow-non-generic", is_flag=True, default=False)
-
-
-@click.group()
-def main():
-    """Exact Hochschild cohomology of the deformed cycle algebras."""
-
-
-@main.command()
-@click.option("--m", "m", type=click.IntRange(min=1), required=True)
-@click.option("--q", "q_text", type=str, required=True, help="Comma list of m rationals.")
-@common_options("table", "json", "csv")
-@allow_non_generic_option
 def compute(m, q_text, max_degree, fmt, allow_non_generic, output):
     """Per-degree dimension table, compared against the closed forms."""
     alg = make_algebra(m, q_text, allow_non_generic)
@@ -295,23 +275,17 @@ def run_check(name, alg, max_degree):
     return check(alg, max_degree)
 
 
-@main.command()
-@click.option("--m", "m", type=click.IntRange(min=1), required=True)
-@click.option("--q", "q_text", type=str, required=True)
-@click.option("--checks", "checks_text", type=str, default=",".join(CHECKS))
-@common_options("table", "json")
-@allow_non_generic_option
 def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
     """Run the selected verification suites."""
     names = parse_list(checks_text, "--checks")
     if len(set(names)) < len(names):
-        raise click.UsageError(f"--checks repeats an entry: {checks_text}")
+        raise UsageError(f"--checks repeats an entry: {checks_text}")
     unknown = [c for c in names if c not in CHECKS]
     if unknown:
-        raise click.UsageError(f"unknown checks: {', '.join(unknown)}")
+        raise UsageError(f"unknown checks: {', '.join(unknown)}")
     for name in names:
         if max_degree is not None and max_degree < CHECKS[name][1]:
-            raise click.UsageError(f"the {name} check needs --max-degree >= {CHECKS[name][1]}")
+            raise UsageError(f"the {name} check needs --max-degree >= {CHECKS[name][1]}")
     needs_generic = any(CHECKS[c][2] for c in names)
     alg = make_algebra(m, q_text, allow_non_generic, needs_generic=needs_generic)
     if max_degree is None:
@@ -326,25 +300,21 @@ def verify(m, q_text, checks_text, max_degree, fmt, allow_non_generic, output):
     report(spec_payload(alg), [], ring_payload, results, fmt, output)
 
 
-@main.command()
-@click.option("--m-range", "m_range", type=str, required=True, help="Inclusive range, e.g. 1:5.")
-@click.option("--zeta", "zeta_text", type=str, required=True, help="Comma list of zeta values.")
-@common_options("table", "json")
 def sweep(m_range, zeta_text, max_degree, fmt, output):
     """Total cohomology dimension for q = (zeta, 1, ..., 1) over a range of m."""
     if max_degree is not None and max_degree < 2:
-        raise click.UsageError("sweep needs --max-degree >= 2")
+        raise UsageError("sweep needs --max-degree >= 2")
     match = re.fullmatch(r"([0-9]+):([0-9]+)", m_range.strip())
     if not match:
-        raise click.UsageError("--m-range must look like 1:5")
+        raise UsageError("--m-range must look like 1:5")
     lo, hi = int(match[1]), int(match[2])
     if not 1 <= lo <= hi:
-        raise click.UsageError(f"--m-range {m_range} needs 1 <= LO <= HI")
-    zetas = [parse_rational(p) for p in parse_list(zeta_text, "--zeta")]
+        raise UsageError(f"--m-range {m_range} needs 1 <= LO <= HI")
+    zetas = [parse_rational(p, "--zeta") for p in parse_list(zeta_text, "--zeta")]
     if len(set(zetas)) < len(zetas):
-        raise click.UsageError(f"--zeta repeats a value: {zeta_text}")
+        raise UsageError(f"--zeta repeats a value: {zeta_text}")
     if 0 in zetas:
-        raise click.UsageError("--zeta values must be nonzero")
+        raise UsageError("--zeta values must be nonzero")
     results = []
     for m in range(lo, hi + 1):
         degree_top = max_degree if max_degree is not None else 2 * m + 6
@@ -367,6 +337,165 @@ def sweep(m_range, zeta_text, max_degree, fmt, output):
             )
     report({"m": f"{lo}:{hi}", "q": [], "zeta": [str(v) for v in zetas], "generic": None},
            [], None, results, fmt, output)
+
+
+# The kind of an option's value: an int is the least value of an integer
+# written in ASCII digits, a tuple holds the choices, PATH is an output file
+# in a directory that exists, and a FLAG takes no value.
+TEXT, FLAG, PATH = "TEXT", "", "FILE"
+M_AND_Q = {
+    # option: (parameter, kind, default, required, help)
+    "--m": ("m", 1, None, True, "Vertices, at least 1."),
+    "--q": ("q_text", TEXT, None, True, "Comma list of m rationals."),
+}
+ALLOW_NON_GENERIC = {
+    "--allow-non-generic": (
+        "allow_non_generic", FLAG, False, False, "At zeta = +-1: raw dimensions, no comparisons."
+    ),
+}
+
+
+def shared_options(*formats):
+    return {
+        "--max-degree": ("max_degree", 0, None, False, "Top degree (default 2m+6)."),
+        "--format": ("fmt", formats, "table", False, ""),
+        "--output": ("output", PATH, None, False, "Write to this file, not stdout."),
+    }
+
+
+# command: (function, its options in --help order)
+COMMANDS = {
+    "compute": (compute, {**M_AND_Q, **shared_options("table", "json", "csv"), **ALLOW_NON_GENERIC}),
+    "verify": (verify, {
+        **M_AND_Q,
+        "--checks": ("checks_text", TEXT, ",".join(CHECKS), False, "Comma list of checks (default all)."),
+        **shared_options("table", "json"),
+        **ALLOW_NON_GENERIC,
+    }),
+    "sweep": (sweep, {
+        "--m-range": ("m_range", TEXT, None, True, "Inclusive range, e.g. 1:5."),
+        "--zeta": ("zeta_text", TEXT, None, True, "Comma list of zeta values."),
+        **shared_options("table", "json"),
+    }),
+}
+
+
+def convert(option, kind, text):
+    """The value of `option` given as `text`."""
+    invalid = f"Invalid value for '{option}': "
+    if kind == TEXT:
+        return text
+    if kind == PATH:
+        if os.path.isdir(text):
+            raise UsageError(f"{invalid}File {text!r} is a directory.")
+        # an empty path means stdout, as no --output does
+        if text and not os.path.isdir(os.path.dirname(os.path.abspath(text))):
+            raise UsageError(f"{invalid}the directory of {text!r} does not exist")
+        return text
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise UsageError(f"{invalid}{text!r} is not one of {', '.join(map(repr, kind))}.")
+        return text
+    try:
+        if DIGITS.fullmatch(text) and int(text) >= kind:
+            return int(text)
+    except ValueError:  # more digits than int() reads
+        pass
+    raise UsageError(f"{invalid}{text!r} is not an integer >= {kind} in ASCII digits.")
+
+
+def parse(options, words):
+    """{parameter: value} of the words after the command, defaults filled
+    in; None when they ask for --help, which is looked for before any value
+    is converted."""
+    given = {}
+    words = iter(words)
+    for word in words:
+        if word == "--help":
+            return None
+        name, eq, value = word.partition("=")
+        if name not in options:
+            if word.startswith("-"):
+                raise UsageError(f"No such option '{name}'.")
+            raise UsageError(f"Got unexpected extra argument ({word})")
+        if name in given:
+            raise UsageError(f"Option '{name}' is given more than once.")
+        if options[name][1] == FLAG:
+            if eq:
+                raise UsageError(f"Option '{name}' does not take a value.")
+            given[name] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None:
+                raise UsageError(f"Option '{name}' requires an argument.")
+        given[name] = value
+    params = {}
+    for name, (param, kind, default, required, _) in options.items():
+        if name in given:
+            params[param] = given[name] if kind == FLAG else convert(name, kind, given[name])
+        elif required:
+            raise UsageError(f"Missing option '{name}'.")
+        else:
+            params[param] = default
+    return params
+
+
+def columns(rows):
+    width = max(len(left) for left, _ in rows)
+    return "".join(f"  {left:<{width}}  {right}".rstrip() + "\n" for left, right in rows)
+
+
+def summary(function):
+    return (function.__doc__ or "").split("\n")[0]  # -OO drops docstrings
+
+
+def usage(prog, command=None):
+    return f"Usage: {prog} {command or 'COMMAND'} [OPTIONS]"
+
+
+def help_text(prog, command=None):
+    """The --help of `command`, or of the program when it is None."""
+    if command is None:
+        rows = [(name, summary(run)) for name, (run, _) in COMMANDS.items()]
+        return (f"{usage(prog)}\n\n"
+                "  Exact Hochschild cohomology of the deformed cycle algebras.\n\n"
+                f"Commands:\n{columns(rows)}\nRun '{prog} COMMAND --help' for its options.\n")
+    run, options = COMMANDS[command]
+    rows = []
+    for name, (_, kind, _, required, text) in options.items():
+        metavar = (f"[{'|'.join(kind)}]" if isinstance(kind, tuple)
+                   else "INTEGER" if isinstance(kind, int) else kind)
+        rows.append((f"{name} {metavar}".rstrip(), text + ("  [required]" if required else "")))
+    rows.append(("--help", "Show this message and exit."))
+    return f"{usage(prog, command)}\n\n  {summary(run)}\n\nOptions:\n{columns(rows)}"
+
+
+def main(args=None, prog_name=None, standalone_mode=True):
+    """Run `hhdeform` on args (default: the process's arguments).  Every
+    outcome is a SystemExit: 0, 1 when a check failed, or 2 for a usage
+    error, which goes to stderr.  `standalone_mode` is accepted for callers
+    written against click's `main` and changes nothing."""
+    args = sys.argv[1:] if args is None else list(args)
+    prog = prog_name or "hhdeform"
+    if not args:
+        sys.stderr.write(help_text(prog))
+        sys.exit(2)
+    command = args[0] if args[0] in COMMANDS else None
+    try:
+        if command is None and args[0] != "--help":
+            kind = "option" if args[0].startswith("-") else "command"
+            raise UsageError(f"No such {kind} '{args[0]}'.")
+        params = parse(COMMANDS[command][1], args[1:]) if command else None
+        if params is None:
+            sys.stdout.write(help_text(prog, command))
+            sys.exit(0)
+        COMMANDS[command][0](**params)
+    except UsageError as exc:
+        where = f"{prog} {command}" if command else prog
+        sys.stderr.write(f"{usage(prog, command)}\nTry '{where} --help' for help.\n\nError: {exc}\n")
+        sys.exit(2)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -102,7 +102,8 @@ def _pullback_stencil(left, right, alg):
             continue
         value = product(inner[0], right)
         if value is not None:
-            coeff = inner[1] * value[1]
+            a, b = inner[1], value[1]
+            coeff = b if a == 1 else a if b == 1 else a * b  # no product with a unit
             stencil.append((col, outer.index(value[0]), None if coeff == 1 else coeff))
     return stencil
 

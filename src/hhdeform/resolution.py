@@ -339,25 +339,52 @@ def _stencils(alg):
     return Table(lambda pair: _stencil(*pair, alg))
 
 
+def _group_key(c):
+    """None for the coefficient 1, else its (numerator, denominator)."""
+    return None if c == 1 else (c.numerator, c.denominator)
+
+
 def _stencil(left, right, alg):
     """The nonzero products bl . left (x) right . br, for bl into the origin
     of left and br out of the terminus of right, as (column offset, row
     offset) pairs within the 4 x 4 blocks of the source and target
     summands, in a list of (coefficient, pairs) groups; the coefficient 1
-    is None.  No two products share a row offset."""
+    is None.  No two products share a row offset.
+
+    The at most 4 products on each side are taken once, two coefficients
+    are multiplied only when neither is 1, and the groups are keyed by the
+    integer (numerator, denominator) of their coefficient."""
     m = alg.m
+    product = alg.product
     lefts = alg.monomials_into(left.terminus(m))
     rights = alg.monomials_from(right.origin(m))
-    out_of = alg.monomials_from(right.terminus(m))
+    # (column offset, row offset, coefficient, its group key) of each
+    # nonzero product bl . left and right . br
+    left_terms = [
+        (4 * k, 4 * lefts.index(p[0]), p[1], _group_key(p[1]))
+        for k, bl in enumerate(alg.monomials_into(left.origin(m)))
+        if (p := product(bl, left)) is not None
+    ]
+    right_terms = [
+        (j, rights.index(p[0]), p[1], _group_key(p[1]))
+        for j, br in enumerate(alg.monomials_from(right.terminus(m)))
+        if (p := product(right, br)) is not None
+    ]
     groups = {}
-    for k, bl in enumerate(alg.monomials_into(left.origin(m))):
-        for j, br in enumerate(out_of):
-            new_left, new_right = alg.product(bl, left), alg.product(right, br)
-            if new_left is not None and new_right is not None:
-                coeff = new_left[1] * new_right[1]
-                row = 4 * lefts.index(new_left[0]) + rights.index(new_right[0])
-                groups.setdefault(None if coeff == 1 else coeff, []).append((4 * k + j, row))
-    return list(groups.items())
+    for col, row, cl, kl in left_terms:
+        for dc, dr, cr, kr in right_terms:
+            if kl is None:
+                coeff, key = cr, kr
+            elif kr is None:
+                coeff, key = cl, kl
+            else:
+                coeff = cl * cr
+                key = _group_key(coeff)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (None if key is None else coeff, [])
+            group[1].append((col + dc, row + dr))
+    return list(groups.values())
 
 
 def _collect(acc, key, s):

@@ -6,7 +6,7 @@ comparisons carry no tolerance.
 
 from fractions import Fraction
 
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from hhdeform import cli, homcomplex, resolution
 from hhdeform.algebra import algebra

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from hhdeform import cli, homcomplex
 
@@ -565,3 +565,131 @@ def test_verify_prints_the_ring_report_that_it_checked(runner, monkeypatch, max_
     assert degrees == [top, top]
     alg = cli.make_algebra(2, "2,1", False)
     assert json.loads(result.output)["ring"] == json.loads(json.dumps(real(alg, max_degree=top)))
+
+
+@pytest.mark.parametrize(
+    "args, q",
+    [
+        (["compute", "--m", "1", "--q", "-2/7"], ["-2/7"]),
+        (["compute", "--m", "1", "--q=-2/7"], ["-2/7"]),
+        (["compute", "--m", "2", "--q", "-1,-5/8"], ["-1", "-5/8"]),
+        (["compute", "--m=2", "--q=-1,-5/8", "--max-degree=3"], ["-1", "-5/8"]),
+    ],
+    ids=["q-negative", "q-equals", "q-negative-list", "all-equals"],
+)
+def test_a_value_is_the_next_word_even_when_it_starts_with_a_dash(runner, args, q):
+    result = runner.invoke(cli.main, args + ["--format", "json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["spec"]["q"] == q
+
+
+def test_a_negative_zeta_list_is_a_value(runner):
+    result = runner.invoke(
+        cli.main, ["sweep", "--m-range", "1:1", "--zeta", "-1/3,2", "--format", "json"]
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["spec"]["zeta"] == ["-1/3", "2"]
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("compute", ["--m", "--q", "--max-degree", "--format", "--output", "--allow-non-generic"]),
+        ("verify", ["--m", "--q", "--checks", "--max-degree", "--format", "--output",
+                    "--allow-non-generic"]),
+        ("sweep", ["--m-range", "--zeta", "--max-degree", "--format", "--output"]),
+    ],
+)
+def test_command_help_names_every_option(runner, monkeypatch, command, options):
+    refuse_work(monkeypatch)
+    # --help wins wherever it stands, and the other words are not read
+    for args in ([command, "--help"], [command, options[0], "x", "--help"]):
+        result = runner.invoke(cli.main, args)
+        assert result.exit_code == 0, result.output
+        assert result.stderr == ""
+        assert result.stdout.startswith(f"Usage: hhdeform {command} [OPTIONS]\n")
+        for option in options:
+            assert f"\n  {option} " in result.stdout
+
+
+def test_program_help_names_every_command(runner):
+    result = runner.invoke(cli.main, ["--help"])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    for command in ("compute", "verify", "sweep"):
+        assert f"\n  {command} " in result.stdout
+
+
+def test_no_command_prints_the_help_on_stderr_and_exits_2(runner):
+    result = runner.invoke(cli.main, [])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == runner.invoke(cli.main, ["--help"]).stdout
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["compute", "--m", "2", "--q", "2,1", "--bogus", "1"], "No such option '--bogus'"),
+        (["compute", "--m", "2", "--q", "2,1", "--m-range", "1:2"], "No such option '--m-range'"),
+        (["compute", "--m", "2", "--q"], "Option '--q' requires an argument"),
+        (["verify", "--m", "2", "--q", "2,1", "--max-degree"],
+         "Option '--max-degree' requires an argument"),
+        (["compute", "--q", "2,1"], "Missing option '--m'"),
+        (["verify", "--m", "2"], "Missing option '--q'"),
+        (["sweep", "--m-range", "1:2"], "Missing option '--zeta'"),
+        (["compute", "--m", "2", "--q", "2,1", "--allow-non-generic=1"],
+         "Option '--allow-non-generic' does not take a value"),
+        (["compute", "--m", "2", "--q", "2,1", "extra"], "unexpected extra argument (extra)"),
+        (["bogus", "--m", "2"], "No such command 'bogus'"),
+        (["--m", "2", "compute"], "No such option '--m'"),
+    ],
+    ids=["unknown", "other-command", "missing-value", "missing-value-at-end", "required-m",
+         "required-q", "required-zeta", "flag-value", "extra-word", "unknown-command",
+         "option-before-command"],
+)
+def test_a_malformed_command_line_exits_2_and_names_the_option(runner, monkeypatch, args, message):
+    refuse_work(monkeypatch)
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stdout == ""
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["compute", "--m", "2", "--m", "3", "--q", "2,1,1"], "--m"),
+        (["compute", "--m", "3", "--q", "2,1,1", "--m=3"], "--m"),
+        (["compute", "--m", "2", "--q", "2,1", "--format", "csv", "--format", "json"], "--format"),
+        (["verify", "--m", "2", "--q", "2,1", "--checks", "ring", "--checks", "oracle"], "--checks"),
+        (["compute", "--m", "2", "--q", "1,1", "--allow-non-generic", "--allow-non-generic"],
+         "--allow-non-generic"),
+        (["sweep", "--m-range", "1:2", "--zeta", "2", "--zeta", "3"], "--zeta"),
+        (["sweep", "--m-range", "1:2", "--zeta", "2", "--max-degree", "3", "--max-degree", "4"],
+         "--max-degree"),
+    ],
+    ids=["m", "m-equals", "format", "checks", "flag", "zeta", "max-degree"],
+)
+def test_an_option_given_twice_is_refused_before_any_work(runner, monkeypatch, args, option):
+    refuse_work(monkeypatch)
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2, result.output
+    assert f"Option '{option}' is given more than once" in result.stderr
+
+
+@pytest.mark.parametrize("value", ["３", "٣", " 3", "3 ", "+3", "1_6", "3.0", "0x3", ""])
+@pytest.mark.parametrize("option", ["--m", "--max-degree"])
+def test_integer_options_take_ascii_digits_only(runner, monkeypatch, option, value):
+    refuse_work(monkeypatch)
+    args = {"--m": ["compute", "--q", "2,1,1"], "--max-degree": ["compute", "--m", "3", "--q", "2,1,1"]}
+    result = runner.invoke(cli.main, args[option] + [option, value])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.stderr
+
+
+def test_an_integer_past_what_int_reads_is_a_usage_error(runner, monkeypatch):
+    refuse_work(monkeypatch)
+    result = runner.invoke(cli.main, ["compute", "--q", "2", "--m", "9" * 5000])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--m'" in result.stderr

@@ -1,5 +1,9 @@
 """What `import hhdeform.cli` loads, each case in a fresh interpreter.
 
+No `click` module is loaded: the CLI parses its command line with the
+stdlib alone, and click with its own imports (`inspect`, `ast`, `dis`,
+`datetime`, `uuid`, `gettext`, ...) cost every start more than a small
+op computes.
 The bar oracle, `logging` and `dataclasses` are left out of the import:
 `compute` and `sweep` never read them, and every CLI start would pay to
 compile them.  `hhdeform.ring` stays eager, because it imports
@@ -16,7 +20,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 import hhdeform
 import hhdeform.bar
@@ -56,6 +60,12 @@ def test_cli_import_leaves_out_the_oracle_logging_and_dataclasses():
     assert got == {"hhdeform.bar": False, "logging": False, "dataclasses": False,
                    # eager: see the module docstring for the tracer's by-name rebinding
                    "hhdeform.ring": True}
+
+
+def test_cli_import_loads_no_click_module():
+    _, got = fresh("import hhdeform.cli\nprint(json.dumps(sorted(n for n in sys.modules"
+                   " if n.split('.')[0] == 'click')), file=sys.stderr)")
+    assert got == []
 
 
 def test_compute_runs_without_the_lazy_modules():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,14 @@ from hhdeform.resolution import (
 from hhdeform.ring import canonical_generators, ring_report
 from test_algebra import add_into
 from test_linalg import assert_same_rows, counted_eliminations
-from test_resolution import bimodule_maps, fresh_rows, small_coeffs
+from test_resolution import (
+    STENCIL_CASES,
+    STENCIL_MS,
+    bimodule_maps,
+    fresh_rows,
+    small_coeffs,
+    stencil_algebra,
+)
 from test_ring import slot_lifts
 
 F = Fraction
@@ -463,6 +470,34 @@ def test_a_compute_table_expands_no_hom_basis(monkeypatch):
     cached = {fn.__name__ for fn, _args in alg.cache}
     assert "_blocks" in cached and "coboundary_matrix" in cached
     assert "hom_space_basis" not in cached
+
+
+def loop_pullback_stencil(left, right, alg):
+    """`_pullback_stencil` with the two coefficients always multiplied."""
+    product = alg.product
+    (start, mid), (mid_end, end) = alg.endpoints[left], alg.endpoints[right]
+    outer = alg.corner_basis(start, end)
+    stencil = []
+    for col, mono0 in enumerate(alg.corner_basis(mid, mid_end)):
+        inner = product(left, mono0)
+        if inner is None:
+            continue
+        value = product(inner[0], right)
+        if value is not None:
+            coeff = inner[1] * value[1]
+            stencil.append((col, outer.index(value[0]), None if coeff == 1 else coeff))
+    return stencil
+
+
+@STENCIL_CASES
+@STENCIL_MS
+def test_pullback_stencil_is_the_loop_that_multiplies_every_pair(m, kind):
+    alg = stencil_algebra(m, kind)
+    for left in alg.basis:
+        for right in alg.basis:
+            got = homcomplex._pullback_stencil(left, right, alg)
+            want = loop_pullback_stencil(left, right, alg)
+            assert got == want and repr(got) == repr(want), (left, right)
 
 
 def product_pullback(g, alg):

@@ -930,6 +930,58 @@ def test_stencils_group_products_by_coefficient(q):
     assert scaled
 
 
+def loop_stencil(left, right, alg):
+    """`_stencil` as a double loop over (bl, br): both products taken for
+    every pair, their coefficients always multiplied, the groups keyed by
+    the Fraction."""
+    m = alg.m
+    lefts = alg.monomials_into(left.terminus(m))
+    rights = alg.monomials_from(right.origin(m))
+    out_of = alg.monomials_from(right.terminus(m))
+    groups = {}
+    for k, bl in enumerate(alg.monomials_into(left.origin(m))):
+        for j, br in enumerate(out_of):
+            new_left, new_right = alg.product(bl, left), alg.product(right, br)
+            if new_left is not None and new_right is not None:
+                coeff = new_left[1] * new_right[1]
+                row = 4 * lefts.index(new_left[0]) + rights.index(new_right[0])
+                groups.setdefault(None if coeff == 1 else coeff, []).append((4 * k + j, row))
+    return list(groups.items())
+
+
+STENCIL_Q = (F(7, 3), F(-5, 2), F(1, 9), F(3), F(2), F(-1, 7), F(5, 11), F(-13, 4))
+
+
+def stencil_algebra(m, kind):
+    """An algebra at m <= 8 with generic q, with zeta = +1 or -1 reached
+    through unequal parameters, or with every q_i = 1."""
+    if kind == "ones":
+        return algebra(m, (F(1),) * m)
+    head = STENCIL_Q[: m - 1]
+    last = {"generic": STENCIL_Q[m - 1], "zeta=1": F(1), "zeta=-1": F(-1)}[kind]
+    prod = F(1)
+    for v in head:
+        prod *= v
+    return algebra(m, head + (last if kind == "generic" else last / prod,))
+
+
+STENCIL_CASES = pytest.mark.parametrize("kind", ["generic", "zeta=1", "zeta=-1", "ones"])
+STENCIL_MS = pytest.mark.parametrize("m", [1, 2, 3, 8])
+
+
+@STENCIL_CASES
+@STENCIL_MS
+def test_stencil_is_the_double_loop_over_every_pair(m, kind):
+    alg = stencil_algebra(m, kind)
+    if kind != "generic":
+        assert alg.zeta == (-1 if kind == "zeta=-1" else 1)
+    for left in alg.basis:
+        for right in alg.basis:
+            got, want = resolution._stencil(left, right, alg), loop_stencil(left, right, alg)
+            # equal lists of the same types, in the same order
+            assert got == want and repr(got) == repr(want), (left, right)
+
+
 def test_stencil_table_holds_the_pairs_of_the_differentials():
     N = 7
     alg = algebra(3, (F(2), F(-1, 3), F(5)))
