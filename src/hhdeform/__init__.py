@@ -6,7 +6,6 @@ from .algebra import (
     AlgebraSpec,
     BasisMonomial,
     NonGenericParameters,
-    algebra,
     build_algebra,
 )
 from .freepaths import g_generators, verify_g_recursions
@@ -45,7 +44,6 @@ __all__ = [
     "CohomologyClass",
     "Generator",
     "NonGenericParameters",
-    "algebra",
     "bar_cochain_dimension",
     "bar_cohomology_dimension",
     "build_algebra",

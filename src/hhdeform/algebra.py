@@ -7,12 +7,15 @@ path algebra modulo the ideal generated by
     a_i a_{i+1},    abar_{i-1} abar_{i-2},    q_i a_i abar_i - abar_{i-1} a_{i-1}
 
 for a tuple q of m nonzero rationals.  A monomial basis is given by the
-vertices e_i, the arrows a_i and abar_i, and the loops z_i = a_i abar_i;
-the third relation rewrites abar_{i-1} a_{i-1} as q_i z_i.  So the
-product of two basis monomials is one scaled monomial or zero, and
-`Algebra.product` reads it from the structure-constant table as a pair
-(monomial, coefficient) or None; every assembly loop in the package calls
-it once per product of monomials.  A combination of monomials is a plain
+vertices e_i, the arrows a_i and abar_i, and the loops z_i = a_i abar_i,
+and the relations leave four families of nonzero products,
+
+    e_{o(x)} . x = x,   x . e_{t(x)} = x,   a_i . abar_i = z_i,   abar_i . a_i = q_{i+1} z_{i+1}
+
+(o, t the origin and terminus); every other product is zero.  `Algebra`
+stores them once, as rows keyed by either factor: x . y is
+by_left[x][y] = by_right[y][x] = (monomial, coefficient), which
+`Algebra.product` reads, or None.  A combination of monomials is a plain
 dict {BasisMonomial: Fraction} with no zero entries.
 
 Every table in the package that is filled the first time a key is read
@@ -27,7 +30,7 @@ over the rationals means zeta not in {1, -1}.
 from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import exact
+from .linalg import F1, exact
 
 VERTEX = "e"
 ARROW = "a"
@@ -118,16 +121,12 @@ class Algebra:
 
     def __init__(self, spec):
         self.spec = spec
-        self.m = spec.m
+        self.m = m = spec.m
         self.q = spec.q
         self.zeta = spec.zeta
         self.generic = spec.generic
-        self.basis = (
-            [e(i) for i in range(self.m)]
-            + [a(i) for i in range(self.m)]
-            + [abar(i) for i in range(self.m)]
-            + [z(i) for i in range(self.m)]
-        )
+        E, A, B, Z = ([kind(i) for i in range(m)] for kind in (e, a, abar, z))
+        self.basis = E + A + B + Z
         self.basis_index = {mono: k for k, mono in enumerate(self.basis)}
         # (origin, terminus) of each basis monomial
         self.endpoints = {mono: (mono.origin(self.m), mono.terminus(self.m)) for mono in self.basis}
@@ -137,20 +136,23 @@ class Algebra:
         # 0..m-1
         self._into, self._from = Table(self._none_at), Table(self._none_at)
         self._corners = Table(lambda ends: self._none_at(*ends))
+        # the rows of structure constants, one each way per basis monomial;
+        # `_not_a_factor` refuses any other monomial
+        self.by_left, self.by_right = Table(self._not_a_factor), Table(self._not_a_factor)
         for mono in self.basis:
             origin, terminus = self.endpoints[mono]
             self._into.setdefault(terminus, []).append(mono)
             self._from.setdefault(origin, []).append(mono)
             self._corners.setdefault((origin, terminus), []).append(mono)
-        # the nonzero products, over composable pairs only: y runs over the
-        # monomials out of the terminus of x in basis order, so the entries
-        # come in the order of a walk over all pairs
-        self._table = {}
-        for x in self.basis:
-            for y in self._from[self.endpoints[x][1]]:
-                p = self._monomial_product(x, y)
-                if p is not None:
-                    self._table[(x, y)] = p
+            self.by_left[mono], self.by_right[mono] = {}, {}
+        # the four families of the module docstring, vertex by vertex
+        for i in range(m):
+            j = (i + 1) % m
+            families = [(E[i], x, x, F1) for x in self._from[i]]
+            families += [(x, E[i], x, F1) for x in self._into[i]]
+            families += [(A[i], B[i], Z[i], F1), (B[i], A[i], Z[j], self.q[j])]
+            for x, y, mono, c in families:
+                self.by_left[x][y] = self.by_right[y][x] = (mono, c)
         # the memo of `memoised`
         self.cache = Table(lambda key: key[0](*key[1], self))
 
@@ -160,51 +162,37 @@ class Algebra:
                 f"zeta = {self.zeta} is a root of unity; pass allow_non_generic to proceed"
             )
 
-    def _monomial_product(self, x, y):
-        """Product of two basis monomials as (mono, coeff), or None if zero."""
-        m = self.m
-        if x.terminus(m) != y.origin(m):
-            return None
-        if x.kind == VERTEX:
-            return y, Fraction(1)
-        if y.kind == VERTEX:
-            return x, Fraction(1)
-        # socle kills the radical on both sides
-        if x.kind == LOOP or y.kind == LOOP:
-            return None
-        if x.kind == ARROW and y.kind == BAR:
-            # a_i abar_i = z_i (composability forces the indices to agree)
-            return z(x.index), Fraction(1)
-        if x.kind == BAR and y.kind == ARROW:
-            # abar_j a_j = q_{j+1} z_{j+1}
-            j1 = (x.index + 1) % m
-            return z(j1), self.q[j1]
-        # a_i a_{i+1} and abar_i abar_{i-1} are relations
-        return None
-
     def product(self, x, y):
         """The product of basis monomials x . y as (monomial, coefficient),
-        or None when it is zero."""
-        return self._table.get((x, y))
+        or None when it is zero; a factor outside the basis raises
+        ValueError."""
+        prod = self.by_left[x].get(y)
+        if prod is None:
+            self.by_right[y]  # a y outside the basis raises ValueError
+        return prod
 
     def multiply(self, x, y):
         """The product of two combinations {BasisMonomial: coefficient}, as
         a dict with no zero entries.  Every coefficient goes through
         `linalg.exact` first, so a float raises TypeError even when the
-        product vanishes."""
+        product vanishes, and then every monomial must be in the basis,
+        else ValueError."""
         x = [(mono, exact(c)) for mono, c in x.items()]
         y = [(mono, exact(c)) for mono, c in y.items()]
+        for my, _ in y:
+            self.by_right[my]  # a monomial outside the basis raises ValueError
         out = {}
         for mx, cx in x:
+            row = self.by_left[mx]
             for my, cy in y:
-                prod = self._table.get((mx, my))
+                prod = row.get(my)
                 if prod is not None:
                     out[prod[0]] = out.get(prod[0], 0) + cx * cy * prod[1]
         return {mono: c for mono, c in out.items() if c}
 
     def monomial_multiply(self, mx, my):
         """The product of basis monomials as {monomial: coefficient}, or {}
-        when it is zero."""
+        when it is zero; a factor outside the basis raises ValueError."""
         prod = self.product(mx, my)
         return {} if prod is None else {prod[0]: prod[1]}
 
@@ -225,6 +213,10 @@ class Algebra:
             if not isinstance(v, int) or not 0 <= v < self.m:
                 raise ValueError(f"vertex {v} is not in 0..{self.m - 1} at m = {self.m}")
         return _EMPTY_CORNER
+
+    def _not_a_factor(self, mono):
+        """Refuse a product factor that is not one of the 4m basis monomials."""
+        raise ValueError(f"{mono!r} is not a basis monomial at m = {self.m}")
 
     def monomials_into(self, v):
         """Basis of Algebra . e_v (monomials with terminus v), v in 0..m-1."""

@@ -14,9 +14,11 @@ form, and a value is its terms: `is_zero` and the augmentation check of
 `check_complex` sum the coefficients of like terms directly.
 The generators are (n, r, i) tuples, built one row (n, r) of m at a time
 when first read (`generator_rows`) and kept at module level, shared by
-every algebra: per-algebra rows slowed the compute-m16 benchmark's
-`wall_s` by 9-11% (higher in 9 of 10 and 10 of 10 pairs on two runs),
-as its warm passes reuse the 4,192 rows each op reads.
+every algebra with the same m: per-algebra rows slowed the compute-m16
+benchmark's `wall_s` by 9-11% (higher in 9 of 10 and 10 of 10 pairs on
+two runs), as its warm passes reuse the 4,192 rows each op reads.  The
+rows of one m are kept at a time, so a `sweep` over m holds the rows of
+the m it is at and no more.
 `generators` assembles a degree from the same row objects on each call.
 Every term is checked (degrees, corners from (n, r, i), exact
 coefficient) before anything reads it, by one checker: a map built from
@@ -40,11 +42,12 @@ A map holds only a weak reference to its flattened matrix: a repeated
 call returns the same object while a caller still holds it, and nothing
 keeps it alive after that, so `check_complex` builds each d^n once
 without keeping all of them in memory.
-`compose` reads each product of two monomials as (monomial, numerator,
-denominator) from per-algebra tables, and each coefficient's integers
-from its Fraction slots (see `linalg`), and sums like terms as integer
-pairs.  Neither multiplies a Fraction by a structure constant of exactly
-1 or adds a first value to zero.
+`compose` reads each product of two monomials from the algebra's rows
+of structure constants, keyed by one factor (`Algebra.by_left` and
+`by_right`), takes the integers of every coefficient from its Fraction
+slots (see `linalg`), and sums like terms as integer pairs.  Neither
+multiplies a Fraction by a structure constant of exactly 1 or adds a
+first value to zero.
 """
 
 import weakref
@@ -84,14 +87,20 @@ def _rows_of(degree):
     return Table(lambda r: tuple(Generator(n, r, i) for i in range(m)))
 
 
-_generators = Table(_rows_of)  # (n, m): the rows of P^n at m vertices
+_generators = Table(_rows_of)  # (n, m): the rows of P^n at m vertices, for one m
 
 
 def generator_rows(n, m):
     """The rows of P^n at m vertices: rows[r] is the tuple of
     Generator(n, r, i), i ascending, built the first time it is read and
-    kept; r outside 0..n raises Generator's ValueError."""
-    return _generators[n, m]
+    kept until rows are read at another m, which drops every row kept;
+    r outside 0..n raises Generator's ValueError."""
+    rows = _generators.get((n, m))
+    if rows is None:
+        if _generators and next(iter(_generators))[1] != m:
+            _generators.clear()
+        rows = _generators[n, m]
+    return rows
 
 
 def generators(n, m):
@@ -100,7 +109,7 @@ def generators(n, m):
 
     This ordering fixes every matrix layout in the package.
     """
-    table = _generators[n, m]
+    table = generator_rows(n, m)
     rows = [table[r] for r in range(n + 1)]
     return tuple(row[i] for i in range(m) for row in rows)
 
@@ -275,26 +284,14 @@ def differential(n, alg):
     return BimoduleMap._closed_form(alg, n, n - 1, row)
 
 
-@memoised
-def _ratio_products(alg):
-    """x . y as (monomial, numerator, denominator), per nonzero product, as
-    by_left[x][y] and by_right[y][x]; every basis monomial has both rows."""
-    by_left, by_right = {x: {} for x in alg.basis}, {y: {} for y in alg.basis}
-    for x, row in by_left.items():
-        for y in alg.monomials_from(x.terminus(alg.m)):
-            if p := alg.product(x, y):
-                row[y] = by_right[y][x] = (p[0], *p[1].as_integer_ratio())
-    return by_left, by_right
-
-
 def compose(f, g):
     """f after g: if g maps P^c -> P^a and f maps P^a -> P^b, the result
     maps P^c -> P^b.  The products l1 . l2 and r2 . r1 of each term of g
-    and each term of f at its target are read from `_ratio_products`.
-    Like terms are collected exactly, as unreduced (numerator, denominator)
-    pairs of integers: a term whose sum reaches zero is dropped at once, so
-    a later contribution puts it last, and a Fraction is built only for
-    each term that remains.  Maps over different algebras raise ValueError."""
+    and each term of f at its target are read from the algebra's rows
+    `by_left` and `by_right`.  Like terms are collected exactly, as
+    unreduced (numerator, denominator) pairs of integers: a term whose sum
+    reaches zero is dropped at once, so a later contribution puts it last,
+    and a Fraction is built only for each term that remains.  Maps over different algebras raise ValueError."""
     if f.source_degree != g.target_degree:
         raise ValueError(
             f"degree mismatch: composing P^{g.source_degree}->P^{g.target_degree} "
@@ -302,7 +299,7 @@ def compose(f, g):
         )
     if f.alg.spec != g.alg.spec:
         raise ValueError(f"cannot compose maps over different algebras: {f.alg} after {g.alg}")
-    by_left, by_right = _ratio_products(f.alg)
+    by_left, by_right = f.alg.by_left, f.alg.by_right
     f_terms = f.terms
     assignments = {}
     for gen, terms in g.assignments.items():
@@ -315,9 +312,10 @@ def compose(f, g):
                 left, right = left_of(l2), right_of(r2)
                 if left is None or right is None:
                     continue
-                ml, ln, ld = left
-                mr, rn, rd = right
-                n, d = n1 * c2._numerator * ln * rn, d1 * c2._denominator * ld * rd
+                ml, cl = left
+                mr, cr = right
+                n = n1 * c2._numerator * cl._numerator * cr._numerator
+                d = d1 * c2._denominator * cl._denominator * cr._denominator
                 key = (ml, target, mr)
                 old = get(key)
                 if old is not None:

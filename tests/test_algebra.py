@@ -15,6 +15,7 @@ from hhdeform.algebra import (
     memoised,
     z,
 )
+from product_rule import product_rule
 
 F = Fraction
 
@@ -327,7 +328,7 @@ def test_product_is_the_product_rule(m):
     alg = algebra(m, tuple(F(k + 2, k + 1) for k in range(m)))
     for x in alg.basis:
         for y in alg.basis:
-            rule = alg._monomial_product(x, y)
+            rule = product_rule(alg, x, y)
             prod = alg.product(x, y)
             if rule is None:
                 assert prod is None, (x, y)
@@ -408,12 +409,65 @@ def test_forget_pops_one_memo_entry():
     assert probe(2, alg) == dropped and probe(2, alg) is not dropped
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+def parameter_choices(m):
+    """Generic q with unequal entries, q with zeta = 1 and zeta = -1 that is
+    not all ones (for m > 1), and all-ones q."""
+    choices = [tuple(F(k + 2, k + 1) for k in range(m)), (F(1),) * m]
+    for zeta in (F(1), F(-1)):
+        choices.append((zeta,) if m == 1 else (3 * zeta, F(1, 3)) + (F(1),) * (m - 2))
+    return choices
+
+
+@pytest.mark.parametrize("m", range(1, 10))
 def test_product_table_is_the_all_pairs_table(m):
-    alg = algebra(m, [F(k + 2, k + 1) for k in range(m)])
-    table = {}
-    for x in alg.basis:
-        for y in alg.basis:
-            if (p := alg._monomial_product(x, y)) is not None:
-                table[x, y] = p
-    assert list(alg._table.items()) == list(table.items())
+    # the rows by either factor hold exactly the nonzero products of the
+    # case-analysis rule over every pair, with the same coefficients
+    for q in parameter_choices(m):
+        alg = algebra(m, q)
+        table = {}
+        for x in alg.basis:
+            for y in alg.basis:
+                if (p := product_rule(alg, x, y)) is not None:
+                    table[x, y] = p
+        by_left = {(x, y): p for x, row in alg.by_left.items() for y, p in row.items()}
+        by_right = {(x, y): p for y, row in alg.by_right.items() for x, p in row.items()}
+        assert by_left == by_right == table, q
+        assert set(alg.by_left) == set(alg.by_right) == set(alg.basis)
+        assert all(type(c) is F for _mono, c in table.values())
+
+
+@pytest.mark.parametrize("q", [F(-5, 2), F(1), F(-1)])
+def test_m1_is_the_local_algebra_of_bgms(q):
+    # k<a, abar> / (a^2, abar^2, q a abar - abar a), basis 1, a, abar, z = a abar
+    alg = algebra(1, (q,))
+    one, x, y, s = e(0), a(0), abar(0), z(0)
+    want = {(one, u): (u, 1) for u in (one, x, y, s)}
+    want.update({(u, one): (u, 1) for u in (x, y, s)})
+    want.update({(x, y): (s, 1), (y, x): (s, q)})
+    got = {(u, v): p for u, row in alg.by_left.items() for v, p in row.items()}
+    assert got == want
+    assert alg.multiply({x: 1, y: 2}, {x: 1, y: 1}) == {s: 1 + 2 * q}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_a_factor_outside_the_basis_refused(m):
+    alg = algebra(m, tuple(F(k + 2, k + 1) for k in range(m)))
+    for bad in (e(m), a(-1), BasisMonomial("x", 0)):
+        message = re.escape(f"{bad!r} is not a basis monomial at m = {m}")
+        for good in (e(0), a(0), z(m - 1)):
+            for x, y in ((bad, good), (good, bad), (bad, bad)):
+                with pytest.raises(ValueError, match=message):
+                    alg.product(x, y)
+                with pytest.raises(ValueError, match=message):
+                    alg.monomial_multiply(x, y)
+                with pytest.raises(ValueError, match=message):
+                    alg.multiply({x: 1}, {y: 1})
+        # also when the other side is empty, or every product is zero
+        with pytest.raises(ValueError, match=message):
+            alg.multiply({bad: 1}, {})
+        with pytest.raises(ValueError, match=message):
+            alg.multiply({}, {bad: 1})
+        with pytest.raises(ValueError, match=message):
+            alg.multiply({z(0): 1}, {z(0): 1, bad: 2})
+    # nothing refused is kept in the rows
+    assert set(alg.by_left) == set(alg.by_right) == set(alg.basis)

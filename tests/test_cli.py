@@ -3,7 +3,8 @@ import json
 import pytest
 from cli_runner import CliRunner
 
-from hhdeform import cli, homcomplex
+from hhdeform import cli, homcomplex, resolution
+from test_resolution import fresh_rows
 
 
 @pytest.fixture()
@@ -327,6 +328,19 @@ def test_sweep(runner):
     for m, chk in zip(range(1, 6), payload["checks"]):
         assert chk["pass"]
         assert f"total dim {m + 4}" in chk["detail"]
+
+
+def test_sweep_keeps_the_generator_rows_of_one_m(runner, monkeypatch):
+    # the rows kept after a sweep are those of its last m, whatever its range
+    kept = {}
+    for m_range in ("1:8", "8:8"):
+        fresh_rows(monkeypatch)
+        result = runner.invoke(cli.main, ["sweep", "--m-range", m_range, "--zeta", "3/2"])
+        assert result.exit_code == 0, result.output
+        rows = resolution._generators
+        assert {m for _n, m in rows} == {8}
+        kept[m_range] = sum(len(table) for table in rows.values())
+    assert 0 < kept["1:8"] <= kept["8:8"]
 
 
 def test_sweep_skips_roots_of_unity(runner):

@@ -20,6 +20,7 @@ from hhdeform.resolution import (
     underlying_matrix,
     verify_exactness,
 )
+from product_rule import product_rule
 from test_algebra import add_into
 from test_freepaths import q_product
 
@@ -144,6 +145,21 @@ def test_generators_are_assembled_from_the_shared_rows(monkeypatch):
             assert gens[i * (n + 1) + r] is rows[r][i]
     # and a row read after the degree is the same row again
     assert generator_rows(n, m)[1] is rows[1]
+
+
+def test_generator_rows_of_one_m_are_kept_at_a_time(monkeypatch):
+    fresh_rows(monkeypatch)
+    rows = generator_rows(2, 3)
+    row = rows[1]
+    assert generator_rows(4, 3)[0] and generator_rows(2, 3) is rows
+    assert set(resolution._generators) == {(2, 3), (4, 3)}
+    # a read at another m, through generators too, drops every kept row
+    assert len(generators(2, 5)) == 15
+    assert set(resolution._generators) == {(2, 5)}
+    again = generator_rows(2, 3)
+    assert again is not rows and not again
+    assert again[1] == row and again[1] is not row
+    assert set(resolution._generators) == {(2, 3)}
 
 
 @pytest.mark.parametrize("r", [-1, 3, 7])
@@ -675,7 +691,7 @@ def test_augmentation_matrix_columns_follow_the_p0_basis(m, zeta):
     alg = algebra(m, q)
     ref = linalg.Matrix(len(alg.basis), p_dimension(alg, 0))
     for col, (_gen, bl, br) in enumerate(_p_basis(0, alg)):
-        prod = alg._monomial_product(bl, br)
+        prod = product_rule(alg, bl, br)
         if prod is not None:
             ref.add_to_entry(alg.basis_index[prod[0]], col, prod[1])
     mat = augmentation_matrix(alg)
@@ -727,7 +743,7 @@ def rule_multiply(alg):
     rule = {}
     for x in alg.basis:
         for y in alg.basis:
-            prod = alg._monomial_product(x, y)
+            prod = product_rule(alg, x, y)
             rule[x, y] = {} if prod is None else {prod[0]: prod[1]}
 
     def multiply(x, y):
@@ -842,7 +858,7 @@ def entry_stencil(left, right, alg):
     triples = []
     for k, bl in enumerate(alg.monomials_into(left.origin(m))):
         for j, br in enumerate(alg.monomials_from(right.terminus(m))):
-            new_left, new_right = alg._monomial_product(bl, left), alg._monomial_product(right, br)
+            new_left, new_right = product_rule(alg, bl, left), product_rule(alg, right, br)
             if new_left is not None and new_right is not None:
                 row = 4 * lefts.index(new_left[0]) + rights.index(new_right[0])
                 triples.append((4 * k + j, row, new_left[1] * new_right[1]))
